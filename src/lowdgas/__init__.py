@@ -19,13 +19,11 @@ from .numerics import (
     QuadratureRule,
     composite_rule,
     derivative,
-    erf_family,
     erfcx,
     find_root,
     gauss_legendre,
     golden_section_max,
     integrate,
-    semi_infinite_rule,
     solve_fixed_point,
 )
 from .lieb_liniger import (
@@ -88,13 +86,11 @@ __all__ = [
     "QuadratureRule",
     "composite_rule",
     "derivative",
-    "erf_family",
     "erfcx",
     "find_root",
     "gauss_legendre",
     "golden_section_max",
     "integrate",
-    "semi_infinite_rule",
     "solve_fixed_point",
     # 1d Bose gas
     "GroundState",

@@ -2,17 +2,19 @@
 
 Every quantity the library computes can be evaluated either at a single
 point (``lowdgas ll shift --gamma 1 --tau 0.5``) or on a 1-2 axis grid
-driven by a sweep specfile (``lowdgas sweep fig1.sweep``).  Results are
-written as CSV or JSON tables built for reproducibility: fixed column
+driven by a sweep specfile (``lowdgas sweep fig1.sweep``).  A single point
+is a sweep with no axes, so both run through :func:`run_sweep`.  Results
+are written as CSV or JSON tables built for reproducibility: fixed column
 order, 17-significant-digit floats, LF line endings, metadata echoing
 the effective configuration, and no wall-clock timestamps (set
 ``SOURCE_DATE_EPOCH`` to embed one).  Identical inputs and tool version
 give byte-identical files; grid points are evaluated independently, so
-``--jobs N`` changes wall time but never contents.
+``--jobs N`` never changes contents (nor, as measured on two cores, the
+wall time).
 
-Exit codes: 0 success; 1 malformed spec, flags, or config; 2 the sweep
-finished but some grid points failed (their rows carry the error in the
-``status`` column); 3 output could not be written.
+Exit codes: 0 success; 1 malformed spec, flags, or config; 2 some points
+failed, for single points and sweeps alike (their rows carry the error
+in the ``status`` column); 3 output could not be written.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Callable, Mapping, Sequence
 
@@ -45,7 +48,6 @@ from .lieb_liniger import (
 )
 from .virial import (
     B2SmallBetaShape,
-    VirialModel,
     check_scale_invariance,
     classify_shift,
     lieb_liniger_b2_model,
@@ -125,8 +127,9 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to evaluate, on which grid, with which fixed parameters, and
-    where the table goes (``output=None`` means stdout).
+    """What to evaluate, on which grid (no axes: a single point), with
+    which fixed parameters, and where the table goes (``output=None``
+    means stdout).
     """
 
     quantity: str
@@ -136,13 +139,13 @@ class SweepSpec:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.quantity not in SWEEPABLE:
-            known = ", ".join(sorted(SWEEPABLE))
+        if self.quantity not in REGISTRY:
+            known = ", ".join(sorted(REGISTRY))
             raise SpecError(f"unknown quantity {self.quantity!r} (one of: {known})")
         axes = tuple(self.axes)
         object.__setattr__(self, "axes", axes)
-        if not 1 <= len(axes) <= 2:
-            raise SpecError("a sweep needs one or two axes")
+        if len(axes) > 2:
+            raise SpecError("a sweep takes at most two axes")
         names = [a.name for a in axes]
         if len(set(names)) != len(names):
             raise SpecError("axis names must be distinct")
@@ -228,9 +231,8 @@ def _eval_ll_ground(p, opts, ctx):
 
 
 def _eval_ll_tba(p, opts, ctx):
-    params = LLParams(gamma=p["gamma"], tau=p["tau"])
-    sol = solve_tba(params, **_ll_solver_kw(opts))
-    pressure, energy = observables(sol, params)
+    sol = solve_tba(LLParams(gamma=p["gamma"], tau=p["tau"]), **_ll_solver_kw(opts))
+    pressure, energy = observables(sol)
     return (sol.mu, pressure, energy)
 
 
@@ -310,10 +312,10 @@ def _eval_virial_thermo(p, opts, ctx):
 
 
 def _prepare_classify(fixed: Mapping) -> dict:
-    extra = fixed.get("extra", ())
+    extra = fixed.get("extra", ())  # "c,p,l;c,p,l" from a specfile, a list from flags
     if isinstance(extra, str):
-        extra = _parse_extra_terms([t for t in extra.split(";") if t.strip()])
-    return {"extra": tuple(extra)}
+        extra = extra.split(";")
+    return {"extra": _parse_extra_terms([t for t in extra if t.strip()])}
 
 
 def _eval_classify(p, opts, ctx):
@@ -439,9 +441,6 @@ REGISTRY: dict[str, _Quantity] = {
     ),
 }
 
-# quantities reachable from a sweep spec; the CLI-only helpers stay out
-SWEEPABLE = frozenset(REGISTRY) - {"anyon-semion"}
-
 
 # ---------------------------------------------------------------------------
 # Sweep engine
@@ -454,12 +453,13 @@ def _timestamp() -> str:
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
 
 
-def _metadata(spec: SweepSpec, opts: Mapping) -> dict:
+def _metadata(quantity: str, axes: Sequence[Axis], fixed: Mapping, opts: Mapping) -> dict:
+    """The one metadata schema of every table the CLI writes."""
     return {
         "tool": "lowdgas",
         "version": __version__,
         "timestamp": _timestamp(),
-        "quantity": spec.quantity,
+        "quantity": quantity,
         "axes": [
             {
                 "name": a.name,
@@ -468,11 +468,11 @@ def _metadata(spec: SweepSpec, opts: Mapping) -> dict:
                 "count": a.count,
                 "spacing": a.spacing,
             }
-            for a in spec.axes
+            for a in axes
         ],
-        "fixed": {k: spec.fixed[k] for k in sorted(spec.fixed)},
+        "fixed": {k: fixed[k] for k in sorted(fixed)},
         "config": {
-            "format": spec.format,
+            "format": opts.get("format"),
             "tol": opts.get("tol"),
             "nodes": opts.get("nodes"),
         },
@@ -501,7 +501,8 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None, jobs: int = 1) -> Re
     """Evaluate the quantity on the grid.  Points are independent; any
     per-point failure is recorded in that row's ``status`` cell and the
     sweep carries on.  Row order follows the grid (first axis outermost)
-    regardless of ``jobs``.
+    regardless of ``jobs``.  With no axes the one row leads with the
+    quantity's parameters.
     """
     opts = dict(opts or {})
     q = REGISTRY[spec.quantity]
@@ -517,23 +518,21 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None, jobs: int = 1) -> Re
         except (TypeError, ValueError) as err:
             raise SpecError(f"parameter {key} must be numeric, got {value!r}") from err
 
-    grids = [axis.values() for axis in spec.axes]
-    if len(grids) == 1:
-        points = [(v,) for v in grids[0]]
-    else:
-        points = [(u, v) for u in grids[0] for v in grids[1]]
+    points = list(itertools.product(*(axis.values() for axis in spec.axes)))
     axis_names = [a.name for a in spec.axes]
+    lead = axis_names or [*q.required, *q.defaults]
 
     def evaluate(point: tuple) -> tuple:
         params = dict(base)
         params.update(zip(axis_names, point))
+        head = tuple(params[name] for name in lead)
         try:
             outs = q.evaluate(params, opts, context)
-            return point + tuple(outs) + ("ok",)
+            return head + tuple(outs) + ("ok",)
         except Exception as err:  # recorded per row, the sweep must finish
             blanks = ("",) * len(q.outputs)
             note = f"{type(err).__name__}: {err}".replace("\n", "; ")
-            return point + blanks + (note,)
+            return head + blanks + (note,)
 
     if jobs > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -541,8 +540,9 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None, jobs: int = 1) -> Re
     else:
         rows = tuple(evaluate(pt) for pt in points)
 
-    columns = tuple((name, "") for name in axis_names) + q.outputs + (("status", ""),)
-    return ResultTable(columns=columns, rows=rows, metadata=_metadata(spec, opts))
+    columns = tuple((name, "") for name in lead) + q.outputs + (("status", ""),)
+    metadata = _metadata(spec.quantity, spec.axes, spec.fixed, dict(opts, format=spec.format))
+    return ResultTable(columns=columns, rows=rows, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +644,6 @@ def _write_gnuplot(table: ResultTable, csv_path: str) -> str:
     """Companion plot script next to the CSV; returns its path."""
     script = csv_path + ".gp"
     names = [n for n, _ in table.columns]
-    ycol = min(len(table.columns) - 1, 2) if len(table.columns) > 2 else 2
     with open(script, "w", encoding="utf-8", newline="") as fh:
         fh.write(
             "\n".join(
@@ -653,7 +652,7 @@ def _write_gnuplot(table: ResultTable, csv_path: str) -> str:
                     'set datafile separator ","',
                     "set key autotitle columnhead",
                     f'set xlabel "{names[0]}"',
-                    f'plot "{os.path.basename(csv_path)}" using 1:{ycol} with lines',
+                    f'plot "{os.path.basename(csv_path)}" using 1:2 with lines',
                     "",
                 ]
             )
@@ -856,7 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--extra",
         action="append",
-        default=[],
         metavar="COEFF,POWER,LOGPOWER",
         help="additional expansion term (repeatable)",
     )
@@ -882,28 +880,15 @@ def _effective_opts(ns: argparse.Namespace) -> dict:
     return opts
 
 
-def _single_point(quantity: str, ns: argparse.Namespace, opts: Mapping) -> ResultTable:
-    q = REGISTRY[quantity]
-    params = {}
-    for name in q.required:
-        params[name] = getattr(ns, name)
-    context = {}
-    outs = q.evaluate(params, opts, context)
-    columns = (
-        tuple((name, "") for name in q.required)
-        + q.outputs
-        + (("status", ""),)
-    )
-    row = tuple(float(params[name]) for name in q.required) + tuple(outs) + ("ok",)
-    metadata = {
-        "tool": "lowdgas",
-        "version": __version__,
-        "timestamp": _timestamp(),
-        "quantity": quantity,
-        "fixed": {k: float(v) for k, v in sorted(params.items())},
-        "config": {"format": opts["format"], "tol": opts["tol"], "nodes": opts["nodes"]},
-    }
-    return ResultTable(columns=columns, rows=(row,), metadata=metadata)
+def _flag_values(ns: argparse.Namespace, names: Sequence[str]) -> dict:
+    """The named parameters set on the command line, integers as floats
+    so that they read as a specfile's values do."""
+    values = {}
+    for name in names:
+        value = getattr(ns, name, None)
+        if value is not None:
+            values[name] = float(value) if isinstance(value, int) else value
+    return values
 
 
 def _channels_table(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
@@ -930,20 +915,12 @@ def _channels_table(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
         ("kind", ""),
         ("status", ""),
     )
-    metadata = {
-        "tool": "lowdgas",
-        "version": __version__,
-        "timestamp": _timestamp(),
-        "quantity": "nacs-channels",
-        "fixed": {"k": float(ns.k), "l": float(ns.l)},
-        "config": {"format": opts["format"], "tol": None, "nodes": None},
-    }
+    metadata = _metadata("nacs-channels", (), _flag_values(ns, ("k", "l")), opts)
     return ResultTable(columns=columns, rows=rows, metadata=metadata)
 
 
 def _scaling_table(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
-    fixed = {"model": ns.model, "d": ns.d, "alpha": ns.alpha, "amps": ns.amps, "c": ns.c}
-    fixed = {k: v for k, v in fixed.items() if v is not None}
+    fixed = _flag_values(ns, REGISTRY["virial-thermo"].model_keys)
     model = _prepare_virial_model(fixed)["model"]
     try:
         temps = [float(t) for t in ns.temps.split(",") if t.strip()]
@@ -963,16 +940,8 @@ def _scaling_table(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
         for k in range(len(report.relative_spread))
     )
     columns = (("order_k", ""), ("relative_spread", ""), ("scaling", ""), ("status", ""))
-    metadata = {
-        "tool": "lowdgas",
-        "version": __version__,
-        "timestamp": _timestamp(),
-        "quantity": "virial-check-scaling",
-        "fixed": {k: str(v) for k, v in sorted(fixed.items())},
-        "config": {"format": opts["format"], "tol": None, "nodes": None},
-        "rtol": ns.rtol,
-        "temps": temps,
-    }
+    fixed.update(temps=temps, rtol=ns.rtol)
+    metadata = _metadata("virial-check-scaling", (), fixed, opts)
     return ResultTable(columns=columns, rows=rows, metadata=metadata)
 
 
@@ -991,95 +960,26 @@ def _parse_extra_terms(specs: Sequence[str]) -> tuple:
 
 def _dispatch(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
     group, op = ns.group, getattr(ns, "op", None)
-    if group == "sweep":
-        with open(ns.specfile, "r", encoding="utf-8") as fh:
-            spec = parse_specfile(fh.read(), name=ns.specfile)
-        if ns.out is not None:
-            spec = SweepSpec(spec.quantity, spec.axes, spec.fixed, ns.out, spec.format)
-        if ns.format is not None:
-            spec = SweepSpec(spec.quantity, spec.axes, spec.fixed, spec.output, ns.format)
-        table = run_sweep(spec, opts, jobs=int(opts.get("jobs") or 1))
-        ns.out = spec.output
-        opts["format"] = spec.format if ns.format is None else ns.format
-        return table
     if group == "nacs" and op == "channels":
         return _channels_table(ns, opts)
     if group == "virial" and op == "check-scaling":
         return _scaling_table(ns, opts)
-    if group == "virial" and op == "thermo":
-        fixed = {
-            "model": ns.model,
-            "d": ns.d,
-            "alpha": ns.alpha,
-            "amps": ns.amps,
-            "c": ns.c,
-        }
-        fixed = {k: v for k, v in fixed.items() if v is not None}
-        context = _prepare_virial_model(fixed)
-        q = REGISTRY["virial-thermo"]
-        outs = q.evaluate({"rho": ns.rho, "T": ns.T}, opts, context)
-        columns = (("rho", ""), ("T", "")) + q.outputs + (("status", ""),)
-        metadata = {
-            "tool": "lowdgas",
-            "version": __version__,
-            "timestamp": _timestamp(),
-            "quantity": "virial-thermo",
-            "fixed": {k: str(v) for k, v in sorted(fixed.items())},
-            "config": {
-                "format": opts["format"],
-                "tol": opts["tol"],
-                "nodes": opts["nodes"],
-            },
-        }
-        return ResultTable(
-            columns=columns,
-            rows=((float(ns.rho), float(ns.T)) + tuple(outs) + ("ok",),),
-            metadata=metadata,
+    if group == "sweep":
+        with open(ns.specfile, "r", encoding="utf-8") as fh:
+            spec = parse_specfile(fh.read(), name=ns.specfile)
+        spec = replace(
+            spec,
+            output=spec.output if ns.out is None else ns.out,
+            format=ns.format or spec.format,
         )
-    if group == "virial" and op == "classify":
-        shape = B2SmallBetaShape(
-            sqrt_beta=ns.sqrt_beta,
-            beta_log_beta=ns.beta_log_beta,
-            beta=ns.beta,
-            extra=_parse_extra_terms(ns.extra),
-        )
-        out = classify_shift(shape, ns.d)
-        limit = out.limit_value if out.limit_value is not None else ""
-        columns = (
-            ("d", ""),
-            ("sqrt_beta", ""),
-            ("beta_log_beta", ""),
-            ("beta", ""),
-            ("verdict", ""),
-            ("limit", "energy volume"),
-            ("status", ""),
-        )
-        row = (
-            float(ns.d),
-            ns.sqrt_beta,
-            ns.beta_log_beta,
-            ns.beta,
-            out.verdict,
-            limit,
-            "ok",
-        )
-        metadata = {
-            "tool": "lowdgas",
-            "version": __version__,
-            "timestamp": _timestamp(),
-            "quantity": "classify",
-            "fixed": {
-                "d": float(ns.d),
-                "sqrt_beta": ns.sqrt_beta,
-                "beta_log_beta": ns.beta_log_beta,
-                "beta": ns.beta,
-                "extra": [list(t) for t in _parse_extra_terms(ns.extra)],
-            },
-            "config": {"format": opts["format"], "tol": None, "nodes": None},
-        }
-        return ResultTable(columns=columns, rows=(row,), metadata=metadata)
-    quantity = f"{group}-{op}"
-    return _single_point(quantity, ns, opts)
+    else:
+        quantity = "classify" if op == "classify" else f"{group}-{op}"
+        q = REGISTRY[quantity]
+        fixed = _flag_values(ns, (*q.required, *q.defaults, *q.model_keys))
+        spec = SweepSpec(quantity, (), fixed, ns.out, opts["format"])
+    ns.out = spec.output
+    opts["format"] = spec.format
+    return run_sweep(spec, opts, jobs=int(opts.get("jobs") or 1))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -409,11 +409,6 @@ class _TBAGrid:
         if self.mu != mu:
             self.density_mismatch(mu)
 
-    def observables(self) -> tuple[float, float]:
-        pressure = float(self.w @ _softplus_e(self._eps, self.tau)) / (2.0 * math.pi)
-        energy = float(self.w @ (self.k2 * self.density))
-        return pressure, energy
-
     def result(self) -> TBASolution:
         return TBASolution(
             gamma=self.gamma,
@@ -542,16 +537,17 @@ def solve_tba(
         if carry is not None and hint is not None:
             solver.seed(carry[0], carry[1], hint)
         solver.solve_mu(hint, window)
-        _, energy = solver.observables()
+        sol = solver.result()
+        _, energy = observables(sol)
         if prev_energy is not None:
             rel = abs(energy - prev_energy) / max(abs(energy), 1e-12)
             if rel <= tol:
-                return solver.result()
+                return sol
             # algebraic tail: doublings gain less than 8x while already
             # at the 1e-3 level -- the kernel is narrower than the grid
             # can resolve and further refinement buys ~nothing
             if prev_rel is not None and rel <= 1e-3 and prev_rel / max(rel, 1e-300) < 8.0:
-                return solver.result()
+                return sol
             prev_rel = rel
         if prev_mu is not None:
             window = max(8.0 * abs(solver.mu - prev_mu), 1e-5)
@@ -561,24 +557,19 @@ def solve_tba(
         hint = solver.mu
         mu_hat = solver.mu
         carry = (solver.grid, solver._eps)
-        best = solver
+        best = sol
         n = 2 * n + 1
     raise ConvergenceError(
         f"TBA energy not stable to {tol} by {max_nodes} nodes (gamma={gamma}, tau={tau})",
-        best=best.result() if best is not None else None,
+        best=best,
         residual=math.nan,
     )
 
 
-def observables(sol: TBASolution, params: LLParams | None = None) -> tuple[float, float]:
+def observables(sol: TBASolution) -> tuple[float, float]:
     """Pressure ``P/(rho k_B T_D)`` and energy per particle
     ``E/(N k_B T_D)`` of a solved state.
-
-    ``params`` is accepted for symmetry with the other entry points but
-    the solution already carries its own ``(gamma, tau)``.
     """
-    if params is not None and (params.gamma != sol.gamma or params.tau != sol.tau):
-        raise ValueError("params disagree with the solved state")
     pressure = float(sol.weights @ _softplus_e(sol.eps, sol.tau)) / (2.0 * math.pi)
     energy = float(sol.weights @ (sol.grid**2 * sol.density))
     return pressure, energy

@@ -1,10 +1,10 @@
 """Shared numerical kernels for the gas-thermodynamics solvers.
 
 Everything in this module is dimensionless plumbing: Gauss-Legendre
-quadrature on finite and semi-infinite domains, damped fixed-point
-iteration, bracketed root finding, Richardson-extrapolated finite
-differences, and the error-function family including the scaled
-complement ``exp(x**2) * erfc(x)`` which stays finite for large ``x``.
+quadrature, damped fixed-point iteration, bracketed root finding,
+Richardson-extrapolated finite differences, and the scaled
+complementary error function ``exp(x**2) * erfc(x)`` which stays finite
+for large ``x``.
 
 All operations are pure: no hidden state, no global tolerance registry,
 and every routine is safe to call concurrently.
@@ -26,13 +26,11 @@ __all__ = [
     "EvaluationError",
     "gauss_legendre",
     "composite_rule",
-    "semi_infinite_rule",
     "integrate",
     "solve_fixed_point",
     "find_root",
     "derivative",
     "golden_section_max",
-    "erf_family",
     "erfcx",
 ]
 
@@ -76,17 +74,13 @@ class BracketError(ValueError):
 class QuadratureRule:
     """Nodes and weights for ``integral(f) ~ sum(w_i * f(x_i))``.
 
-    ``domain`` is ``(a, b)`` with ``b`` possibly ``math.inf``; for a
-    semi-infinite rule the nodes form a geometric panel ladder and
-    :func:`integrate` stops extending once further panels stop
-    contributing.  ``panels`` holds the node count of each panel (empty
-    for a single-block rule).
+    ``domain`` is ``(a, b)``; weights of a rule on a finite domain sum
+    to its length.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     domain: tuple[float, float]
-    panels: tuple[int, ...] = ()
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -140,34 +134,6 @@ def composite_rule(edges: Sequence[float], n: int = 16) -> QuadratureRule:
         np.concatenate(nodes),
         np.concatenate(weights),
         (float(edges[0]), float(edges[-1])),
-        panels=(n,) * (edges.size - 1),
-    )
-
-
-def semi_infinite_rule(a: float, scale: float, n: int = 24, max_panels: int = 48) -> QuadratureRule:
-    """Panel ladder for ``[a, inf)``: first panel of width ``scale``, each
-    subsequent panel twice as wide.
-
-    :func:`integrate` walks the ladder and stops once panel contributions
-    fall below ``1e-14`` of the accumulated total, so the (large) nominal
-    coverage is never fully evaluated for a decaying integrand.
-    """
-    if not math.isfinite(a):
-        raise ValueError("lower bound must be finite")
-    if scale <= 0.0 or not math.isfinite(scale):
-        raise ValueError("scale must be positive and finite")
-    edges = a + scale * (2.0 ** np.arange(max_panels + 1) - 1.0)
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (x + 1.0))
-        weights.append(half * w)
-    return QuadratureRule(
-        np.concatenate(nodes),
-        np.concatenate(weights),
-        (a, math.inf),
-        panels=(n,) * max_panels,
     )
 
 
@@ -185,33 +151,11 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> fl
 
     ``f`` must accept an ndarray of abscissae and return values of the
     same shape; a non-finite value raises :class:`EvaluationError` naming
-    the offending node.  On a semi-infinite rule the panel ladder is
-    evaluated lazily and truncated once two consecutive panels contribute
-    less than ``1e-14`` of the running total.
+    the offending node.
     """
-    if math.isfinite(rule.domain[1]) or not rule.panels:
-        values = np.asarray(f(rule.nodes), dtype=float)
-        _check_finite(values, rule.nodes)
-        return float(np.dot(rule.weights, values))
-
-    total = 0.0
-    quiet = 0
-    start = 0
-    for count in rule.panels:
-        stop = start + count
-        x = rule.nodes[start:stop]
-        values = np.asarray(f(x), dtype=float)
-        _check_finite(values, x)
-        part = float(np.dot(rule.weights[start:stop], values))
-        total += part
-        if abs(part) <= 1e-14 * max(abs(total), 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-        start = stop
-    return total
+    values = np.asarray(f(rule.nodes), dtype=float)
+    _check_finite(values, rule.nodes)
+    return float(np.dot(rule.weights, values))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +326,7 @@ def golden_section_max(
 
 
 # ---------------------------------------------------------------------------
-# error-function family
+# scaled complementary error function
 # ---------------------------------------------------------------------------
 
 def _erfcx_cf(x: float) -> float:
@@ -411,17 +355,3 @@ def erfcx(x: float) -> float:
         return math.exp(x * x) * math.erfc(x)
     return _erfcx_cf(x)
 
-
-def erf_family(x: float) -> tuple[float, float, float]:
-    """Return ``(erf(x), erfc(x), exp(x**2)*erfc(x))``.
-
-    ``erf + erfc == 1`` to 1e-14 and the scaled complement does not
-    overflow for ``x`` up to 1e4 (and far beyond).
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        if math.isnan(x):
-            return (x, x, x)
-        s = math.copysign(1.0, x)
-        return (s, 1.0 - s, 0.0 if s > 0 else math.inf)
-    return math.erf(x), math.erfc(x), erfcx(x)

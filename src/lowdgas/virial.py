@@ -160,14 +160,16 @@ def scale_invariance_residuals(model: VirialModel, rho, T) -> tuple:
 
     Order zero is ``d/2 - d/alpha`` (zero only for quadratic dispersion);
     order ``k`` vanishes identically when ``B_{k+1} * T**(d*k/alpha)`` is
-    constant in ``T``.
+    constant in ``T``.  It is computed as the gap between ``dB_{k+1}/dT``
+    and the slope ``-(d*k/alpha) B_{k+1} / T`` that scale invariance
+    forces, which is exactly zero for :func:`power_law_model`.
     """
     _validate_state_point(rho, T)
     bs, dbs = model.evaluate(T)
     ratio = model.d / model.alpha_scaling
     residuals = [model.d / 2.0 - ratio]
     for k, (b, db) in enumerate(zip(bs, dbs), start=1):
-        residuals.append((-T * db / k - ratio * b) * rho**k)
+        residuals.append((-db - k * ratio * b / T) * T / k * rho**k)
     return tuple(residuals)
 
 
@@ -385,12 +387,20 @@ def leading_exponent(f: Callable[[float], float], betas: Sequence[float]) -> flo
 def power_law_model(
     d: int, alpha_scaling: float, amplitudes: Sequence[float]
 ) -> VirialModel:
-    """Scale-invariant model: ``B_{k+1}(T) = a_k * T**(-d*k/alpha)``."""
+    """Scale-invariant model: ``B_{k+1}(T) = a_k * T**(-d*k/alpha)``.
+
+    The slope is ``p * B / T`` from the same ``B`` value, so it matches
+    the power law to the last bit rather than through a second ``pow``.
+    """
     exponent = -float(d) / float(alpha_scaling)
 
     def make_pair(k: int, a: float) -> CoefficientPair:
         p = exponent * k
-        return (lambda T: a * T**p, lambda T: a * p * T ** (p - 1.0))
+
+        def b(T):
+            return a * T**p
+
+        return (b, lambda T: p * b(T) / T)
 
     pairs = tuple(make_pair(k, float(a)) for k, a in enumerate(amplitudes, start=1))
     return VirialModel(d=d, alpha_scaling=alpha_scaling, coeffs=pairs)

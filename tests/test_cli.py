@@ -87,8 +87,9 @@ def test_sweepspec_rejects_unknown_quantity():
 
 
 def test_sweepspec_requires_one_or_two_axes():
-    with pytest.raises(SpecError):
-        SweepSpec("ll-b2", ())
+    # no axes is a single point: one row that leads with the parameters
+    table = run_sweep(SweepSpec("ll-b2", (), {"gamma": 1.0, "tau": 1.0}))
+    assert table.rows == ((1.0, 1.0, b2_ll(LLParams(gamma=1.0, tau=1.0)), "ok"),)
     with pytest.raises(SpecError):
         SweepSpec("ll-b2", (_axis("a"), _axis("b"), _axis("c")))
 
@@ -424,6 +425,22 @@ def test_main_single_point_to_stdout(capsys):
     out = capsys.readouterr().out
     assert "gamma,tau,b2[lambda_T],status" in out
     assert "%.17g" % (-0.5 / math.sqrt(2.0)) in out
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        ("anyon b2 --alpha 0.5 --sigma -1 --eps 800", "OverflowError"),
+        ("ll shift --gamma 1 --tau 1e7", "ConvergenceError"),
+        ("ll b2 --gamma 1 --tau -1", "ValueError"),
+    ],
+)
+def test_main_single_point_failure_is_a_status_row(tmp_path, argv, error):
+    out = str(tmp_path / "point.csv")
+    assert main(argv.split() + ["--out", out]) == EXIT_SOLVER
+    table = load_table(out)
+    assert len(table.rows) == 1 and table.failures == 1
+    assert table.rows[0][-1].startswith(error + ": ")
 
 
 def test_main_semion_matches_library(tmp_path):

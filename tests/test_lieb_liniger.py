@@ -253,13 +253,6 @@ def test_solver_rejects_tiny_tau():
         solve_tba(LLParams(1.0, 1e-4))
 
 
-def test_observables_reject_mismatched_params():
-    sol = solve_tba(LLParams(1.0, 1.0))
-    with pytest.raises(ValueError):
-        observables(sol, LLParams(2.0, 1.0))
-    assert observables(sol, LLParams(1.0, 1.0)) == observables(sol)
-
-
 # ---------------------------------------------------------------------------
 # closed-form limits
 # ---------------------------------------------------------------------------

@@ -24,13 +24,11 @@ from lowdgas.numerics import (
     QuadratureRule,
     composite_rule,
     derivative,
-    erf_family,
     erfcx,
     find_root,
     gauss_legendre,
     golden_section_max,
     integrate,
-    semi_infinite_rule,
     solve_fixed_point,
 )
 
@@ -73,19 +71,6 @@ def test_composite_rule_matches_single_panel():
     single = integrate(f, gauss_legendre(64, 0.0, 4.0))
     split = integrate(f, composite_rule([0.0, 0.5, 1.0, 2.5, 4.0], n=24))
     assert split == pytest.approx(single, rel=1e-13)
-
-
-def test_semi_infinite_exponential():
-    rule = semi_infinite_rule(0.0, scale=1.0)
-    got = integrate(lambda x: np.exp(-x), rule)
-    assert got == pytest.approx(1.0, rel=1e-10)
-
-
-def test_semi_infinite_gaussian_moment():
-    # integral of x^2 exp(-x^2/2) over [0, inf) = sqrt(pi/2)
-    rule = semi_infinite_rule(0.0, scale=2.0)
-    got = integrate(lambda x: x * x * np.exp(-0.5 * x * x), rule)
-    assert got == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-10)
 
 
 def test_integrate_rejects_nonfinite_values():
@@ -237,35 +222,6 @@ def test_erfcx_reference_values(x, expected):
 def test_erfcx_no_overflow_at_large_argument():
     assert 0.0 < erfcx(1e4) < 1.0
     assert erfcx(1e8) == pytest.approx(1.0 / (1e8 * math.sqrt(math.pi)), rel=1e-10)
-
-
-def test_erf_family_consistency():
-    e, ec, ex = erf_family(1.0)
-    assert e == pytest.approx(0.84270079294971487, abs=1e-15)
-    assert ec == pytest.approx(1.0 - e, abs=1e-15)
-    assert ex == pytest.approx(ERFCX_REFERENCE[1.0], rel=1e-14)
-
-
-def test_erf_family_infinities():
-    assert erf_family(math.inf) == (1.0, 0.0, 0.0)
-    e, ec, _ = erf_family(-math.inf)
-    assert (e, ec) == (-1.0, 2.0)
-
-
-@given(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
-@settings(max_examples=200, deadline=None)
-def test_erf_oddness(x):
-    e_pos, _, _ = erf_family(x)
-    e_neg, _, _ = erf_family(-x)
-    assert abs(e_pos + e_neg) < 1e-14
-
-
-@given(st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
-@settings(max_examples=200, deadline=None)
-def test_erfc_reflection(x):
-    _, ec_pos, _ = erf_family(x)
-    _, ec_neg, _ = erf_family(-x)
-    assert abs(ec_pos + ec_neg - 2.0) < 1e-14
 
 
 @given(st.floats(min_value=0.0, max_value=20.0, allow_nan=False))
