@@ -129,7 +129,7 @@ class Axis:
 class SweepSpec:
     """What to evaluate, on which grid (no axes: a single point), with
     which fixed parameters, and where the table goes (``output=None``
-    means stdout).
+    means stdout; ``format=None`` means the run's configured format).
     """
 
     quantity: str
@@ -154,7 +154,7 @@ class SweepSpec:
         for name in names:
             if name in fixed:
                 raise SpecError(f"{name} is both an axis and a fixed parameter")
-        if self.format not in ("csv", "json"):
+        if self.format not in ("csv", "json", None):
             raise SpecError(f"format must be csv or json, got {self.format!r}")
 
 
@@ -541,7 +541,8 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None, jobs: int = 1) -> Re
         rows = tuple(evaluate(pt) for pt in points)
 
     columns = tuple((name, "") for name in lead) + q.outputs + (("status", ""),)
-    metadata = _metadata(spec.quantity, spec.axes, spec.fixed, dict(opts, format=spec.format))
+    config = dict(opts, format=spec.format or opts.get("format"))
+    metadata = _metadata(spec.quantity, spec.axes, spec.fixed, config)
     return ResultTable(columns=columns, rows=rows, metadata=metadata)
 
 
@@ -700,13 +701,14 @@ def parse_specfile(text: str, name: str = "<spec>") -> SweepSpec:
         format   = csv
 
     ``axis`` may appear twice; every other key that is not ``quantity``,
-    ``out`` or ``format`` becomes a fixed parameter.
+    ``out`` or ``format`` becomes a fixed parameter.  Without a
+    ``format`` line the spec leaves the format to the run's options.
     """
     quantity = None
     axes: list[Axis] = []
     fixed: dict[str, object] = {}
     output = None
-    fmt = "csv"
+    fmt = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -970,7 +972,7 @@ def _dispatch(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
         spec = replace(
             spec,
             output=spec.output if ns.out is None else ns.out,
-            format=ns.format or spec.format,
+            format=ns.format or spec.format or opts["format"],
         )
     else:
         quantity = "classify" if op == "classify" else f"{group}-{op}"

@@ -39,12 +39,10 @@ import numpy as np
 from .numerics import (
     BracketError,
     ConvergenceError,
-    FixedPointConfig,
     derivative,
     erfcx,
     find_root,
     gauss_legendre,
-    solve_fixed_point,
 )
 
 __all__ = [
@@ -171,8 +169,11 @@ def _lorentz_matrix(
     ``[-kmax, kmax]`` (the domain edge, not the outermost node: Gauss
     nodes stop short of the edge by O(1/n^2) and using them here would
     degrade the scheme to algebraic convergence)."""
-    diff = grid[:, None] - grid[None, :]
-    ker = (gamma / math.pi) / (diff * diff + gamma * gamma)
+    # in place: one n x n array at a time (n reaches ~6500)
+    ker = grid[:, None] - grid[None, :]
+    ker *= ker
+    ker += gamma * gamma
+    np.divide(gamma / math.pi, ker, out=ker)
     np.fill_diagonal(ker, 0.0)
     mass = (np.arctan((kmax - grid) / gamma) + np.arctan((kmax + grid) / gamma)) / math.pi
     return ker, mass
@@ -242,18 +243,21 @@ def solve_ground_state(
             f"gamma must be positive and finite (got {gamma}); "
             "the gamma=0 ideal gas needs no solver"
         )
-    prev = None
+    prev = state = None
+    change = math.nan
     n = n0
     while n <= max_nodes:
         state = _ground_at(gamma, n)
-        if prev is not None and abs(state.energy - prev) <= tol * max(abs(state.energy), 1e-12):
-            return state
+        if prev is not None:
+            change = abs(state.energy - prev)
+            if change <= tol * max(abs(state.energy), 1e-12):
+                return state
         prev = state.energy
         n *= 2
     raise ConvergenceError(
         f"ground-state energy not stable to {tol} by {max_nodes} nodes (gamma={gamma})",
         best=state,
-        residual=abs(state.energy - prev),
+        residual=change,
     )
 
 
@@ -283,33 +287,35 @@ def _boltzmann_mu(tau: float) -> float:
     return 0.5 * tau * math.log(4.0 * math.pi / tau)
 
 
-class _MuOvershoot(Exception):
-    """Trial chemical potential far above the physical one: the
-    pseudo-energy iteration contracts at rate ``1 - exp(eps_0/tau)``
-    and stalls once the occupation saturates.  Only ever happens on the
-    high side, so it carries the sign information 'density too large'."""
-
-
-_CHUNK = 400
-_MAX_CHUNKS = 50
+_NEWTON_TOL = 1e-11  # on the pseudo-energy step, relative to max|E|
+_NORM_TOL = 1e-10  # on the normalization residual integral(f) - 1
+_MAX_NEWTON = 50
+_MAX_MU_TRIALS = 60
 
 
 class _TBAGrid:
-    """One Nystrom discretization at fixed node count; solves the
-    pseudo-energy fixed point and the linear density equation per trial
-    ``mu``, keeping the previous pseudo-energy as a warm start."""
+    """One Nystrom discretization at fixed node count.
 
-    def __init__(self, gamma: float, tau: float, kmax: float, n: int, fp: FixedPointConfig):
+    Every solve goes through the Jacobian ``J = I - C diag(fermi)`` of
+    ``F(E) = E - K^2 + mu + C softplus(E)``, where ``C`` is the
+    subtracted kernel with its defect on the diagonal.  One solve
+    against ``J`` per Newton step gives the step ``J^-1 F``, the dressed
+    ``g = J^-1 (1/2pi)`` (level density ``f = fermi g`` and
+    ``dE/dmu = -2pi g``) and ``dg/dmu``, hence ``dn/dmu`` for the outer
+    Newton solve on ``integral f = 1``.
+    """
+
+    def __init__(self, gamma: float, tau: float, kmax: float, n: int):
         rule = gauss_legendre(n, -kmax, kmax)
         self.gamma, self.tau, self.kmax = gamma, tau, kmax
         self.grid, self.w = rule.nodes, rule.weights
-        self.fp = fp
-        ker, mass = _lorentz_matrix(self.grid, gamma, kmax)
-        self.kw = ker * self.w[None, :]
+        self.kw, mass = _lorentz_matrix(self.grid, gamma, kmax)
+        self.kw *= self.w[None, :]
         self.defect = mass - self.kw.sum(axis=1)
         self.k2 = self.grid * self.grid
-        self._eye = np.eye(n)
-        self._eps = None
+        self._jac = np.empty_like(self.kw)
+        self.eps = None
+        self.g = np.full(n, 1.0 / (2.0 * math.pi))
         self.density = None
         self.mu = math.nan
 
@@ -319,95 +325,67 @@ class _TBAGrid:
     def seed(self, grid_old: np.ndarray, eps_old: np.ndarray, mu: float) -> None:
         # carry the smooth part E - (K^2 - mu) across grid refinements
         res = eps_old - (grid_old * grid_old - mu)
-        self._eps = self.k2 - mu + np.interp(self.grid, grid_old, res)
+        self.eps = self.k2 - mu + np.interp(self.grid, grid_old, res)
+        self.mu = mu
 
-    def pseudo_energy(self, mu: float) -> np.ndarray:
+    def _newton(self, mu: float) -> float:
+        """Solve ``F(E) = 0`` at ``mu``; sets ``eps``, ``g``, ``density``
+        and ``mu`` and returns ``dn/dmu``."""
         tau = self.tau
-
-        def step(eps):
-            return self.k2 - mu - self._conv(_softplus_e(eps, tau))
-
-        eps = self._eps if self._eps is not None else self.k2 - mu
-        chunk = FixedPointConfig(damping=self.fp.damping, tol=self.fp.tol, max_iter=_CHUNK)
-        prev_res = None
-        for done in range(1, _MAX_CHUNKS + 1):
-            try:
-                eps = solve_fixed_point(step, eps, chunk)
-            except ConvergenceError as err:
-                new = np.asarray(err.best)
-                drift = float(np.mean(new - eps))
-                eps = new
-                if prev_res is not None:
-                    # projected sweeps to reach tol at the measured rate;
-                    # hopeless + downward drift = saturating occupation,
-                    # i.e. the trial mu sits far above the physical one
-                    rate = math.log(err.residual / prev_res) / _CHUNK
-                    left = (_MAX_CHUNKS - done) * _CHUNK
-                    hopeless = rate >= 0.0 or math.log(
-                        chunk.tol / err.residual
-                    ) / rate > left
-                    if hopeless:
-                        self._eps = None
-                        if drift < 0.0:
-                            raise _MuOvershoot(mu) from None
-                        raise ConvergenceError(
-                            f"pseudo-energy iteration stalled at mu={mu}",
-                            best=eps,
-                            residual=err.residual,
-                        ) from None
-                prev_res = err.residual
-                continue
-            self._eps = eps
-            return eps
-        self._eps = None
+        if self.eps is None:
+            eps = self.k2 - mu
+        else:
+            # first-order predictor from dE/dmu = -2pi g
+            eps = self.eps - (2.0 * math.pi * (mu - self.mu)) * self.g
+        g = self.g
+        jac = self._jac
+        diag = np.einsum("ii->i", jac)
+        for _ in range(_MAX_NEWTON):
+            fermi = _fermi(eps, tau)
+            resid = eps - self.k2 + mu + self._conv(_softplus_e(eps, tau))
+            dfermi = (2.0 * math.pi / tau) * fermi * (1.0 - fermi) * g
+            np.multiply(self.kw, -fermi[None, :], out=jac)
+            diag += 1.0 - self.defect * fermi
+            rhs = np.column_stack(
+                (resid, np.full(eps.size, 1.0 / (2.0 * math.pi)), self._conv(dfermi * g))
+            )
+            step, g, dg = np.linalg.solve(jac, rhs).T
+            eps = eps - step
+            if np.max(np.abs(step)) <= _NEWTON_TOL * np.max(np.abs(eps)):
+                self.eps, self.g, self.mu = eps, g, mu
+                self.density = fermi * g
+                return float(self.w @ (dfermi * g + fermi * dg))
         raise ConvergenceError(
-            f"pseudo-energy iteration exceeded {_CHUNK * _MAX_CHUNKS} sweeps at mu={mu}",
-            best=eps,
-            residual=prev_res,
+            f"pseudo-energy Newton solve did not converge at mu={mu}", best=eps
         )
 
-    def density_mismatch(self, mu: float) -> float:
-        eps = self.pseudo_energy(mu)
-        wt = _fermi(eps, self.tau)
-        a = self._eye - wt[:, None] * self.kw
-        a[np.diag_indices_from(a)] -= wt * self.defect
-        f = np.linalg.solve(a, wt / (2.0 * math.pi))
-        self.density = f
-        self.mu = mu
-        return float(self.w @ f) - 1.0
-
-    def _mismatch(self, mu: float) -> float:
-        # sign-preserving wrapper: an overshoot stall reads as
-        # "density too large", which is all the bracketing needs
-        try:
-            return self.density_mismatch(mu)
-        except _MuOvershoot:
-            return 1.0
-
-    def solve_mu(self, hint: float | None, window: float) -> None:
-        if hint is None:
-            mu_b = _boltzmann_mu(self.tau)
-            pad = max(2.0 * self.tau, 2.0)
-            lo, hi = mu_b - pad, max(math.pi**2, mu_b + pad)
-        else:
-            lo, hi = hint - window, hint + window
-        # 5e-9 on the normalization residual: below that the outer root
-        # find only chases the pseudo-energy iteration noise floor
-        for _ in range(40):
-            try:
-                mu = find_root(self._mismatch, (lo, hi), tol=5e-9)
-                break
-            except BracketError:
-                # same sign at both ends; the density is monotone in mu,
-                # so one probe decides which way to slide the bracket
-                if self._mismatch(hi) < 0.0:
-                    lo, hi = hi, hi + 4.0 * (hi - lo)
-                else:
-                    lo, hi = lo - 4.0 * (hi - lo), lo
-        else:
-            raise ConvergenceError("density normalization: could not bracket mu")
-        if self.mu != mu:
-            self.density_mismatch(mu)
+    def solve_mu(self, mu: float) -> None:
+        """Safeguarded Newton on ``integral f - 1``: the density rises with
+        ``mu``, so each residual's sign tightens a bracket, and a step
+        that leaves the bracket bisects it.  No step moves ``mu`` by more
+        than ``pad``: on a grid too coarse for the Fermi edge ``dn/dmu``
+        can vanish while the bracket is still open."""
+        pad = max(2.0 * self.tau, 2.0)
+        lo, hi = -math.inf, math.inf
+        for _ in range(_MAX_MU_TRIALS):
+            slope = self._newton(mu)
+            miss = float(self.w @ self.density) - 1.0
+            if abs(miss) <= _NORM_TOL:
+                return
+            if miss < 0.0:
+                lo = mu
+            else:
+                hi = mu
+            step = -miss / slope if slope > 0.0 else -math.copysign(pad, miss)
+            nxt = mu + max(-pad, min(pad, step))
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            mu = nxt
+        raise ConvergenceError(
+            f"density normalization not reached in {_MAX_MU_TRIALS} trials of mu",
+            best=self.result(),
+            residual=abs(miss),
+        )
 
     def result(self) -> TBASolution:
         return TBASolution(
@@ -415,7 +393,7 @@ class _TBAGrid:
             tau=self.tau,
             grid=self.grid,
             weights=self.w,
-            eps=self._eps,
+            eps=self.eps,
             density=self.density,
             mu=self.mu,
             kmax=self.kmax,
@@ -485,7 +463,6 @@ def solve_tba(
     n0: int = 201,
     tol: float = 1e-8,
     max_nodes: int = 6500,
-    fp: FixedPointConfig = FixedPointConfig(),
 ) -> TBASolution:
     """Finite-temperature thermodynamics at ``(gamma, tau)``.
 
@@ -493,12 +470,15 @@ def solve_tba(
 
     ``E(K) = K^2 - mu - tau * integral ker(K - K') log(1 + exp(-E'/tau)) dK'``
 
-    with ``ker(q) = (gamma/pi) / (q^2 + gamma^2)`` is iterated (damped
-    fixed point) on a symmetric Gauss-Legendre grid wide enough that
-    ``exp(-(Kmax^2 - mu)/tau) < 1e-12``; ``mu`` is fixed by the outer
-    root find on ``integral f = 1``, where the level density solves
+    with ``ker(q) = (gamma/pi) / (q^2 + gamma^2)`` is solved by Newton's
+    method on a symmetric Gauss-Legendre grid wide enough that
+    ``exp(-(Kmax^2 - mu)/tau) < 1e-12``.  The factorized Jacobian of each
+    Newton step also yields the level density, which solves
 
-    ``f(K) (1 + exp(E/tau)) = 1/2pi + integral ker(K - K') f(K') dK'``.
+    ``f(K) (1 + exp(E/tau)) = 1/2pi + integral ker(K - K') f(K') dK'``,
+
+    and its derivative in ``mu``, so ``mu`` is fixed by an outer
+    safeguarded Newton solve of ``integral f = 1``.
 
     Nodes double until the energy per particle is stable to ``tol``
     (relative).  When the kernel width ``gamma`` sits below the grid
@@ -509,7 +489,10 @@ def solve_tba(
     instead.  The residual error there is ~1e-5 absolute, and the
     regime only arises within ``O(gamma)`` of the ideal-Bose branch.
     ``gamma = 0`` and ``gamma = inf`` return the analytic ideal Bose /
-    impenetrable branches on the same kind of grid.
+    impenetrable branches on the same kind of grid.  For interacting
+    states ``tau >= 2e4`` is outside the domain: the ladder's energy
+    criterion no longer bounds the error of the shift there, and
+    ``e_res_high_T`` gives the classical limit.
     """
     gamma, tau = params.gamma, params.tau
     if tau < 1e-3:
@@ -521,22 +504,24 @@ def solve_tba(
         return _solve_ideal(tau, bose=True, n0=n0, tol=tol, max_nodes=max_nodes)
     if math.isinf(gamma):
         return _solve_ideal(tau, bose=False, n0=n0, tol=tol, max_nodes=max_nodes)
+    if tau >= 2e4:
+        raise ValueError(
+            f"tau={tau} is at or above 2e4, where the finite-T ladder cannot "
+            "certify its result; use e_res_high_T for the high-temperature shift"
+        )
 
-    mu_hat = max(math.pi**2, _boltzmann_mu(tau) + 2.0 * tau)
-    hint: float | None = None
-    window = 0.0
-    carry: tuple[np.ndarray, np.ndarray] | None = None
+    mu = _boltzmann_mu(tau)
+    mu_hat = max(math.pi**2, mu + 2.0 * tau)
+    carry: TBASolution | None = None
     prev_energy = None
-    prev_mu = None
     prev_rel = None
     n = n0
-    best = None
     while n <= max_nodes:
         kmax = math.sqrt(max(mu_hat, 0.0) + _TAIL_LOG * tau)
-        solver = _TBAGrid(gamma, tau, kmax, n, fp)
-        if carry is not None and hint is not None:
-            solver.seed(carry[0], carry[1], hint)
-        solver.solve_mu(hint, window)
+        solver = _TBAGrid(gamma, tau, kmax, n)
+        if carry is not None:
+            solver.seed(carry.grid, carry.eps, mu)
+        solver.solve_mu(mu)
         sol = solver.result()
         _, energy = observables(sol)
         if prev_energy is not None:
@@ -549,19 +534,13 @@ def solve_tba(
             if prev_rel is not None and rel <= 1e-3 and prev_rel / max(rel, 1e-300) < 8.0:
                 return sol
             prev_rel = rel
-        if prev_mu is not None:
-            window = max(8.0 * abs(solver.mu - prev_mu), 1e-5)
-        else:
-            window = max(0.05 * abs(solver.mu), 1e-3)
-        prev_energy, prev_mu = energy, solver.mu
-        hint = solver.mu
-        mu_hat = solver.mu
-        carry = (solver.grid, solver._eps)
-        best = sol
+        prev_energy = energy
+        mu = mu_hat = sol.mu
+        carry = sol
         n = 2 * n + 1
     raise ConvergenceError(
         f"TBA energy not stable to {tol} by {max_nodes} nodes (gamma={gamma}, tau={tau})",
-        best=best,
+        best=carry,
         residual=math.nan,
     )
 

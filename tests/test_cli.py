@@ -431,7 +431,8 @@ def test_main_single_point_to_stdout(capsys):
     "argv,error",
     [
         ("anyon b2 --alpha 0.5 --sigma -1 --eps 800", "OverflowError"),
-        ("ll shift --gamma 1 --tau 1e7", "ConvergenceError"),
+        ("ll shift --gamma 1 --nodes 7000 --tau 0.5", "ConvergenceError"),
+        ("ll ground --gamma 1 --nodes 5000", "ConvergenceError"),
         ("ll b2 --gamma 1 --tau -1", "ValueError"),
     ],
 )
@@ -545,6 +546,24 @@ def test_main_config_file_precedence(tmp_path, capsys):
 
     bad = _write(tmp_path / "bad.cfg", "volume = 11\n")
     assert main(["ll", "b2", "--gamma", "1", "--tau", "1", "--config", bad]) == EXIT_SPEC
+
+
+def test_main_sweep_format_precedence(tmp_path):
+    # flag > specfile format line > config file > default
+    config = _write(tmp_path / "lowdgas.cfg", "format = json\n")
+    text = "quantity = ll-b2\naxis = gamma linear 1 2 2\ntau = 1\n"
+    cases = [
+        ("", [], "json"),
+        ("format = csv\n", [], "csv"),
+        ("format = csv\n", ["--format", "json"], "json"),
+    ]
+    for i, (line, flags, fmt) in enumerate(cases):
+        out = str(tmp_path / f"table{i}")
+        specfile = _write(tmp_path / f"s{i}.sweep", text + line + f"out = {out}\n")
+        assert main(["sweep", specfile, "--config", config, *flags]) == EXIT_OK
+        head = open(out, encoding="utf-8").read(1)
+        assert head == ("{" if fmt == "json" else "#")
+        assert load_table(out).metadata["config"]["format"] == fmt
 
 
 def test_main_embeds_reproducible_timestamp(tmp_path, monkeypatch, capsys):

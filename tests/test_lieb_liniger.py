@@ -31,6 +31,7 @@ from lowdgas import (
     solve_ground_state,
     solve_tba,
 )
+from lowdgas.lieb_liniger import _lorentz_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,6 +198,20 @@ def test_solution_closes_its_own_equations():
     assert sol.pseudo_energy_at(k_far) == pytest.approx(k_far**2 - sol.mu, rel=1e-6)
 
 
+@pytest.mark.parametrize("gamma, tau", [(1.0, 1.0), (0.1, 0.5), (10.0, 2.0), (1.0, 1e3)])
+def test_density_solves_the_level_density_equation(gamma, tau):
+    # the density taken from the Newton Jacobian solves the Nystrom form of
+    # f (1 + e^{E/tau}) = 1/2pi + ker * f, (I - diag(fermi) C) f = fermi/2pi,
+    # with C the subtracted kernel rebuilt on the solution's grid
+    sol = solve_tba(LLParams(gamma, tau))
+    ker, mass = _lorentz_matrix(sol.grid, gamma, sol.kmax)
+    kw = ker * sol.weights[None, :]
+    conv = kw + np.diag(mass - kw.sum(axis=1))
+    fermi = 1.0 / (1.0 + np.exp(sol.eps / tau))
+    density = np.linalg.solve(np.eye(sol.grid.size) - fermi[:, None] * conv, fermi / TWO_PI)
+    assert np.max(np.abs(sol.density - density)) < 1e-12
+
+
 def test_density_positive_peaked_and_dressed():
     # f > 0, peaked at K = 0, and the dressed combination
     # f (1 + e^{E/tau}) stays above the bare 1/2pi (the interaction
@@ -251,6 +266,10 @@ def test_interacting_branches_interpolate_ideal_ones():
 def test_solver_rejects_tiny_tau():
     with pytest.raises(ValueError, match="solve_ground_state"):
         solve_tba(LLParams(1.0, 1e-4))
+    # the high-temperature edge points to the closed form instead
+    for tau in (2e4, 1e7):
+        with pytest.raises(ValueError, match="e_res_high_T"):
+            solve_tba(LLParams(1.0, tau))
 
 
 # ---------------------------------------------------------------------------
