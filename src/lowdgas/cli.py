@@ -8,9 +8,8 @@ are written as CSV or JSON tables built for reproducibility: fixed column
 order, 17-significant-digit floats, LF line endings, metadata echoing
 the effective configuration, and no wall-clock timestamps (set
 ``SOURCE_DATE_EPOCH`` to embed one).  Identical inputs and tool version
-give byte-identical files; grid points are evaluated independently, so
-``--jobs N`` never changes contents (nor, as measured on two cores, the
-wall time).
+give byte-identical files for a fixed BLAS configuration; grid points
+are evaluated independently, in grid order.
 
 Exit codes: 0 success; 1 malformed spec, flags, or config; 2 some points
 failed, for single points and sweeps alike (their rows carry the error
@@ -27,7 +26,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Callable, Mapping, Sequence
@@ -497,12 +495,11 @@ def _check_parameters(spec: SweepSpec, q: _Quantity) -> None:
         raise SpecError(f"{spec.quantity}: missing parameter(s) {', '.join(missing)}")
 
 
-def run_sweep(spec: SweepSpec, opts: Mapping | None = None, jobs: int = 1) -> ResultTable:
+def run_sweep(spec: SweepSpec, opts: Mapping | None = None) -> ResultTable:
     """Evaluate the quantity on the grid.  Points are independent; any
     per-point failure is recorded in that row's ``status`` cell and the
-    sweep carries on.  Row order follows the grid (first axis outermost)
-    regardless of ``jobs``.  With no axes the one row leads with the
-    quantity's parameters.
+    sweep carries on.  Row order follows the grid (first axis outermost).
+    With no axes the one row leads with the quantity's parameters.
     """
     opts = dict(opts or {})
     q = REGISTRY[spec.quantity]
@@ -534,11 +531,7 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None, jobs: int = 1) -> Re
             note = f"{type(err).__name__}: {err}".replace("\n", "; ")
             return head + blanks + (note,)
 
-    if jobs > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(evaluate, points))
-    else:
-        rows = tuple(evaluate(pt) for pt in points)
+    rows = tuple(evaluate(pt) for pt in points)
 
     columns = tuple((name, "") for name in lead) + q.outputs + (("status", ""),)
     config = dict(opts, format=spec.format or opts.get("format"))
@@ -741,7 +734,7 @@ def parse_specfile(text: str, name: str = "<spec>") -> SweepSpec:
     )
 
 
-_CONFIG_KEYS = ("format", "tol", "nodes", "jobs")
+_CONFIG_KEYS = ("format", "tol", "nodes")
 
 
 def _parse_config(text: str, name: str) -> dict:
@@ -784,7 +777,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default=None)
     common.add_argument("--tol", type=float, default=None, help="solver tolerance")
     common.add_argument("--nodes", type=int, default=None, help="initial grid size")
-    common.add_argument("--jobs", type=int, default=None, help="parallel workers")
     common.add_argument("--config", metavar="PATH", help="key=value defaults file")
     common.add_argument(
         "--gnuplot",
@@ -871,11 +863,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_opts(ns: argparse.Namespace) -> dict:
-    opts = {"format": "csv", "tol": None, "nodes": None, "jobs": 1}
+    opts = {"format": "csv", "tol": None, "nodes": None}
     if getattr(ns, "config", None):
         with open(ns.config, "r", encoding="utf-8") as fh:
             opts.update(_parse_config(fh.read(), ns.config))
-    for key in ("format", "tol", "nodes", "jobs"):
+    for key in _CONFIG_KEYS:
         flag = getattr(ns, key, None)
         if flag is not None:
             opts[key] = flag
@@ -981,7 +973,7 @@ def _dispatch(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
         spec = SweepSpec(quantity, (), fixed, ns.out, opts["format"])
     ns.out = spec.output
     opts["format"] = spec.format
-    return run_sweep(spec, opts, jobs=int(opts.get("jobs") or 1))
+    return run_sweep(spec, opts)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -11,8 +11,8 @@ choices the entire thermodynamics depends on ``(gamma, tau)`` alone.
 Two solvers live here:
 
 * the zero-temperature ground state, a linear integral equation for the
-  quasi-momentum density ``g(t)`` on ``[-1, 1]`` with an outer root find
-  fixing the cutoff ratio ``ell``;
+  quasi-momentum density ``g(t)`` on ``[-1, 1]`` with a Newton solve
+  fixing the cutoff ratio ``ell`` (and giving ``d(energy)/d(gamma)``);
 * the finite-temperature coupled equations for the pseudo-energy
   ``E(K)``, chemical potential ``mu`` and level density ``f(K)``.
 
@@ -36,14 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    BracketError,
-    ConvergenceError,
-    derivative,
-    erfcx,
-    find_root,
-    gauss_legendre,
-)
+from .numerics import ConvergenceError, erfcx, find_root, gauss_legendre
 
 __all__ = [
     "LLParams",
@@ -89,7 +82,8 @@ class GroundState:
     """T = 0 solution: cutoff ratio ``ell = c/K_cut``, quasi-momentum
     density ``g`` on the scaled support ``[-1, 1]``, and the dimensionless
     ground-state energy ``energy`` (``E/N = rho^2 * energy`` in units of
-    ``hbar^2/2m``, so ``energy`` runs from ``~gamma`` to ``pi^2/3``)."""
+    ``hbar^2/2m``, so ``energy`` runs from ``~gamma`` to ``pi^2/3``), and
+    its implicit-differentiation ``slope = d(energy)/d(gamma)``."""
 
     gamma: float
     ell: float
@@ -97,6 +91,7 @@ class GroundState:
     weights: np.ndarray
     g_nodes: np.ndarray
     energy: float
+    slope: float
 
 
 @dataclass(frozen=True)
@@ -183,39 +178,49 @@ def _lorentz_matrix(
 # zero temperature
 # ---------------------------------------------------------------------------
 
+_MAX_ELL_NEWTON = 30
+
+
 def _ground_at(gamma: float, n: int) -> GroundState:
+    """Newton on ``m(ell) = ell - gamma * integral(g)`` at ``n`` nodes.  One
+    solve of ``A(ell) = I - K W - diag(M - rowsum(K W))`` per step, against
+    ``[1/2pi, -(dA/dell) g]``, gives ``g`` and ``dg/dell``; that ``g`` is the
+    previous iterate's, so one more step follows the step test."""
     rule = gauss_legendre(n, -1.0, 1.0)
     y, w = rule.nodes, rule.weights
-    diff2 = (y[:, None] - y[None, :]) ** 2
-    eye = np.eye(n)
-
-    def solve_g(ell: float) -> np.ndarray:
-        ker = (ell / math.pi) / (ell * ell + diff2)
-        np.fill_diagonal(ker, 0.0)
-        kw = ker * w[None, :]
-        mass = (np.arctan((1.0 - y) / ell) + np.arctan((1.0 + y) / ell)) / math.pi
-        a = eye - kw
-        a[np.diag_indices_from(a)] -= mass - kw.sum(axis=1)
-        return np.linalg.solve(a, np.full(n, 1.0 / (2.0 * math.pi)))
-
-    def mismatch(ell: float) -> float:
-        return ell - gamma * float(w @ solve_g(ell))
-
-    est = max(0.5 * math.sqrt(gamma), gamma / math.pi)
-    lo, hi = 0.2 * est, 4.0 * est + 1.0
-    for attempt in range(5):
-        try:
-            ell = find_root(mismatch, (lo, hi), tol=1e-13)
+    g = source = np.full(n, 1.0 / (2.0 * math.pi))
+    ell = max(0.5 * math.sqrt(gamma), gamma / math.pi)
+    done, steps = False, 0
+    while True:
+        ker, mass = _lorentz_matrix(y, ell, 1.0)
+        # -(dA/dell) g = dM/dell g + sum_j dk_ij/dell w_j (g_j - g_i) with
+        # dk/dell = k/ell - 2pi k^2, from matrix-vector products alone
+        wv = np.column_stack((w * g, w))
+        kv, k2v = ker @ wv, np.square(ker) @ wv
+        dmass = -((1.0 - y) / (ell * ell + (1.0 - y) ** 2)
+                  + (1.0 + y) / (ell * ell + (1.0 + y) ** 2)) / math.pi
+        neg_da_g = (dmass * g + (kv[:, 0] - kv[:, 1] * g) / ell
+                    - 2.0 * math.pi * (k2v[:, 0] - k2v[:, 1] * g))
+        ker *= -w[None, :]  # A overwrites the kernel: no identity, no copy
+        diag = np.einsum("ii->i", ker)
+        diag += 1.0 - mass + kv[:, 1]
+        g, dg = np.linalg.solve(ker, np.column_stack((source, neg_da_g))).T
+        mprime = 1.0 - gamma * float(w @ dg)
+        if done:
             break
-        except BracketError:
-            if attempt == 4:
-                raise ConvergenceError(
-                    f"could not bracket the cutoff ratio for gamma={gamma}"
-                ) from None
-            lo, hi = lo / 5.0, hi * 2.0 + 1.0
-    g = solve_g(ell)
+        if steps == _MAX_ELL_NEWTON or not mprime > 0.0:
+            raise ConvergenceError(
+                f"cutoff-ratio Newton solve failed at ell={ell} (gamma={gamma}, n={n})", best=ell
+            )
+        step = (ell - gamma * float(w @ g)) / mprime
+        done = abs(step) <= 1e-13 * ell
+        ell = ell - step if step < ell else 0.5 * ell
+        steps += 1
     energy = (gamma / ell) ** 3 * float(w @ (y * y * g))
-    return GroundState(gamma=gamma, ell=ell, nodes=y, weights=w, g_nodes=g, energy=energy)
+    dell = float(w @ g) / mprime  # d(ell)/d(gamma)
+    slope = (energy * (3.0 / gamma - 3.0 * dell / ell)
+             + (gamma / ell) ** 3 * float(w @ (y * y * dg)) * dell)
+    return GroundState(gamma, ell, y, w, g, energy, slope)
 
 
 def solve_ground_state(
@@ -230,9 +235,10 @@ def solve_ground_state(
     Solves the linear integral equation
     ``g(y) = 1/2pi + (ell/pi) * integral g(t) / (ell^2 + (y-t)^2) dt``
     on ``[-1, 1]`` by a subtracted-kernel Nystrom method, with the outer
-    scalar condition ``ell = gamma * integral(g)`` closed by a bracketed
-    root find.  The node count doubles until the energy is stable to
-    ``tol`` (relative).
+    scalar condition ``ell = gamma * integral(g)`` closed by Newton's
+    method on ``ell``, whose last step also gives ``slope`` by implicit
+    differentiation.  The node count doubles until the energy (not the
+    slope) is stable to ``tol`` (relative).
 
     The dimensionless energy satisfies ``energy ~ gamma`` for weak
     coupling and ``energy -> pi^2/3`` in the impenetrable limit.
@@ -263,19 +269,20 @@ def solve_ground_state(
 
 def e_res_zero_T(gamma: float) -> float:
     """Zero-temperature energy-pressure shift per particle,
-    ``gamma * d(energy)/d(gamma) / 2`` in units of ``k_B T_D``.
+    ``gamma * slope / 2`` with the ground state's ``slope =
+    d(energy)/d(gamma)``, in units of ``k_B T_D``.
 
-    Positive for all ``gamma > 0``, ``~ gamma/2`` for weak coupling,
-    ``~ 2 pi^2 / 3 gamma`` for strong, with a maximum near
-    ``gamma ~ 4.7``.
+    Positive for all ``0 < gamma < inf``, ``~ gamma/2`` for weak
+    coupling, ``~ 2 pi^2 / 3 gamma`` for strong, with a maximum near
+    ``gamma ~ 4.7``; 0 at the scale-invariant endpoints ``gamma = 0``
+    (ideal Bose gas) and ``gamma = inf`` (Tonks-Girardeau).
     """
     gamma = float(gamma)
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    # relative step 1e-3: numerics.derivative steps by scale*max(|x|, 1)
-    scale = 1e-3 * gamma / max(gamma, 1.0)
-    slope, _ = derivative(lambda g: solve_ground_state(g).energy, gamma, scale=scale)
-    return 0.5 * gamma * slope
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if gamma == 0.0 or math.isinf(gamma):
+        return 0.0
+    return 0.5 * gamma * solve_ground_state(gamma).slope
 
 
 # ---------------------------------------------------------------------------

@@ -311,18 +311,16 @@ def test_15_classifier_agrees_with_brute_force(d, shape, limit):
 
 def test_16_cli_sweep_is_byte_deterministic(tmp_path, monkeypatch):
     """Two CLI runs of the same shift-versus-coupling sweep write
-    byte-identical CSV, independently of worker count."""
+    byte-identical CSV."""
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
     specfile = tmp_path / "shift.sweep"
     specfile.write_text(
         "quantity = ll-shift\naxis = gamma log 0.1 100 9\ntau = 0.5\n",
         encoding="utf-8",
     )
-    outs = [str(tmp_path / f"run{i}.csv") for i in (1, 2, 3)]
+    outs = [str(tmp_path / f"run{i}.csv") for i in (1, 2)]
     assert main(["sweep", str(specfile), "--out", outs[0]]) == 0
     assert main(["sweep", str(specfile), "--out", outs[1]]) == 0
-    assert main(["sweep", str(specfile), "--out", outs[2], "--jobs", "4"]) == 0
     first = open(outs[0], "rb").read()
     assert open(outs[1], "rb").read() == first
-    assert open(outs[2], "rb").read() == first
     assert first.endswith(b"\n") and b"\r" not in first

@@ -31,7 +31,9 @@ from lowdgas import (
     solve_ground_state,
     solve_tba,
 )
+from lowdgas import lieb_liniger
 from lowdgas.lieb_liniger import _lorentz_matrix
+from lowdgas.numerics import ConvergenceError, derivative
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,6 +125,12 @@ def test_ground_state_rejects_nonpositive_gamma():
         solve_ground_state(-2.0)
 
 
+def test_ground_state_newton_failure_names_gamma_and_nodes(monkeypatch):
+    monkeypatch.setattr(lieb_liniger, "_MAX_ELL_NEWTON", 0)
+    with pytest.raises(ConvergenceError, match=r"gamma=1.0, n=64"):
+        solve_ground_state(1.0)
+
+
 # frozen shift values (abs ~1e-6); max sits between gamma = 4 and 5
 E_RES_ZERO = {1.0: 0.24475354, 4.7: 0.41385007, 100.0: 0.06191154}
 
@@ -139,6 +147,51 @@ def test_zero_T_shift_asymptotes():
     assert e_res_zero_T(gamma) == pytest.approx(two_term, rel=5e-3)
     # strong coupling: 2 pi^2 / 3 gamma
     assert e_res_zero_T(100.0) == pytest.approx(2.0 * math.pi**2 / 300.0, rel=0.10)
+
+
+def test_zero_T_shift_vanishes_at_scale_invariant_endpoints():
+    assert e_res_zero_T(0.0) == 0.0
+    assert e_res_zero_T(math.inf) == 0.0
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            e_res_zero_T(bad)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 4.7, 100.0])
+def test_zero_T_shift_matches_finite_difference_of_energy(gamma):
+    # implicit-differentiation slope against a Richardson-extrapolated
+    # central difference of tightly converged energies
+    scale = 1e-3 * gamma / max(gamma, 1.0)
+    slope, _ = derivative(lambda g: solve_ground_state(g, tol=1e-12).energy, gamma, scale=scale)
+    assert e_res_zero_T(gamma) == pytest.approx(0.5 * gamma * slope, rel=1e-8)
+
+
+def test_zero_T_shift_strong_coupling_series():
+    # pi^2/3 (2/g - 12/g^2 + 48 (1 - pi^2/15)/g^3); the next term is ~1e-13 here
+    gamma = 1e5
+    series = math.pi**2 / 3.0 * (
+        2.0 / gamma - 12.0 / gamma**2 + 48.0 * (1.0 - math.pi**2 / 15.0) / gamma**3
+    )
+    assert e_res_zero_T(gamma) == pytest.approx(series, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.01])
+def test_zero_T_shift_weak_coupling_series(gamma):
+    # the gamma^{5/2} term, measured coefficient -0.002, bounded by 0.01
+    series = gamma / 2.0 - gamma**1.5 / math.pi + (1.0 / 6.0 - 1.0 / math.pi**2) * gamma**2
+    assert abs(e_res_zero_T(gamma) - series) <= 0.01 * gamma**2.5
+
+
+def test_ground_energy_weak_and_strong_coupling_series():
+    # weak: the omitted gamma^{5/2} term has coefficient -0.0016; bound it by 0.01
+    gamma = 0.01
+    weak = gamma - 4.0 * gamma**1.5 / (3.0 * math.pi) + (1.0 / 6.0 - 1.0 / math.pi**2) * gamma**2
+    assert abs(solve_ground_state(gamma).energy - weak) <= 0.01 * gamma**2.5
+    # strong: the omitted term is -pi^2/3 * 32 (1 - pi^2/15) / gamma^3
+    gamma = 1e4
+    strong = math.pi**2 / 3.0 * (1.0 - 4.0 / gamma + 12.0 / gamma**2)
+    omitted = math.pi**2 / 3.0 * 32.0 * (1.0 - math.pi**2 / 15.0) / gamma**3
+    assert abs(solve_ground_state(gamma).energy - strong) <= 1.1 * omitted
 
 
 # ---------------------------------------------------------------------------
