@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConvergenceError, erfcx, find_root, gauss_legendre
+from .numerics import ConvergenceError, _erfcx_deficit, erfcx, find_root, gauss_legendre
 
 __all__ = [
     "LLParams",
@@ -244,7 +244,12 @@ def solve_ground_state(
     coupling and ``energy -> pi^2/3`` in the impenetrable limit.
     """
     gamma = float(gamma)
-    if not gamma > 0.0 or not math.isfinite(gamma):
+    if math.isinf(gamma):
+        raise ValueError(
+            f"gamma must be finite (got {gamma}); the gamma=inf "
+            "Tonks-Girardeau limit has energy = pi^2/3 and needs no solver"
+        )
+    if not gamma > 0.0:
         raise ValueError(
             f"gamma must be positive and finite (got {gamma}); "
             "the gamma=0 ideal gas needs no solver"
@@ -592,10 +597,14 @@ def b2_ll(params: LLParams) -> float:
 def e_res_high_T(params: LLParams) -> float:
     """Closed-form high-temperature shift per particle (units ``k_B T_D``):
 
-    ``gamma - sqrt(pi / 2 tau) * gamma^2 * erfcx(sqrt(gamma^2 / 2 tau))``.
+    ``gamma - sqrt(pi / 2 tau) * gamma^2 * erfcx(sqrt(gamma^2 / 2 tau))``,
+    evaluated as ``gamma * (1 - sqrt(pi) * x * erfcx(x))`` with
+    ``x = gamma / sqrt(2 tau)`` so that it keeps full precision for
+    ``gamma^2 >> tau``.
 
     Interpolates between ``gamma`` (for ``gamma^2 << 2 tau``) and
-    ``tau/gamma`` (for ``gamma^2 >> 2 tau``).  The derivation drops
+    ``tau/gamma`` (for ``gamma^2 >> 2 tau``), which vanishes at the
+    Tonks-Girardeau end ``gamma = inf``.  The derivation drops
     degeneracy corrections, so it is quantitative only for
     ``tau >> 4 pi``; below that a warning is emitted and the number
     returned is an extrapolation.
@@ -610,5 +619,6 @@ def e_res_high_T(params: LLParams) -> float:
             UserWarning,
             stacklevel=2,
         )
-    x = math.sqrt(gamma * gamma / (2.0 * tau))
-    return gamma - math.sqrt(math.pi / (2.0 * tau)) * gamma * gamma * erfcx(x)
+    if math.isinf(gamma):
+        return 0.0
+    return gamma * _erfcx_deficit(gamma / math.sqrt(2.0 * tau))

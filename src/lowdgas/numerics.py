@@ -6,6 +6,15 @@ Richardson-extrapolated finite differences, and the scaled
 complementary error function ``exp(x**2) * erfc(x)`` which stays finite
 for large ``x``.
 
+:func:`gauss_legendre` builds its rule by Newton's method on the
+three-term Legendre recurrence, vectorised over the nodes (Hale &
+Townsend, SIAM J. Sci. Comput. 35, A652 (2013); Bogaert, SIAM J.
+Sci. Comput. 36, A1008 (2014)).  That costs O(n^2) instead of the
+O(n^3) of the Golub-Welsch eigensolve in numpy's ``leggauss``, and the
+weights are more accurate: at n = 3231 the edge weight is within 2e-10
+(relative) of its 40-digit value, where the eigensolve is off by 3e-7.
+The small fixed panels of :func:`composite_rule` still use ``leggauss``.
+
 All operations are pure: no hidden state, no global tolerance registry,
 and every routine is safe to call concurrently.
 """
@@ -13,6 +22,7 @@ and every routine is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -105,18 +115,64 @@ class QuadratureRule:
         return self.nodes.size
 
 
+# Newton budget of the node builder, in recurrence sweeps.  From
+# Tricomi's guesses n < 400 and the ladder sizes 807..3231 need at most
+# 4 steps plus the sweep at the converged nodes that gives the weights.
+_GL_MAX_EVALS = 10
+_GL_STEP_TOL = 4.0 * np.finfo(float).eps
+
+
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on ``[-1, 1]``, ascending.
+
+    Newton's method on ``P_n`` for the ``ceil(n/2)`` nodes ``x >= 0``,
+    from Tricomi's initial guesses, with ``P_n`` and ``P_{n-1}`` from the
+    three-term recurrence; the other half is the mirror image.
+    """
+    k = np.arange((n + 1) // 2, 0, -1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[0] = 0.0  # P_n is odd, so the middle node stays exactly 0
+    step = math.inf
+    for _ in range(_GL_MAX_EVALS):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+        if step <= _GL_STEP_TOL:
+            break
+        dx = p1 / dp
+        x = x - dx
+        step = float(np.max(np.abs(dx)))
+    else:
+        raise ConvergenceError(
+            f"Gauss-Legendre nodes for n={n} not converged in {_GL_MAX_EVALS} Newton steps",
+            best=x,
+            residual=step,
+        )
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    h = n // 2  # nodes x < 0, mirrored from the largest down
+    return np.concatenate((-x[::-1][:h], x)), np.concatenate((w[::-1][:h], w))
+
+
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> QuadratureRule:
     """Gauss-Legendre rule with ``n`` nodes mapped onto ``[a, b]``.
 
-    Exact for polynomials of degree ``2n - 1``.
+    Exact for polynomials of degree ``2n - 1``.  The nodes come from
+    Newton's method on the Legendre recurrence in O(n^2) operations;
+    they agree with numpy's ``leggauss`` to one ulp, and the weights are
+    accurate to about 2e-10 relative at the edges of a 3231-node rule
+    and to 1e-11 in its interior.  A rule on a symmetric interval is
+    exactly symmetric.
     """
     if n < 1:
         raise ValueError("need at least one node")
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise ValueError(f"invalid finite interval ({a}, {b})")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(operator.index(n))
     half = 0.5 * (b - a)
-    return QuadratureRule(a + half * (x + 1.0), half * w, (a, b))
+    # centred map: a rule on a symmetric interval stays exactly symmetric
+    return QuadratureRule(0.5 * (a + b) + half * x, half * w, (a, b))
 
 
 def composite_rule(edges: Sequence[float], n: int = 16) -> QuadratureRule:
@@ -329,13 +385,23 @@ def golden_section_max(
 # scaled complementary error function
 # ---------------------------------------------------------------------------
 
-def _erfcx_cf(x: float) -> float:
-    # Laplace continued fraction for sqrt(pi)*exp(x^2)*erfc(x), accurate to
-    # full double precision for x >= 6 at this depth.
+def _erfcx_cf_tail(x: float) -> float:
+    # Tail t of Laplace's continued fraction sqrt(pi)*exp(x^2)*erfc(x) =
+    # 1/(x + t), accurate to full double precision for x >= 6 at this depth.
     t = 0.0
     for k in range(30, 0, -1):
         t = (0.5 * k) / (x + t)
-    return 1.0 / (_SQRT_PI * (x + t))
+    return t
+
+
+def _erfcx_deficit(x: float) -> float:
+    """``1 - sqrt(pi) * x * erfcx(x)`` for ``x >= 0``, which falls like
+    ``1/(2 x^2)``; from ``x = 6`` on it is ``t/(x + t)``, free of the
+    cancellation of the direct form."""
+    if x < 6.0:
+        return 1.0 - _SQRT_PI * x * erfcx(x)
+    t = _erfcx_cf_tail(x)
+    return t / (x + t)
 
 
 def erfcx(x: float) -> float:
@@ -353,5 +419,5 @@ def erfcx(x: float) -> float:
         return 2.0 * math.exp(x * x) - erfcx(-x)
     if x < 6.0:
         return math.exp(x * x) * math.erfc(x)
-    return _erfcx_cf(x)
+    return 1.0 / (_SQRT_PI * (x + _erfcx_cf_tail(x)))
 

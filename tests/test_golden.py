@@ -95,6 +95,17 @@ def run_case(name: str, workdir: Path) -> tuple[int, bytes, dict[str, bytes]]:
     return proc.returncode, proc.stdout, files
 
 
+def first_difference(fname: str, got: bytes, want: bytes) -> str:
+    """Name the first line where ``got`` departs from the golden ``want``."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i in range(max(len(got_lines), len(want_lines))):
+        old = want_lines[i] if i < len(want_lines) else b"<end of file>"
+        new = got_lines[i] if i < len(got_lines) else b"<end of file>"
+        if old != new:
+            return f"{fname} line {i + 1} differs:\n  golden: {old!r}\n  now:    {new!r}"
+    return f"{fname} differs"
+
+
 @pytest.mark.parametrize("name", [*POINTS, *SWEEPS])
 def test_cli_output_matches_golden(name, tmp_path):
     code, stdout, files = run_case(name, tmp_path)
@@ -104,4 +115,6 @@ def test_cli_output_matches_golden(name, tmp_path):
     else:
         files = {name: stdout}
     for fname, blob in files.items():
-        assert blob == (GOLDEN / fname).read_bytes(), fname
+        golden = (GOLDEN / fname).read_bytes()
+        if blob != golden:
+            pytest.fail(first_difference(fname, blob, golden), pytrace=False)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,11 @@ def test_ground_state_rejects_nonpositive_gamma():
         solve_ground_state(0.0)
     with pytest.raises(ValueError):
         solve_ground_state(-2.0)
+
+
+def test_ground_state_names_the_tonks_limit_at_infinite_gamma():
+    with pytest.raises(ValueError, match=r"Tonks-Girardeau limit has energy = pi\^2/3"):
+        solve_ground_state(math.inf)
 
 
 def test_ground_state_newton_failure_names_gamma_and_nodes(monkeypatch):
@@ -373,6 +379,27 @@ def test_high_T_shift_asymptotes():
         warnings.simplefilter("error")  # tau = 100 >> 4 pi: no warning
         val = e_res_high_T(LLParams(30.0, 100.0))
     assert 0.0 < val < 100.0 / 30.0 * 1.5
+
+
+def _mp_high_T_shift(gamma: float, tau: float) -> float:
+    with mpmath.workdps(50):
+        g = mpmath.mpf(gamma)
+        x = g / mpmath.sqrt(2 * mpmath.mpf(tau))
+        return float(g * (1 - mpmath.sqrt(mpmath.pi) * x * mpmath.exp(x * x) * mpmath.erfc(x)))
+
+
+@pytest.mark.parametrize("tau", [100.0, 1e3])
+def test_high_T_shift_keeps_precision_at_strong_coupling(tau):
+    # the direct form cancels for gamma^2 >> tau: it was off by 5.3e-7 at
+    # (1e6, 100) and by 1.6e-3 at (1e8, 1e3)
+    for x in np.geomspace(0.07, 7e4, 60):
+        gamma = float(x) * math.sqrt(2.0 * tau)
+        got = e_res_high_T(LLParams(gamma, tau))
+        assert got == pytest.approx(_mp_high_T_shift(gamma, tau), rel=1e-12, abs=0.0)
+
+
+def test_high_T_shift_vanishes_at_tonks_end():
+    assert e_res_high_T(LLParams(math.inf, 100.0)) == 0.0
 
 
 def test_high_T_shift_warns_outside_validity():

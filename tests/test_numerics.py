@@ -1,7 +1,8 @@
 """Tests for the shared numerical kernels.
 
 Reference values are frozen from independent sources: Gauss-Legendre
-exactness is checked against closed-form monomial integrals, the error
+exactness is checked against closed-form monomial integrals and the
+weights of large rules against a 40-digit mpmath recurrence, the error
 function family against 30-digit mpmath evaluations, and the root /
 fixed-point helpers against textbook constants recomputed inline by a
 different method (bisection, series).
@@ -11,11 +12,13 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lowdgas import numerics
 from lowdgas.numerics import (
     BracketError,
     ConvergenceError,
@@ -58,6 +61,55 @@ def test_gauss_legendre_validation():
         gauss_legendre(0, 0.0, 1.0)
     with pytest.raises(ValueError):
         gauss_legendre(8, 1.0, 1.0)
+
+
+def test_gauss_legendre_rejects_non_integer_n():
+    with pytest.raises(TypeError):
+        gauss_legendre(2.5)
+    with pytest.raises(TypeError):
+        gauss_legendre(4.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 201, 1615])
+def test_gauss_legendre_symmetric_and_matches_leggauss(n):
+    rule = gauss_legendre(n)
+    x, w = rule.nodes, rule.weights
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+    ref_x, _ = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - ref_x)) <= 2.3e-16
+
+
+def test_gauss_legendre_newton_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(numerics, "_GL_MAX_EVALS", 2)
+    with pytest.raises(ConvergenceError, match="n=64"):
+        gauss_legendre(64)
+
+
+def _mp_gauss_legendre_weight(n: int, x0: float) -> mpmath.mpf:
+    """40-digit weight of the node of ``P_n`` next to ``x0``: Newton on
+    the three-term recurrence, then ``2 / ((1 - x^2) P_n'(x)^2)``."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        for step in range(4):  # 1e-16 -> 1e-32 -> 1e-64: the last pass only evaluates
+            p0, p1 = mpmath.mpf(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (x * p1 - p0) / ((x - 1) * (x + 1))
+            if step < 3:
+                x -= p1 / dp
+        return 2 / ((1 - x) * (1 + x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [807, 3231])
+@pytest.mark.parametrize("i", [0, 5])
+def test_gauss_legendre_weights_match_40_digits(n, i):
+    # numpy's leggauss misses the edge weight of the 3231-node rule by 2.9e-7
+    rule = gauss_legendre(n)
+    exact = _mp_gauss_legendre_weight(n, rule.nodes[i])
+    assert abs(rule.weights[i] - float(exact)) <= 1e-9 * float(exact)
 
 
 def test_quadrature_rule_weight_sum_invariant():
