@@ -21,7 +21,11 @@ handled in subtracted form, ``(Kv)_i = M_i v_i + sum_j w_j k_ij (v_j -
 v_i)`` with the analytic mass ``M_i``: the diagonal singularity cancels
 exactly, so one grid works uniformly from the near-ideal-Bose regime
 (``gamma ~ 1e-3``, kernel close to a delta spike) to the impenetrable
-limit (``gamma ~ 1e4``, kernel flat and weak).
+limit (``gamma ~ 1e4``, kernel flat and weak).  Every unknown is even,
+so both solve on the ``K >= 0`` half of a mirrored Gauss-Legendre rule
+with the folded kernel ``k(K_i - K_j) + k(K_i + K_j)``: a quarter of the
+memory and an eighth of the LU work of the full grid, with the same
+results up to rounding.
 
 Derived observables: pressure, energy, the energy-pressure shift
 ``e_res = energy - pressure/2`` at zero and finite temperature, its
@@ -174,6 +178,34 @@ def _lorentz_matrix(
     return ker, mass
 
 
+def _fold(rule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``x >= 0`` half of a mirror-symmetric rule, on which every even
+    function lives: the half nodes, the column weights (at odd ``n`` the
+    middle node's is halved, since both mirror terms of the folded kernel
+    reach it), the integration weights ``2 * cw`` and the full -> half
+    index map that mirrors a half-grid array back onto the full rule."""
+    n = rule.nodes.size
+    cw = rule.weights[n // 2:].copy()
+    if n % 2:
+        cw[0] *= 0.5
+    i = np.arange(n)
+    return rule.nodes[n // 2:], cw, 2.0 * cw, np.maximum(i, i[::-1]) - n // 2
+
+
+def _mirror_kernel(half: np.ndarray, gamma: float) -> np.ndarray:
+    """Mirror term ``ker(x_i + x_j)`` of the folded kernel on the half nodes;
+    ``_lorentz_matrix(half, ...)`` gives the minus term.  A middle node
+    ``x = 0`` pairs with itself, so its (0, 0) entry is the full diagonal
+    and stays 0."""
+    ker = half[:, None] + half[None, :]
+    ker *= ker
+    ker += gamma * gamma
+    np.divide(gamma / math.pi, ker, out=ker)
+    if half[0] == 0.0:
+        ker[0, 0] = 0.0
+    return ker
+
+
 # ---------------------------------------------------------------------------
 # zero temperature
 # ---------------------------------------------------------------------------
@@ -185,23 +217,29 @@ def _ground_at(gamma: float, n: int) -> GroundState:
     """Newton on ``m(ell) = ell - gamma * integral(g)`` at ``n`` nodes.  One
     solve of ``A(ell) = I - K W - diag(M - rowsum(K W))`` per step, against
     ``[1/2pi, -(dA/dell) g]``, gives ``g`` and ``dg/dell``; that ``g`` is the
-    previous iterate's, so one more step follows the step test."""
+    previous iterate's, so one more step follows the step test.  ``g`` is
+    even, so the solve runs on the ``y >= 0`` half of the mirrored rule
+    with the folded kernel ``k(y_i - y_j) + k(y_i + y_j)``."""
     rule = gauss_legendre(n, -1.0, 1.0)
-    y, w = rule.nodes, rule.weights
-    g = source = np.full(n, 1.0 / (2.0 * math.pi))
+    y, cw, w, full = _fold(rule)
+    g = source = np.full(y.size, 1.0 / (2.0 * math.pi))
     ell = max(0.5 * math.sqrt(gamma), gamma / math.pi)
     done, steps = False, 0
     while True:
         ker, mass = _lorentz_matrix(y, ell, 1.0)
+        mirror = _mirror_kernel(y, ell)
         # -(dA/dell) g = dM/dell g + sum_j dk_ij/dell w_j (g_j - g_i) with
-        # dk/dell = k/ell - 2pi k^2, from matrix-vector products alone
-        wv = np.column_stack((w * g, w))
-        kv, k2v = ker @ wv, np.square(ker) @ wv
+        # dk/dell = k/ell - 2pi k^2, from matrix-vector products alone; the
+        # square is taken per mirror term, as the fold of k^2 is not ker^2
+        wv = np.column_stack((cw * g, cw))
+        k2v = np.square(ker) @ wv + np.square(mirror) @ wv
+        ker += mirror
+        kv = ker @ wv
         dmass = -((1.0 - y) / (ell * ell + (1.0 - y) ** 2)
                   + (1.0 + y) / (ell * ell + (1.0 + y) ** 2)) / math.pi
         neg_da_g = (dmass * g + (kv[:, 0] - kv[:, 1] * g) / ell
                     - 2.0 * math.pi * (k2v[:, 0] - k2v[:, 1] * g))
-        ker *= -w[None, :]  # A overwrites the kernel: no identity, no copy
+        ker *= -cw[None, :]  # A overwrites the kernel: no identity, no copy
         diag = np.einsum("ii->i", ker)
         diag += 1.0 - mass + kv[:, 1]
         g, dg = np.linalg.solve(ker, np.column_stack((source, neg_da_g))).T
@@ -220,7 +258,7 @@ def _ground_at(gamma: float, n: int) -> GroundState:
     dell = float(w @ g) / mprime  # d(ell)/d(gamma)
     slope = (energy * (3.0 / gamma - 3.0 * dell / ell)
              + (gamma / ell) ** 3 * float(w @ (y * y * dg)) * dell)
-    return GroundState(gamma, ell, y, w, g, energy, slope)
+    return GroundState(gamma, ell, rule.nodes, rule.weights, g[full], energy, slope)
 
 
 def solve_ground_state(
@@ -315,19 +353,25 @@ class _TBAGrid:
     ``g = J^-1 (1/2pi)`` (level density ``f = fermi g`` and
     ``dE/dmu = -2pi g``) and ``dg/dmu``, hence ``dn/dmu`` for the outer
     Newton solve on ``integral f = 1``.
+
+    ``E``, ``g`` and ``f`` are even in ``K``, so all of this runs on the
+    ``K >= 0`` half of the mirrored rule, with the folded kernel
+    ``ker(K_i - K_j) + ker(K_i + K_j)``; ``result`` mirrors the arrays
+    back onto the full rule.
     """
 
     def __init__(self, gamma: float, tau: float, kmax: float, n: int):
-        rule = gauss_legendre(n, -kmax, kmax)
+        self.rule = gauss_legendre(n, -kmax, kmax)
         self.gamma, self.tau, self.kmax = gamma, tau, kmax
-        self.grid, self.w = rule.nodes, rule.weights
+        self.grid, cw, self.w, self._full = _fold(self.rule)
         self.kw, mass = _lorentz_matrix(self.grid, gamma, kmax)
-        self.kw *= self.w[None, :]
+        self.kw += _mirror_kernel(self.grid, gamma)
+        self.kw *= cw[None, :]
         self.defect = mass - self.kw.sum(axis=1)
         self.k2 = self.grid * self.grid
         self._jac = np.empty_like(self.kw)
         self.eps = None
-        self.g = np.full(n, 1.0 / (2.0 * math.pi))
+        self.g = np.full(self.grid.size, 1.0 / (2.0 * math.pi))
         self.density = None
         self.mu = math.nan
 
@@ -403,10 +447,10 @@ class _TBAGrid:
         return TBASolution(
             gamma=self.gamma,
             tau=self.tau,
-            grid=self.grid,
-            weights=self.w,
-            eps=self.eps,
-            density=self.density,
+            grid=self.rule.nodes,
+            weights=self.rule.weights,
+            eps=self.eps[self._full],
+            density=self.density[self._full],
             mu=self.mu,
             kmax=self.kmax,
         )
@@ -484,8 +528,10 @@ def solve_tba(
 
     with ``ker(q) = (gamma/pi) / (q^2 + gamma^2)`` is solved by Newton's
     method on a symmetric Gauss-Legendre grid wide enough that
-    ``exp(-(Kmax^2 - mu)/tau) < 1e-12``.  The factorized Jacobian of each
-    Newton step also yields the level density, which solves
+    ``exp(-(Kmax^2 - mu)/tau) < 1e-12``; ``E`` is even, so the solve runs
+    on the ``K >= 0`` half of that mirrored grid and the returned arrays
+    are mirrored back.  The factorized Jacobian of each Newton step also
+    yields the level density, which solves
 
     ``f(K) (1 + exp(E/tau)) = 1/2pi + integral ker(K - K') f(K') dK'``,
 

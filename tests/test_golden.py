@@ -118,3 +118,23 @@ def test_cli_output_matches_golden(name, tmp_path):
         golden = (GOLDEN / fname).read_bytes()
         if blob != golden:
             pytest.fail(first_difference(fname, blob, golden), pytrace=False)
+
+
+if __name__ == "__main__":
+    # python tests/test_golden.py NAME...: rewrite the named golden files
+    # from the current code through run_case (BLAS pinned as above) and
+    # name the first changed line of each; pytest never runs this
+    import tempfile
+
+    for name in sys.argv[1:]:
+        if name not in POINTS and name not in SWEEPS:
+            sys.exit(f"unknown golden case {name!r}")
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, files = run_case(name, Path(tmp))
+        if code != EXPECTED_EXIT.get(name, 0):
+            sys.exit(f"{name}: exit code {code}, golden files left as they are")
+        for fname, blob in (files or {name: stdout}).items():
+            path = GOLDEN / fname
+            old = path.read_bytes()
+            path.write_bytes(blob)
+            print(first_difference(fname, blob, old) if blob != old else f"{fname} unchanged")

@@ -14,6 +14,7 @@ solver's self-reported convergence.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -269,6 +270,55 @@ def test_density_solves_the_level_density_equation(gamma, tau):
     fermi = 1.0 / (1.0 + np.exp(sol.eps / tau))
     density = np.linalg.solve(np.eye(sol.grid.size) - fermi[:, None] * conv, fermi / TWO_PI)
     assert np.max(np.abs(sol.density - density)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n", [63, 64])
+def test_folded_convolution_matches_the_full_grid(n, gamma):
+    # the solver's folded subtracted convolution on the K >= 0 half of an
+    # even vector against the full-grid oracle; at odd n the half starts
+    # at the middle node K = 0, so its row and column are in the check
+    kmax = 6.0
+    tba = lieb_liniger._TBAGrid(gamma, 1.0, kmax, n)
+    nodes, weights = tba.rule.nodes, tba.rule.weights
+    k2 = nodes * nodes
+    v = np.exp(-0.5 * k2) * (2.0 + np.cos(k2))
+    ker, mass = _lorentz_matrix(nodes, gamma, kmax)
+    kw = ker * weights[None, :]
+    full = kw @ v + (mass - kw.sum(axis=1)) * v
+    half = n // 2
+    assert (tba.grid[0] == 0.0) == (n % 2 == 1)
+    np.testing.assert_allclose(tba._conv(v[half:]), full[half:], rtol=1e-13, atol=0.0)
+    assert float(tba.w @ v[half:]) == pytest.approx(float(weights @ v), rel=1e-14)
+
+
+def test_both_grid_parities_agree_and_mirror_exactly():
+    # --nodes reaches n0: an even TBA grid has no middle node, an odd
+    # ground-state grid has one; the arrays come back exactly even
+    def shift(sol):
+        pressure, energy = observables(sol)
+        return energy - 0.5 * pressure
+
+    params = LLParams(1.0, 1.0)
+    tba_odd, tba_even = solve_tba(params), solve_tba(params, n0=200)
+    assert shift(tba_even) == pytest.approx(shift(tba_odd), rel=1e-8)
+    ground_even, ground_odd = solve_ground_state(1.0), solve_ground_state(1.0, n0=65)
+    assert ground_odd.energy == pytest.approx(ground_even.energy, rel=1e-10)
+    for a in (tba_odd.eps, tba_odd.density, tba_even.eps, tba_even.density,
+              ground_even.g_nodes, ground_odd.g_nodes):
+        assert np.array_equal(a, a[::-1])
+
+
+def test_tba_peak_memory_is_a_few_half_size_matrices():
+    # the 3231-node top rung solves on 1616 nodes: three matrices of that
+    # size bound the traced peak (one full-size matrix would be 80 MiB)
+    tracemalloc.start()
+    try:
+        solve_tba(LLParams(1.0, 1e3), n0=1615)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 1616**2 * 8
 
 
 def test_density_positive_peaked_and_dressed():
