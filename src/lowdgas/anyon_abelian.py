@@ -212,6 +212,17 @@ def _scatter_integral(a: float, sigma: int, eps: float, moment: int) -> float:
     return integrate(integrand, rule) / a
 
 
+def _scatter_part(a: float, sigma: int, eps: float, moment: int) -> float:
+    """``(sigma/pi) sin(pi a)`` times ``a`` times the scattering integral
+    of the given moment, shared by ``B_2`` and the energy shift."""
+    if a == 0.0 or a == 1.0:
+        # sin(pi a) kills the integral except against the sigma = +1
+        # fermionic-point pole, whose limit is exp(-eps)
+        return math.exp(-eps) if (a == 1.0 and sigma == +1) else 0.0
+    coeff = (sigma / math.pi) * math.sin(math.pi * a)
+    return coeff * (a * _scatter_integral(a, sigma, eps, moment))
+
+
 def _reduced(alpha: float, bc: SoftCoreBC) -> tuple[float, int, float]:
     return abs(StatisticsParameter(alpha).delta), bc.sigma, bc.eps
 
@@ -231,13 +242,7 @@ def b2_softcore(alpha: float, bc: SoftCoreBC) -> B2Value:
     if math.isinf(eps):
         return B2Value(hc, (hc, 0.0, 0.0))
     bound = -2.0 * math.exp(eps) if sigma == -1 else 0.0
-    if a == 0.0 or a == 1.0:
-        # sin(pi a) kills the integral except against the sigma = +1
-        # fermionic-point pole, whose limit is exp(-eps)
-        scatter = math.exp(-eps) if (a == 1.0 and sigma == +1) else 0.0
-    else:
-        coeff = (sigma / math.pi) * math.sin(math.pi * a)
-        scatter = coeff * (a * _scatter_integral(a, sigma, eps, moment=0))
+    scatter = _scatter_part(a, sigma, eps, moment=0)
     value = hc + bound + (-2.0 * scatter)
     return B2Value(value, (hc, bound, -2.0 * scatter))
 
@@ -260,12 +265,7 @@ def e_rel_abelian(alpha: float, bc: SoftCoreBC, dilution: float) -> float:
     if math.isinf(eps) or eps == 0.0:
         return 0.0
     bound = -math.exp(eps) if sigma == -1 else 0.0
-    if a == 0.0 or a == 1.0:
-        scatter = math.exp(-eps) if (a == 1.0 and sigma == +1) else 0.0
-    else:
-        coeff = (sigma / math.pi) * math.sin(math.pi * a)
-        scatter = coeff * (a * _scatter_integral(a, sigma, eps, moment=1))
-    return 2.0 * x * eps * (bound + scatter)
+    return 2.0 * x * eps * (bound + _scatter_part(a, sigma, eps, moment=1))
 
 
 def e_rel_semion(bc: SoftCoreBC, dilution: float) -> float:

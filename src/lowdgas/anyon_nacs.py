@@ -8,9 +8,10 @@ Chern-Simons level) and its own soft-core parameter ``eps_{j,jz}``,
 ``jz = -j .. j``.  Exchange symmetry of the isospin part decides whether
 a channel enters with the bosonic or the fermionic counting: ``j + 2l``
 even gives a bosonic channel, odd gives a fermionic one, which is the
-bosonic expression with the statistics shifted by one unit.  Everything
-below is therefore a weighted sum of :mod:`.anyon_abelian` calls over
-``(2l+1)**2`` channels, in units of the squared thermal wavelength.
+bosonic expression with the statistics shifted by one unit.  ``B_2``
+and the energy shift are therefore one channel sum of
+:mod:`.anyon_abelian` terms over ``(2l+1)**2`` channels, in units of the
+squared thermal wavelength; a run of equal ``eps`` in a row is one term.
 
 ``l = 0`` collapses to a single bosonic channel with ``omega = 0``:
 ideal bosons, as it must.
@@ -19,6 +20,8 @@ ideal bosons, as it must.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from typing import Callable
 
 from .anyon_abelian import SoftCoreBC, b2_softcore, e_rel_abelian
 
@@ -132,39 +135,37 @@ def channel_weights(sys: NACSSystem) -> ChannelWeights:
     )
 
 
-def b2_nacs_general(sys: NACSSystem) -> float:
-    """``B_2 / lambda_T**2`` for an arbitrary soft-core parameter matrix:
-    the ``(2l+1)**-2``-weighted sum of bosonic/fermionic Abelian
-    coefficients over all ``(j, jz)`` channels.
-
-    The channel sum runs in fixed ascending ``(j, jz)`` order, so equal
-    inputs give bit-equal results.
-    """
+def _channel_sum(sys: NACSSystem, term: Callable[[float, SoftCoreBC], float]) -> float:
+    """``(2l+1)**-2 sum term(stat_j, bc)`` over all ``(j, jz)``, with
+    ``stat_j = omega_j`` (bosonic) or ``omega_j + 1`` (fermionic), in fixed
+    ascending order so equal inputs give bit-equal results.  A run of
+    equal ``eps`` in a row is evaluated once, weighted by its length."""
     w = channel_weights(sys)
     total = 0.0
-    for j in range(sys.channel_count):
+    for j, row in enumerate(sys.eps):
         stat = w.omega[j] if w.bosonic[j] else w.omega[j] + 1.0
-        for eps in sys.eps[j]:
-            total += b2_softcore(stat, SoftCoreBC(sys.sigma, eps)).value
+        for eps, run in groupby(row):
+            total += sum(1 for _ in run) * term(stat, SoftCoreBC(sys.sigma, eps))
     return total / (2.0 * sys.l + 1.0) ** 2
 
 
+def b2_nacs_general(sys: NACSSystem) -> float:
+    """``B_2 / lambda_T**2`` for an arbitrary soft-core parameter matrix:
+    the ``(2l+1)**-2``-weighted sum of bosonic/fermionic Abelian
+    coefficients over all ``(j, jz)`` channels."""
+    return _channel_sum(sys, lambda stat, bc: b2_softcore(stat, bc).value)
+
+
 def b2_nacs_isotropic(sys: NACSSystem) -> float:
-    """``B_2 / lambda_T**2`` for a fully isotropic matrix, through the
-    collapsed single-sum form ``(2l+1)**-2 sum_j (2j+1) B2(nu_j)``.
+    """``B_2 / lambda_T**2`` for a fully isotropic matrix, where the
+    channel sum collapses to ``(2l+1)**-2 sum_j (2j+1) B2(stat_j)``.
 
     Raises ``ValueError`` when the matrix is not uniform (use
     :func:`b2_nacs_general` there).
     """
-    eps = sys.uniform_eps
-    if eps is None:
+    if sys.uniform_eps is None:
         raise ValueError("b2_nacs_isotropic needs a uniform eps matrix")
-    bc = SoftCoreBC(sys.sigma, eps)
-    w = channel_weights(sys)
-    total = 0.0
-    for j in range(sys.channel_count):
-        total += (2.0 * j + 1.0) * b2_softcore(w.nu[j], bc).value
-    return total / (2.0 * sys.l + 1.0) ** 2
+    return b2_nacs_general(sys)
 
 
 def e_rel_nacs(sys: NACSSystem, dilution: float) -> float:
@@ -176,9 +177,4 @@ def e_rel_nacs(sys: NACSSystem, dilution: float) -> float:
     obeys the same sign law as the Abelian shift.  Channels with the
     hard-core sentinel contribute zero.
     """
-    w = channel_weights(sys)
-    total = 0.0
-    for j in range(sys.channel_count):
-        for eps in sys.eps[j]:
-            total += e_rel_abelian(w.nu[j], SoftCoreBC(sys.sigma, eps), dilution)
-    return total / (2.0 * sys.l + 1.0) ** 2
+    return _channel_sum(sys, lambda stat, bc: e_rel_abelian(stat, bc, dilution))

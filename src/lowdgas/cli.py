@@ -340,8 +340,6 @@ class _Quantity:
 
 
 _LL_AXES = ("gamma", "tau")
-_ANYON_AXES = ("alpha", "sigma", "eps", "x")
-_NACS_AXES = ("k", "l", "eps", "sigma", "x")
 
 REGISTRY: dict[str, _Quantity] = {
     "ll-ground": _Quantity(
@@ -985,14 +983,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         opts = _effective_opts(ns)
         table = _dispatch(ns, opts)
-    except SpecError as err:
-        print(f"lowdgas: error: {err}", file=sys.stderr)
-        return EXIT_SPEC
-    except FileNotFoundError as err:
-        # a missing spec or config file is a spec problem, not an I/O one
-        print(f"lowdgas: error: {err}", file=sys.stderr)
-        return EXIT_SPEC
-    except ValueError as err:
+    except (ValueError, FileNotFoundError) as err:
+        # SpecError is a ValueError; a missing spec or config file is a
+        # spec problem, not an I/O one
         print(f"lowdgas: error: {err}", file=sys.stderr)
         return EXIT_SPEC
     out = getattr(ns, "out", None)

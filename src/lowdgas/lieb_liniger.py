@@ -58,6 +58,9 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 # grid edge: keep exp(-(Kmax^2 - mu)/tau) below 1e-12
 _TAIL_LOG = math.log(1e12)
+# node-count ceilings of the doubling ladders
+_GROUND_MAX_NODES = 4096
+_TBA_MAX_NODES = 6500  # interacting and ideal branches alike
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +269,6 @@ def solve_ground_state(
     *,
     n0: int = 64,
     tol: float = 1e-10,
-    max_nodes: int = 4096,
 ) -> GroundState:
     """Ground state at coupling ``gamma > 0``.
 
@@ -295,7 +297,7 @@ def solve_ground_state(
     prev = state = None
     change = math.nan
     n = n0
-    while n <= max_nodes:
+    while n <= _GROUND_MAX_NODES:
         state = _ground_at(gamma, n)
         if prev is not None:
             change = abs(state.energy - prev)
@@ -304,7 +306,7 @@ def solve_ground_state(
         prev = state.energy
         n *= 2
     raise ConvergenceError(
-        f"ground-state energy not stable to {tol} by {max_nodes} nodes (gamma={gamma})",
+        f"ground-state energy not stable to {tol} by {_GROUND_MAX_NODES} nodes (gamma={gamma})",
         best=state,
         residual=change,
     )
@@ -464,13 +466,13 @@ def _ideal_density(k2: np.ndarray, mu: float, tau: float, sign: float) -> np.nda
     return _fermi(k2 - mu, tau) / (2.0 * math.pi)
 
 
-def _solve_ideal(tau: float, bose: bool, n0: int, tol: float, max_nodes: int) -> TBASolution:
+def _solve_ideal(tau: float, bose: bool, n0: int, tol: float) -> TBASolution:
     """gamma -> 0 (Bose) and gamma -> inf (impenetrable / free-fermion)
     endpoints, solved from the closed-form occupations."""
     sign = -1.0 if bose else +1.0
     prev = None
     n = n0
-    while n <= max_nodes:
+    while n <= _TBA_MAX_NODES:
         mu_hat = 0.0 if bose else math.pi**2
         kmax = math.sqrt(max(mu_hat, 0.0) + _TAIL_LOG * tau)
         rule = gauss_legendre(n, -kmax, kmax)
@@ -510,7 +512,7 @@ def _solve_ideal(tau: float, bose: bool, n0: int, tol: float, max_nodes: int) ->
             )
         prev = energy
         n = 2 * n + 1
-    raise ConvergenceError(f"ideal-gas grid did not converge by {max_nodes} nodes")
+    raise ConvergenceError(f"ideal-gas grid did not converge by {_TBA_MAX_NODES} nodes")
 
 
 def solve_tba(
@@ -518,7 +520,6 @@ def solve_tba(
     *,
     n0: int = 201,
     tol: float = 1e-8,
-    max_nodes: int = 6500,
 ) -> TBASolution:
     """Finite-temperature thermodynamics at ``(gamma, tau)``.
 
@@ -559,9 +560,9 @@ def solve_tba(
             "use solve_ground_state / e_res_zero_T for the T=0 physics"
         )
     if gamma == 0.0:
-        return _solve_ideal(tau, bose=True, n0=n0, tol=tol, max_nodes=max_nodes)
+        return _solve_ideal(tau, bose=True, n0=n0, tol=tol)
     if math.isinf(gamma):
-        return _solve_ideal(tau, bose=False, n0=n0, tol=tol, max_nodes=max_nodes)
+        return _solve_ideal(tau, bose=False, n0=n0, tol=tol)
     if tau >= 2e4:
         raise ValueError(
             f"tau={tau} is at or above 2e4, where the finite-T ladder cannot "
@@ -574,13 +575,14 @@ def solve_tba(
     prev_energy = None
     prev_rel = None
     n = n0
-    while n <= max_nodes:
+    while n <= _TBA_MAX_NODES:
         kmax = math.sqrt(max(mu_hat, 0.0) + _TAIL_LOG * tau)
         solver = _TBAGrid(gamma, tau, kmax, n)
         if carry is not None:
             solver.seed(carry.grid, carry.eps, mu)
         solver.solve_mu(mu)
         sol = solver.result()
+        del solver  # the next rung needs only sol: free this kernel and Jacobian
         _, energy = observables(sol)
         if prev_energy is not None:
             rel = abs(energy - prev_energy) / max(abs(energy), 1e-12)
@@ -597,7 +599,7 @@ def solve_tba(
         carry = sol
         n = 2 * n + 1
     raise ConvergenceError(
-        f"TBA energy not stable to {tol} by {max_nodes} nodes (gamma={gamma}, tau={tau})",
+        f"TBA energy not stable to {tol} by {_TBA_MAX_NODES} nodes (gamma={gamma}, tau={tau})",
         best=carry,
         residual=math.nan,
     )

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lowdgas import anyon_nacs
 from lowdgas.anyon_abelian import SoftCoreBC, b2_softcore, e_rel_abelian
 from lowdgas.anyon_nacs import (
     ChannelWeights,
@@ -277,16 +278,32 @@ def test_anisotropic_frozen_values():
 
 
 def test_anisotropic_matches_hand_assembled_channel_sum():
-    sys = NACSSystem(3, 0.5, ANISO_EPS, +1)
-    w = channel_weights(sys)
-    by_hand = b2_softcore(w.omega[0] + 1.0, SoftCoreBC(+1, 0.5)).value
-    for eps in ANISO_EPS[1]:
-        by_hand += b2_softcore(w.omega[1], SoftCoreBC(+1, eps)).value
-    assert b2_nacs_general(sys) == pytest.approx(by_hand / 4.0, rel=1e-14)
-    e_hand = e_rel_abelian(w.nu[0], SoftCoreBC(+1, 0.5), 1.0)
-    for eps in ANISO_EPS[1]:
-        e_hand += e_rel_abelian(w.nu[1], SoftCoreBC(+1, eps), 1.0)
-    assert e_rel_nacs(sys, 1.0) == pytest.approx(e_hand / 4.0, rel=1e-14)
+    # the second matrix has a run of equal entries next to a lone one
+    for rows in (ANISO_EPS, ((0.5,), (0.2, 0.2, 3.0))):
+        sys = NACSSystem(3, 0.5, rows, +1)
+        w = channel_weights(sys)
+        by_hand = b2_softcore(w.omega[0] + 1.0, SoftCoreBC(+1, rows[0][0])).value
+        for eps in rows[1]:
+            by_hand += b2_softcore(w.omega[1], SoftCoreBC(+1, eps)).value
+        assert b2_nacs_general(sys) == pytest.approx(by_hand / 4.0, rel=1e-14)
+        e_hand = e_rel_abelian(w.nu[0], SoftCoreBC(+1, rows[0][0]), 1.0)
+        for eps in rows[1]:
+            e_hand += e_rel_abelian(w.nu[1], SoftCoreBC(+1, eps), 1.0)
+        assert e_rel_nacs(sys, 1.0) == pytest.approx(e_hand / 4.0, rel=1e-14)
+
+
+def test_uniform_rows_cost_one_abelian_call_each(monkeypatch):
+    # an isotropic l = 3/2 system has 4 rows of 1, 3, 5 and 7 equal
+    # entries: one Abelian shift per row, not one per (j, jz) entry
+    calls = []
+
+    def counting(alpha, bc, dilution):
+        calls.append(alpha)
+        return e_rel_abelian(alpha, bc, dilution)
+
+    monkeypatch.setattr(anyon_nacs, "e_rel_abelian", counting)
+    e_rel_nacs(NACSSystem.isotropic(4, 1.5, 1.0, +1), 0.1)
+    assert len(calls) == 4
 
 
 def test_hardcore_sentinel_routes_per_channel():
