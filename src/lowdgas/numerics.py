@@ -13,14 +13,14 @@ Sci. Comput. 36, A1008 (2014)).  That costs O(n^2) instead of the
 O(n^3) of the Golub-Welsch eigensolve in numpy's ``leggauss``, and the
 weights are more accurate: at n = 3231 the edge weight is within 2e-10
 (relative) of its 40-digit value, where the eigensolve is off by 3e-7.
-The small fixed panels of :func:`composite_rule` still use ``leggauss``.
-
-All operations are pure: no hidden state, no global tolerance registry,
-and every routine is safe to call concurrently.
+The one piece of state is a bounded, thread-safe cache of the
+``[-1, 1]`` reference rules, one per node count, whose arrays are
+read-only; every other routine is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -122,12 +122,17 @@ _GL_MAX_EVALS = 10
 _GL_STEP_TOL = 4.0 * np.finfo(float).eps
 
 
+# The TBA and ground-state node ladders (13 sizes) and the anyon panels
+# (n = 32) use 14 distinct n; the bound keeps a caller that asks for many
+# distinct n from growing memory.
+@functools.lru_cache(maxsize=16)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on ``[-1, 1]``, ascending.
 
     Newton's method on ``P_n`` for the ``ceil(n/2)`` nodes ``x >= 0``,
     from Tricomi's initial guesses, with ``P_n`` and ``P_{n-1}`` from the
-    three-term recurrence; the other half is the mirror image.
+    three-term recurrence; the other half is the mirror image.  Built
+    once per ``n`` and shared, so both arrays are read-only.
     """
     k = np.arange((n + 1) // 2, 0, -1)
     x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
@@ -152,7 +157,9 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
         )
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     h = n // 2  # nodes x < 0, mirrored from the largest down
-    return np.concatenate((-x[::-1][:h], x)), np.concatenate((w[::-1][:h], w))
+    nodes, weights = np.concatenate((-x[::-1][:h], x)), np.concatenate((w[::-1][:h], w))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> QuadratureRule:
@@ -162,8 +169,9 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> QuadratureRule:
     Newton's method on the Legendre recurrence in O(n^2) operations;
     they agree with numpy's ``leggauss`` to one ulp, and the weights are
     accurate to about 2e-10 relative at the edges of a 3231-node rule
-    and to 1e-11 in its interior.  A rule on a symmetric interval is
-    exactly symmetric.
+    and to 1e-11 in its interior.  The ``[-1, 1]`` rule is built once
+    per ``n`` in a process; each call maps it into new arrays.  A rule
+    on a symmetric interval is exactly symmetric.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -176,19 +184,22 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> QuadratureRule:
 
 
 def composite_rule(edges: Sequence[float], n: int = 16) -> QuadratureRule:
-    """Composite Gauss-Legendre rule: ``n`` nodes on each panel of ``edges``."""
+    """Composite Gauss-Legendre rule: ``n`` nodes on each panel of ``edges``.
+
+    Every panel maps the same ``[-1, 1]`` rule of :func:`gauss_legendre`,
+    which is built once per ``n`` in a process.
+    """
+    if n < 1:
+        raise ValueError("need at least one node")
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
         raise ValueError("edges must be a strictly increasing sequence of at least two points")
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (x + 1.0))
-        weights.append(half * w)
+    x, w = _legendre_rule(operator.index(n))
+    lo = edges[:-1]
+    half = 0.5 * (edges[1:] - lo)
     return QuadratureRule(
-        np.concatenate(nodes),
-        np.concatenate(weights),
+        (lo[:, None] + half[:, None] * (x + 1.0)).ravel(),
+        (half[:, None] * w).ravel(),
         (float(edges[0]), float(edges[-1])),
     )
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lowdgas import numerics
 from lowdgas.anyon_abelian import (
     B2Value,
     SoftCoreBC,
@@ -179,6 +180,18 @@ def test_softcore_periodicity_and_evenness(alpha):
 # ---------------------------------------------------------------------------
 # energy shift
 # ---------------------------------------------------------------------------
+
+def test_anyon_calls_build_one_reference_rule():
+    # every scattering integral maps the same cached 32-node panel rule
+    numerics._legendre_rule.cache_clear()
+    for alpha in (0.1, 0.35, 0.6, 0.85, 1.3):
+        for sigma in (1, -1):
+            for eps in (0.05, 0.7, 3.0, 20.0, 150.0):
+                bc = SoftCoreBC(sigma, eps)
+                b2_softcore(alpha, bc)
+                e_rel_abelian(alpha, bc, 0.1)
+    assert numerics._legendre_rule.cache_info().misses == 1
+
 
 def test_shift_fermionic_point_closed_form():
     for eps in (0.3, 1.0, 4.0):

@@ -70,7 +70,7 @@ def test_gauss_legendre_rejects_non_integer_n():
         gauss_legendre(4.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 201, 1615])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 32, 64, 201, 1615])
 def test_gauss_legendre_symmetric_and_matches_leggauss(n):
     rule = gauss_legendre(n)
     x, w = rule.nodes, rule.weights
@@ -84,6 +84,7 @@ def test_gauss_legendre_symmetric_and_matches_leggauss(n):
 
 def test_gauss_legendre_newton_budget_is_enforced(monkeypatch):
     monkeypatch.setattr(numerics, "_GL_MAX_EVALS", 2)
+    numerics._legendre_rule.cache_clear()  # an earlier test may have cached n = 64
     with pytest.raises(ConvergenceError, match="n=64"):
         gauss_legendre(64)
 
@@ -123,6 +124,46 @@ def test_composite_rule_matches_single_panel():
     single = integrate(f, gauss_legendre(64, 0.0, 4.0))
     split = integrate(f, composite_rule([0.0, 0.5, 1.0, 2.5, 4.0], n=24))
     assert split == pytest.approx(single, rel=1e-13)
+
+
+def test_composite_rule_maps_each_panel_exactly():
+    # the broadcast panel map against a per-panel loop over the same rule
+    edges = np.array([-1.5, -1.4, 0.0, 0.3, 2.0, 9.75])
+    x, w = numerics._legendre_rule(24)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        nodes.append(lo + half * (x + 1.0))
+        weights.append(half * w)
+    rule = composite_rule(edges, n=24)
+    assert np.array_equal(rule.nodes, np.concatenate(nodes))
+    assert np.array_equal(rule.weights, np.concatenate(weights))
+    assert rule.domain == (-1.5, 9.75)
+
+
+def test_cached_reference_rule_is_read_only():
+    x, w = numerics._legendre_rule(24)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    assert numerics._legendre_rule(24)[0] is x
+
+
+def test_gauss_legendre_returns_fresh_arrays():
+    first = gauss_legendre(201, -3.0, 3.0)
+    nodes, weights = first.nodes.copy(), first.weights.copy()
+    assert first.nodes.flags.writeable and first.weights.flags.writeable
+    first.nodes[:] = 0.0
+    first.weights[:] = -1.0
+    second = gauss_legendre(201, -3.0, 3.0)
+    assert np.array_equal(second.nodes, nodes)
+    assert np.array_equal(second.weights, weights)
+
+
+def test_composite_rule_rejects_no_nodes():
+    with pytest.raises(ValueError, match="at least one node"):
+        composite_rule([0.0, 1.0], n=0)
 
 
 def test_integrate_rejects_nonfinite_values():
