@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConvergenceError, _erfcx_deficit, erfcx, find_root, gauss_legendre
+from .numerics import ConvergenceError, _erfcx_deficit, erfcx, gauss_legendre
 
 __all__ = [
     "LLParams",
@@ -345,8 +345,70 @@ _MAX_NEWTON = 50
 _MAX_MU_TRIALS = 60
 
 
-class _TBAGrid:
-    """One Nystrom discretization at fixed node count.
+class _Rung:
+    """One node count of the ``solve_tba`` ladder, on the ``K >= 0`` half
+    of a mirrored Gauss-Legendre rule (``E`` and ``f`` are even in ``K``).
+
+    A subclass's ``_newton(mu)`` sets ``eps``, ``density`` and ``mu`` and
+    returns ``dn/dmu``; ``solve_mu`` closes ``integral f = 1`` with it and
+    ``result`` mirrors the arrays back onto the full rule.
+    """
+
+    mu_hi = math.inf  # the density is finite at every mu
+
+    def __init__(self, gamma: float, tau: float, kmax: float, n: int):
+        self.rule = gauss_legendre(n, -kmax, kmax)
+        self.gamma, self.tau, self.kmax = gamma, tau, kmax
+        self.grid, self.cw, self.w, self._full = _fold(self.rule)
+        self.k2 = self.grid * self.grid
+        self.eps = self.density = None
+        self.mu = math.nan
+
+    def solve_mu(self, mu: float) -> None:
+        """Safeguarded Newton on ``integral f - 1``: the density rises with
+        ``mu``, so each residual's sign tightens a bracket, and a step
+        that leaves the bracket bisects it.  No step moves ``mu`` by more
+        than ``pad``: on a grid too coarse for the Fermi edge ``dn/dmu``
+        can vanish while the bracket is still open."""
+        pad = max(2.0 * self.tau, 2.0)
+        lo, hi = -math.inf, self.mu_hi
+        if not mu < hi:  # the classical start is > 0 for Bose at tau < 4pi
+            mu = hi - self.tau
+        for _ in range(_MAX_MU_TRIALS):
+            slope = self._newton(mu)
+            miss = float(self.w @ self.density) - 1.0
+            if abs(miss) <= _NORM_TOL:
+                return
+            if miss < 0.0:
+                lo = mu
+            else:
+                hi = mu
+            step = -miss / slope if slope > 0.0 else -math.copysign(pad, miss)
+            nxt = mu + max(-pad, min(pad, step))
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            mu = nxt
+        raise ConvergenceError(
+            f"density normalization not reached in {_MAX_MU_TRIALS} trials of mu",
+            best=self.result(),
+            residual=abs(miss),
+        )
+
+    def result(self) -> TBASolution:
+        return TBASolution(
+            gamma=self.gamma,
+            tau=self.tau,
+            grid=self.rule.nodes,
+            weights=self.rule.weights,
+            eps=self.eps[self._full],
+            density=self.density[self._full],
+            mu=self.mu,
+            kmax=self.kmax,
+        )
+
+
+class _TBAGrid(_Rung):
+    """Interacting rung, ``0 < gamma < inf``.
 
     Every solve goes through the Jacobian ``J = I - C diag(fermi)`` of
     ``F(E) = E - K^2 + mu + C softplus(E)``, where ``C`` is the
@@ -354,28 +416,18 @@ class _TBAGrid:
     against ``J`` per Newton step gives the step ``J^-1 F``, the dressed
     ``g = J^-1 (1/2pi)`` (level density ``f = fermi g`` and
     ``dE/dmu = -2pi g``) and ``dg/dmu``, hence ``dn/dmu`` for the outer
-    Newton solve on ``integral f = 1``.
-
-    ``E``, ``g`` and ``f`` are even in ``K``, so all of this runs on the
-    ``K >= 0`` half of the mirrored rule, with the folded kernel
-    ``ker(K_i - K_j) + ker(K_i + K_j)``; ``result`` mirrors the arrays
-    back onto the full rule.
+    Newton solve on ``integral f = 1``.  On the half grid the kernel is
+    folded: ``ker(K_i - K_j) + ker(K_i + K_j)``.
     """
 
     def __init__(self, gamma: float, tau: float, kmax: float, n: int):
-        self.rule = gauss_legendre(n, -kmax, kmax)
-        self.gamma, self.tau, self.kmax = gamma, tau, kmax
-        self.grid, cw, self.w, self._full = _fold(self.rule)
+        super().__init__(gamma, tau, kmax, n)
         self.kw, mass = _lorentz_matrix(self.grid, gamma, kmax)
         self.kw += _mirror_kernel(self.grid, gamma)
-        self.kw *= cw[None, :]
+        self.kw *= self.cw[None, :]
         self.defect = mass - self.kw.sum(axis=1)
-        self.k2 = self.grid * self.grid
         self._jac = np.empty_like(self.kw)
-        self.eps = None
         self.g = np.full(self.grid.size, 1.0 / (2.0 * math.pi))
-        self.density = None
-        self.mu = math.nan
 
     def _conv(self, values: np.ndarray) -> np.ndarray:
         return self.kw @ values + self.defect * values
@@ -417,102 +469,29 @@ class _TBAGrid:
             f"pseudo-energy Newton solve did not converge at mu={mu}", best=eps
         )
 
-    def solve_mu(self, mu: float) -> None:
-        """Safeguarded Newton on ``integral f - 1``: the density rises with
-        ``mu``, so each residual's sign tightens a bracket, and a step
-        that leaves the bracket bisects it.  No step moves ``mu`` by more
-        than ``pad``: on a grid too coarse for the Fermi edge ``dn/dmu``
-        can vanish while the bracket is still open."""
-        pad = max(2.0 * self.tau, 2.0)
-        lo, hi = -math.inf, math.inf
-        for _ in range(_MAX_MU_TRIALS):
-            slope = self._newton(mu)
-            miss = float(self.w @ self.density) - 1.0
-            if abs(miss) <= _NORM_TOL:
-                return
-            if miss < 0.0:
-                lo = mu
-            else:
-                hi = mu
-            step = -miss / slope if slope > 0.0 else -math.copysign(pad, miss)
-            nxt = mu + max(-pad, min(pad, step))
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-            mu = nxt
-        raise ConvergenceError(
-            f"density normalization not reached in {_MAX_MU_TRIALS} trials of mu",
-            best=self.result(),
-            residual=abs(miss),
-        )
 
-    def result(self) -> TBASolution:
-        return TBASolution(
-            gamma=self.gamma,
-            tau=self.tau,
-            grid=self.rule.nodes,
-            weights=self.rule.weights,
-            eps=self.eps[self._full],
-            density=self.density[self._full],
-            mu=self.mu,
-            kmax=self.kmax,
-        )
+class _IdealGrid(_Rung):
+    """Endpoint rung, ``gamma = 0`` (ideal Bose gas) or ``gamma = inf``
+    (free fermions): the kernel drops out and, with ``x = (K^2 - mu)/tau``,
+    ``E``, ``f`` and ``dn/dmu`` are closed forms, so no linear solve."""
 
+    def __init__(self, gamma: float, tau: float, kmax: float, n: int):
+        super().__init__(gamma, tau, kmax, n)
+        if gamma == 0.0:
+            self.mu_hi = 0.0  # the Bose density diverges as mu -> 0-
 
-def _ideal_density(k2: np.ndarray, mu: float, tau: float, sign: float) -> np.ndarray:
-    # sign = -1 Bose, +1 Fermi, in the occupation denominator
-    x = (k2 - mu) / tau
-    if sign < 0:
-        return (1.0 / (2.0 * math.pi)) / np.expm1(x)
-    return _fermi(k2 - mu, tau) / (2.0 * math.pi)
-
-
-def _solve_ideal(tau: float, bose: bool, n0: int, tol: float) -> TBASolution:
-    """gamma -> 0 (Bose) and gamma -> inf (impenetrable / free-fermion)
-    endpoints, solved from the closed-form occupations."""
-    sign = -1.0 if bose else +1.0
-    prev = None
-    n = n0
-    while n <= _TBA_MAX_NODES:
-        mu_hat = 0.0 if bose else math.pi**2
-        kmax = math.sqrt(max(mu_hat, 0.0) + _TAIL_LOG * tau)
-        rule = gauss_legendre(n, -kmax, kmax)
-        grid, w = rule.nodes, rule.weights
-        k2 = grid * grid
-
-        def mismatch(mu: float) -> float:
-            return float(w @ _ideal_density(k2, mu, tau, sign)) - 1.0
-
-        if bose:
-            hi = -1e-14 * tau
-            lo = min(_boltzmann_mu(tau) - 2.0 * tau, -tau)
-            while mismatch(lo) > 0.0:
-                lo *= 2.0
+    def _newton(self, mu: float) -> float:
+        x = (self.k2 - mu) / self.tau
+        if self.gamma == 0.0:
+            occ = np.exp(-x) / -np.expm1(-x)  # 1/(e^x - 1) without overflow
+            self.eps = self.tau * _log_expm1(x)
+            dn = occ * (1.0 + occ)
         else:
-            mu_b = _boltzmann_mu(tau)
-            lo, hi = mu_b - max(2.0 * tau, 2.0), max(math.pi**2 + tau, mu_b + 2.0 * tau)
-            while mismatch(lo) > 0.0:
-                lo -= 2.0 * (hi - lo)
-            while mismatch(hi) < 0.0:
-                hi += 2.0 * (hi - lo)
-        mu = find_root(mismatch, (lo, hi), tol=1e-11)
-        f = _ideal_density(k2, mu, tau, sign)
-        energy = float(w @ (k2 * f))
-        if prev is not None and abs(energy - prev) <= tol * max(abs(energy), 1e-12):
-            x = (k2 - mu) / tau
-            eps = tau * _log_expm1(x) if bose else k2 - mu
-            return TBASolution(
-                gamma=0.0 if bose else math.inf,
-                tau=tau,
-                grid=grid,
-                weights=w,
-                eps=eps,
-                density=f,
-                mu=mu,
-                kmax=kmax,
-            )
-        prev = energy
-        n = 2 * n + 1
-    raise ConvergenceError(f"ideal-gas grid did not converge by {_TBA_MAX_NODES} nodes")
+            occ = _fermi(self.k2 - mu, self.tau)
+            self.eps = self.k2 - mu
+            dn = occ * (1.0 - occ)
+        self.density, self.mu = occ / (2.0 * math.pi), mu
+        return float(self.w @ dn) / (2.0 * math.pi * self.tau)
 
 
 def solve_tba(
@@ -547,11 +526,14 @@ def solve_tba(
     regime from its own contraction ratio and accepts at 1e-3 relative
     instead.  The residual error there is ~1e-5 absolute, and the
     regime only arises within ``O(gamma)`` of the ideal-Bose branch.
-    ``gamma = 0`` and ``gamma = inf`` return the analytic ideal Bose /
-    impenetrable branches on the same kind of grid.  For interacting
-    states ``tau >= 2e4`` is outside the domain: the ladder's energy
-    criterion no longer bounds the error of the shift there, and
-    ``e_res_high_T`` gives the classical limit.
+    The endpoints ``gamma = 0`` (ideal Bose gas) and ``gamma = inf``
+    (impenetrable, free-fermion) run on the same ladder and the same
+    ``mu`` solve, with closed-form occupations in place of the kernel;
+    having no kernel they never take the algebraic-tail acceptance, which
+    applies only for ``0 < gamma < inf``, and they solve at any ``tau``.
+    For interacting states ``tau >= 2e4`` is outside the domain: the
+    ladder's energy criterion no longer bounds the error of the shift
+    there, and ``e_res_high_T`` gives the classical limit.
     """
     gamma, tau = params.gamma, params.tau
     if tau < 1e-3:
@@ -559,11 +541,8 @@ def solve_tba(
             f"tau={tau} is below 1e-3: the finite-T grid degenerates there; "
             "use solve_ground_state / e_res_zero_T for the T=0 physics"
         )
-    if gamma == 0.0:
-        return _solve_ideal(tau, bose=True, n0=n0, tol=tol)
-    if math.isinf(gamma):
-        return _solve_ideal(tau, bose=False, n0=n0, tol=tol)
-    if tau >= 2e4:
+    interacting = 0.0 < gamma < math.inf
+    if interacting and tau >= 2e4:
         raise ValueError(
             f"tau={tau} is at or above 2e4, where the finite-T ladder cannot "
             "certify its result; use e_res_high_T for the high-temperature shift"
@@ -577,8 +556,8 @@ def solve_tba(
     n = n0
     while n <= _TBA_MAX_NODES:
         kmax = math.sqrt(max(mu_hat, 0.0) + _TAIL_LOG * tau)
-        solver = _TBAGrid(gamma, tau, kmax, n)
-        if carry is not None:
+        solver = (_TBAGrid if interacting else _IdealGrid)(gamma, tau, kmax, n)
+        if carry is not None and interacting:
             solver.seed(carry.grid, carry.eps, mu)
         solver.solve_mu(mu)
         sol = solver.result()
@@ -591,7 +570,8 @@ def solve_tba(
             # algebraic tail: doublings gain less than 8x while already
             # at the 1e-3 level -- the kernel is narrower than the grid
             # can resolve and further refinement buys ~nothing
-            if prev_rel is not None and rel <= 1e-3 and prev_rel / max(rel, 1e-300) < 8.0:
+            if (interacting and prev_rel is not None and rel <= 1e-3
+                    and prev_rel / max(rel, 1e-300) < 8.0):
                 return sol
             prev_rel = rel
         prev_energy = energy

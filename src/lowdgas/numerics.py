@@ -1,10 +1,13 @@
 """Shared numerical kernels for the gas-thermodynamics solvers.
 
 Everything in this module is dimensionless plumbing: Gauss-Legendre
-quadrature, damped fixed-point iteration, bracketed root finding,
-Richardson-extrapolated finite differences, and the scaled
-complementary error function ``exp(x**2) * erfc(x)`` which stays finite
-for large ``x``.
+quadrature, Richardson-extrapolated finite differences, golden-section
+search, and the scaled complementary error function
+``exp(x**2) * erfc(x)`` which stays finite for large ``x``.  The damped
+fixed point :func:`solve_fixed_point` and the bracketed root finder
+:func:`find_root` have no caller in the library, whose TBA and
+ground-state solvers close their equations by Newton's method; they
+stay public for now.
 
 :func:`gauss_legendre` builds its rule by Newton's method on the
 three-term Legendre recurrence, vectorised over the nodes (Hale &

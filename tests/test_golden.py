@@ -37,6 +37,7 @@ POINTS = {
     "nacs-shift.csv": "nacs shift --k 3 --l 1 --eps 0.5 --sigma -1 --x 0.1",
     "ll-b2.json": "ll b2 --gamma 1 --tau 1 --format json",
     "virial-classify-extra.csv": "virial classify --d 1 --sqrt-beta -0.5 --beta 2 --extra 0.3,2,0 --extra 0.1,3,1",
+    "ll-tba-tonks.csv": "ll tba --gamma inf --tau 1",
 }
 
 # golden file name -> sweep specfile (and extra flags)
@@ -69,6 +70,7 @@ SWEEPS = {
         "",
     ),
     "sweep-ll-b2-2d.csv": ("quantity = ll-b2\naxis = gamma log 0.1 10 3\naxis = tau linear 0.5 2 2\n", ""),
+    "sweep-ll-tba-bose.csv": ("quantity = ll-tba\naxis = tau log 0.01 1000 3\ngamma = 0\n", ""),
 }
 
 EXPECTED_EXIT = {"sweep-ll-b2.csv": 2}  # tau = -1 is outside the domain
