@@ -3,7 +3,8 @@
 Every quantity the library computes can be evaluated either at a single
 point (``lowdgas ll shift --gamma 1 --tau 0.5``) or on a 1-2 axis grid
 driven by a sweep specfile (``lowdgas sweep fig1.sweep``).  A single point
-is a sweep with no axes, so both run through :func:`run_sweep`.  Results
+is a sweep with no axes, so both run through :func:`run_sweep`.  Each
+command's flags are its quantity's ``REGISTRY`` parameters.  Results
 are written as CSV or JSON tables built for reproducibility: fixed column
 order, 17-significant-digit floats, LF line endings, metadata echoing
 the effective configuration, and no wall-clock timestamps (set
@@ -11,9 +12,11 @@ the effective configuration, and no wall-clock timestamps (set
 give byte-identical files for a fixed BLAS configuration; grid points
 are evaluated independently, in grid order.
 
-Exit codes: 0 success; 1 malformed spec, flags, or config; 2 some points
-failed, for single points and sweeps alike (their rows carry the error
-in the ``status`` column); 3 output could not be written.
+Exit codes: 0 success; 1 malformed spec, flags, or config, which
+includes a ``sigma`` that is not +1 or -1 and a non-integer ``k`` or
+``d``, from flags and specfiles alike; 2 some points failed, for single
+points and sweeps alike (their rows carry the error in the ``status``
+column); 3 output could not be written.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -77,6 +80,9 @@ EXIT_SOLVER = 2
 EXIT_IO = 3
 
 _FLOAT_FMT = "%.17g"
+
+# The run options a config file may set, with the type of each value.
+_RUN_OPTIONS = {"format": str, "tol": float, "nodes": int}
 
 
 class SpecError(ValueError):
@@ -200,18 +206,30 @@ class ResultTable:
 # Quantity registry
 
 
-def _as_sigma(value) -> int:
-    s = float(value)
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as err:
+        raise SpecError(f"parameter {name} must be numeric, got {value!r}") from err
+
+
+def _as_sigma(value, name: str) -> int:
+    s = _number(value, name)
     if s not in (1.0, -1.0):
-        raise SpecError(f"sigma must be +1 or -1, got {value}")
+        raise SpecError(f"{name} must be +1 or -1, got {value}")
     return int(s)
 
 
 def _as_int(value, name: str) -> int:
-    v = float(value)
-    if v != int(v):
+    v = _number(value, name)
+    if not v.is_integer():
         raise SpecError(f"{name} must be an integer, got {value}")
     return int(v)
+
+
+# Parameters that take only integer values.  None of them can be swept,
+# so checking their fixed values once covers every point.
+_KINDS = {"sigma": _as_sigma, "k": _as_int, "d": _as_int}
 
 
 def _ll_solver_kw(opts: Mapping) -> dict:
@@ -245,22 +263,20 @@ def _eval_ll_b2(p, opts, ctx):
 
 
 def _eval_anyon_b2(p, opts, ctx):
-    out = b2_softcore(p["alpha"], SoftCoreBC(_as_sigma(p["sigma"]), p["eps"]))
+    out = b2_softcore(p["alpha"], SoftCoreBC(int(p["sigma"]), p["eps"]))
     return (out.value,) + out.parts
 
 
 def _eval_anyon_shift(p, opts, ctx):
-    return (e_rel_abelian(p["alpha"], SoftCoreBC(_as_sigma(p["sigma"]), p["eps"]), p["x"]),)
+    return (e_rel_abelian(p["alpha"], SoftCoreBC(int(p["sigma"]), p["eps"]), p["x"]),)
 
 
 def _eval_anyon_semion(p, opts, ctx):
-    return (e_rel_semion(SoftCoreBC(_as_sigma(p["sigma"]), p["eps"]), p["x"]),)
+    return (e_rel_semion(SoftCoreBC(int(p["sigma"]), p["eps"]), p["x"]),)
 
 
 def _nacs_system(p) -> NACSSystem:
-    return NACSSystem.isotropic(
-        _as_int(p["k"], "k"), p["l"], p["eps"], _as_sigma(p["sigma"])
-    )
+    return NACSSystem.isotropic(int(p["k"]), p["l"], p["eps"], int(p["sigma"]))
 
 
 def _eval_nacs_b2(p, opts, ctx):
@@ -323,20 +339,31 @@ def _eval_classify(p, opts, ctx):
         beta=p["beta"],
         extra=ctx.get("extra", ()),
     )
-    out = classify_shift(shape, _as_int(p["d"], "d"))
+    out = classify_shift(shape, int(p["d"]))
     limit = out.limit_value if out.limit_value is not None else ""
     return (out.verdict, limit)
 
 
 @dataclass(frozen=True)
 class _Quantity:
+    """One quantity, declared once.  Its subcommand takes one flag per
+    parameter and is named by ``command``, or else by the quantity's
+    name split at its first dash (``ll-b2`` is ``lowdgas ll b2``).
+    """
+
     axis_ok: tuple[str, ...]
     required: tuple[str, ...]
-    defaults: Mapping[str, float]
     outputs: tuple[tuple[str, str], ...]
     evaluate: Callable[[Mapping, Mapping, Mapping], tuple]
+    defaults: Mapping[str, float] = field(default_factory=dict)
     prepare: Callable[[Mapping], dict] | None = None
     model_keys: tuple[str, ...] = ()
+    command: str | None = None
+
+
+def _parameters(entry) -> tuple[str, ...]:
+    """A quantity's (or table's) parameters, in flag and column order."""
+    return (*entry.required, *entry.defaults, *entry.model_keys)
 
 
 _LL_AXES = ("gamma", "tau")
@@ -345,35 +372,30 @@ REGISTRY: dict[str, _Quantity] = {
     "ll-ground": _Quantity(
         axis_ok=("gamma",),
         required=("gamma",),
-        defaults={},
         outputs=(("energy", "hbar^2 rho^2/2m"), ("ell", "")),
         evaluate=_eval_ll_ground,
     ),
     "ll-tba": _Quantity(
         axis_ok=_LL_AXES,
         required=("gamma", "tau"),
-        defaults={},
         outputs=(("mu", "k_B T_D"), ("pressure", "rho k_B T_D"), ("energy", "k_B T_D")),
         evaluate=_eval_ll_tba,
     ),
     "ll-shift": _Quantity(
         axis_ok=_LL_AXES,
         required=("gamma", "tau"),
-        defaults={},
         outputs=(("e_res", "k_B T_D"),),
         evaluate=_eval_ll_shift,
     ),
     "ll-b2": _Quantity(
         axis_ok=_LL_AXES,
         required=("gamma", "tau"),
-        defaults={},
         outputs=(("b2", "lambda_T"),),
         evaluate=_eval_ll_b2,
     ),
     "anyon-b2": _Quantity(
         axis_ok=("alpha", "eps"),
         required=("alpha", "sigma", "eps"),
-        defaults={},
         outputs=(
             ("b2", "lambda_T^2"),
             ("hard_core_part", "lambda_T^2"),
@@ -385,35 +407,30 @@ REGISTRY: dict[str, _Quantity] = {
     "anyon-shift": _Quantity(
         axis_ok=("alpha", "eps", "x"),
         required=("alpha", "sigma", "eps", "x"),
-        defaults={},
         outputs=(("e_rel", ""),),
         evaluate=_eval_anyon_shift,
     ),
     "anyon-semion": _Quantity(
         axis_ok=("eps", "x"),
         required=("sigma", "eps", "x"),
-        defaults={},
         outputs=(("e_rel", ""),),
         evaluate=_eval_anyon_semion,
     ),
     "nacs-b2": _Quantity(
         axis_ok=("eps",),
         required=("k", "l", "eps", "sigma"),
-        defaults={},
         outputs=(("b2", "lambda_T^2"),),
         evaluate=_eval_nacs_b2,
     ),
     "nacs-shift": _Quantity(
         axis_ok=("eps", "x"),
         required=("k", "l", "eps", "sigma", "x"),
-        defaults={},
         outputs=(("e_rel", ""),),
         evaluate=_eval_nacs_shift,
     ),
     "virial-thermo": _Quantity(
         axis_ok=("rho", "T"),
         required=("rho", "T"),
-        defaults={},
         outputs=(
             ("pressure", "k_B T"),
             ("helmholtz", "k_B T"),
@@ -434,6 +451,7 @@ REGISTRY: dict[str, _Quantity] = {
         evaluate=_eval_classify,
         prepare=_prepare_classify,
         model_keys=("extra",),
+        command="virial classify",
     ),
 }
 
@@ -456,22 +474,9 @@ def _metadata(quantity: str, axes: Sequence[Axis], fixed: Mapping, opts: Mapping
         "version": __version__,
         "timestamp": _timestamp(),
         "quantity": quantity,
-        "axes": [
-            {
-                "name": a.name,
-                "start": a.start,
-                "stop": a.stop,
-                "count": a.count,
-                "spacing": a.spacing,
-            }
-            for a in axes
-        ],
+        "axes": [asdict(a) for a in axes],
         "fixed": {k: fixed[k] for k in sorted(fixed)},
-        "config": {
-            "format": opts.get("format"),
-            "tol": opts.get("tol"),
-            "nodes": opts.get("nodes"),
-        },
+        "config": {key: opts.get(key) for key in _RUN_OPTIONS},
     }
 
 
@@ -483,7 +488,7 @@ def _check_parameters(spec: SweepSpec, q: _Quantity) -> None:
                 f"{spec.quantity}: {name} cannot be swept "
                 f"(axes: {', '.join(q.axis_ok)})"
             )
-    known = set(q.required) | set(q.defaults) | set(q.axis_ok) | set(q.model_keys)
+    known = {*_parameters(q), *q.axis_ok}
     for name in spec.fixed:
         if name not in known:
             raise SpecError(f"{spec.quantity}: unknown parameter {name!r}")
@@ -491,6 +496,8 @@ def _check_parameters(spec: SweepSpec, q: _Quantity) -> None:
     missing = [name for name in q.required if name not in have]
     if missing:
         raise SpecError(f"{spec.quantity}: missing parameter(s) {', '.join(missing)}")
+    for name in _KINDS.keys() & spec.fixed.keys():
+        _KINDS[name](spec.fixed[name], name)
 
 
 def run_sweep(spec: SweepSpec, opts: Mapping | None = None) -> ResultTable:
@@ -504,14 +511,8 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None) -> ResultTable:
     _check_parameters(spec, q)
     context = q.prepare(spec.fixed) if q.prepare is not None else {}
 
-    base = {k: v for k, v in q.defaults.items()}
-    for key, value in spec.fixed.items():
-        if key in q.model_keys:
-            continue
-        try:
-            base[key] = float(value)
-        except (TypeError, ValueError) as err:
-            raise SpecError(f"parameter {key} must be numeric, got {value!r}") from err
+    base = dict(q.defaults)
+    base.update((k, _number(v, k)) for k, v in spec.fixed.items() if k not in q.model_keys)
 
     points = list(itertools.product(*(axis.values() for axis in spec.axes)))
     axis_names = [a.name for a in spec.axes]
@@ -732,9 +733,6 @@ def parse_specfile(text: str, name: str = "<spec>") -> SweepSpec:
     )
 
 
-_CONFIG_KEYS = ("format", "tol", "nodes")
-
-
 def _parse_config(text: str, name: str) -> dict:
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -745,17 +743,12 @@ def _parse_config(text: str, name: str) -> dict:
             raise SpecError(f"{name}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _RUN_OPTIONS:
             raise SpecError(
                 f"{name}:{lineno}: unknown config key {key!r} "
-                f"(one of: {', '.join(_CONFIG_KEYS)})"
+                f"(one of: {', '.join(_RUN_OPTIONS)})"
             )
-        if key == "format":
-            out[key] = value
-        elif key == "tol":
-            out[key] = float(value)
-        else:
-            out[key] = int(value)
+        out[key] = _RUN_OPTIONS[key](value)
     return out
 
 
@@ -784,107 +777,13 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("power-law", "delta-gas"), default="power-law")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--amps", default=None, help="comma-separated amplitudes")
-    p.add_argument("--c", type=float, default=None, help="delta-gas repulsion strength")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
-    parser = _Parser(prog="lowdgas", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"lowdgas {__version__}")
-    groups = parser.add_subparsers(dest="group", required=True)
-
-    ll = groups.add_parser("ll", help="delta-interacting 1d Bose gas")
-    ll_ops = ll.add_subparsers(dest="op", required=True)
-    p = ll_ops.add_parser("ground", parents=[common])
-    p.add_argument("--gamma", type=float, required=True)
-    for op in ("tba", "shift", "b2"):
-        p = ll_ops.add_parser(op, parents=[common])
-        p.add_argument("--gamma", type=float, required=True)
-        p.add_argument("--tau", type=float, required=True)
-
-    anyon = groups.add_parser("anyon", help="2d statistics gas, one channel")
-    anyon_ops = anyon.add_subparsers(dest="op", required=True)
-    p = anyon_ops.add_parser("b2", parents=[common])
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--sigma", type=int, choices=(-1, 1), required=True)
-    p.add_argument("--eps", type=float, required=True)
-    for op in ("shift", "semion"):
-        p = anyon_ops.add_parser(op, parents=[common])
-        if op == "shift":
-            p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--sigma", type=int, choices=(-1, 1), required=True)
-        p.add_argument("--eps", type=float, required=True)
-        p.add_argument("--x", type=float, required=True)
-
-    nacs = groups.add_parser("nacs", help="isospin-channel statistics gas")
-    nacs_ops = nacs.add_subparsers(dest="op", required=True)
-    for op in ("b2", "shift", "channels"):
-        p = nacs_ops.add_parser(op, parents=[common])
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--l", type=float, required=True)
-        if op != "channels":
-            p.add_argument("--eps", type=float, required=True)
-            p.add_argument("--sigma", type=int, choices=(-1, 1), required=True)
-        if op == "shift":
-            p.add_argument("--x", type=float, required=True)
-
-    virial = groups.add_parser("virial", help="d-dimensional virial thermodynamics")
-    virial_ops = virial.add_subparsers(dest="op", required=True)
-    p = virial_ops.add_parser("thermo", parents=[common])
-    _add_model_flags(p)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--T", type=float, required=True)
-    p = virial_ops.add_parser("classify", parents=[common])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--sqrt-beta", type=float, default=0.0)
-    p.add_argument("--beta-log-beta", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument(
-        "--extra",
-        action="append",
-        metavar="COEFF,POWER,LOGPOWER",
-        help="additional expansion term (repeatable)",
-    )
-    p = virial_ops.add_parser("check-scaling", parents=[common])
-    _add_model_flags(p)
-    p.add_argument("--temps", required=True, help="comma-separated temperatures")
-    p.add_argument("--rtol", type=float, default=1e-9)
-
-    p = groups.add_parser("sweep", parents=[common], help="run a sweep specfile")
-    p.add_argument("specfile")
-    return parser
-
-
-def _effective_opts(ns: argparse.Namespace) -> dict:
-    opts = {"format": "csv", "tol": None, "nodes": None}
-    if getattr(ns, "config", None):
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            opts.update(_parse_config(fh.read(), ns.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            opts[key] = flag
-    return opts
-
-
-def _flag_values(ns: argparse.Namespace, names: Sequence[str]) -> dict:
-    """The named parameters set on the command line, integers as floats
-    so that they read as a specfile's values do."""
-    values = {}
-    for name in names:
-        value = getattr(ns, name, None)
-        if value is not None:
-            values[name] = float(value) if isinstance(value, int) else value
-    return values
+def _flag_values(ns: argparse.Namespace, names: Iterable[str]) -> dict:
+    """The named parameters set on the command line."""
+    return {name: getattr(ns, name) for name in names if getattr(ns, name) is not None}
 
 
 def _channels_table(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
-    sys_ = NACSSystem.isotropic(ns.k, ns.l, 1.0, +1)
+    sys_ = NACSSystem.isotropic(_as_int(ns.k, "k"), ns.l, 1.0, +1)
     w = channel_weights(sys_)
     rows = tuple(
         (
@@ -937,6 +836,84 @@ def _scaling_table(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
     return ResultTable(columns=columns, rows=rows, metadata=metadata)
 
 
+@dataclass(frozen=True)
+class _Table:
+    """A command that prints a table of its own, not one point of a
+    quantity; its flags and name are declared as a quantity's are.
+    """
+
+    build: Callable[[argparse.Namespace, Mapping], ResultTable]
+    required: tuple[str, ...]
+    defaults: Mapping[str, object] = field(default_factory=dict)
+    model_keys: tuple[str, ...] = ()
+    command: str | None = None
+
+
+_TABLES = {
+    "nacs-channels": _Table(_channels_table, ("k", "l")),
+    "virial-check-scaling": _Table(
+        _scaling_table, ("temps",), {"rtol": 1e-9}, REGISTRY["virial-thermo"].model_keys
+    ),
+}
+
+_GROUPS = {
+    "ll": "delta-interacting 1d Bose gas",
+    "anyon": "2d statistics gas, one channel",
+    "nacs": "isospin-channel statistics gas",
+    "virial": "d-dimensional virial thermodynamics",
+}
+
+# Every parameter flag takes a float, except these.
+_FLAGS = {
+    "model": dict(choices=("power-law", "delta-gas"), default="power-law"),
+    "amps": dict(help="comma-separated amplitudes"),
+    "extra": dict(
+        action="append",
+        metavar="COEFF,POWER,LOGPOWER",
+        help="additional expansion term (repeatable)",
+    ),
+    "temps": dict(help="comma-separated temperatures"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per quantity and table, with one ``--name`` flag
+    per parameter (underscores written as dashes).  ``ns.quantity``
+    names what to run (None for ``sweep``).
+    """
+    common = _common_flags()
+    parser = _Parser(prog="lowdgas", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"lowdgas {__version__}")
+    groups = parser.add_subparsers(dest="group", required=True)
+    ops = {
+        group: groups.add_parser(group, help=text).add_subparsers(dest="op", required=True)
+        for group, text in _GROUPS.items()
+    }
+    for quantity, entry in (*REGISTRY.items(), *_TABLES.items()):
+        group, op = (entry.command or quantity.replace("-", " ", 1)).split()
+        p = ops[group].add_parser(op, parents=[common])
+        p.set_defaults(quantity=quantity)
+        for name in _parameters(entry):
+            kw = dict(_FLAGS.get(name, {"type": float}))
+            kw.setdefault("default", entry.defaults.get(name))
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, required=name in entry.required, **kw)
+
+    p = groups.add_parser("sweep", parents=[common], help="run a sweep specfile")
+    p.set_defaults(quantity=None)
+    p.add_argument("specfile")
+    return parser
+
+
+def _effective_opts(ns: argparse.Namespace) -> dict:
+    opts = {**dict.fromkeys(_RUN_OPTIONS), "format": "csv"}
+    if getattr(ns, "config", None):
+        with open(ns.config, "r", encoding="utf-8") as fh:
+            opts.update(_parse_config(fh.read(), ns.config))
+    opts.update(_flag_values(ns, _RUN_OPTIONS))
+    return opts
+
+
 def _parse_extra_terms(specs: Sequence[str]) -> tuple:
     terms = []
     for spec in specs:
@@ -951,12 +928,9 @@ def _parse_extra_terms(specs: Sequence[str]) -> tuple:
 
 
 def _dispatch(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
-    group, op = ns.group, getattr(ns, "op", None)
-    if group == "nacs" and op == "channels":
-        return _channels_table(ns, opts)
-    if group == "virial" and op == "check-scaling":
-        return _scaling_table(ns, opts)
-    if group == "sweep":
+    if ns.quantity in _TABLES:
+        return _TABLES[ns.quantity].build(ns, opts)
+    if ns.quantity is None:
         with open(ns.specfile, "r", encoding="utf-8") as fh:
             spec = parse_specfile(fh.read(), name=ns.specfile)
         spec = replace(
@@ -965,10 +939,8 @@ def _dispatch(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
             format=ns.format or spec.format or opts["format"],
         )
     else:
-        quantity = "classify" if op == "classify" else f"{group}-{op}"
-        q = REGISTRY[quantity]
-        fixed = _flag_values(ns, (*q.required, *q.defaults, *q.model_keys))
-        spec = SweepSpec(quantity, (), fixed, ns.out, opts["format"])
+        fixed = _flag_values(ns, _parameters(REGISTRY[ns.quantity]))
+        spec = SweepSpec(ns.quantity, (), fixed, ns.out, opts["format"])
     ns.out = spec.output
     opts["format"] = spec.format
     return run_sweep(spec, opts)

@@ -524,8 +524,14 @@ def solve_tba(
     2-4 per doubling instead of orders of magnitude), which no
     affordable uniform grid can push to 1e-8; the ladder detects that
     regime from its own contraction ratio and accepts at 1e-3 relative
-    instead.  The residual error there is ~1e-5 absolute, and the
-    regime only arises within ``O(gamma)`` of the ideal-Bose branch.
+    instead.  That acceptance is not accurate to ``tol``: at
+    ``tau = 1e3`` the ladder stops at 807 nodes with shifts below
+    ``e_res_high_T`` by 8.0e-5, 5.3e-4 and 7.3e-4 (absolute, ``k_B T_D``)
+    for ``gamma = 0.01``, 0.1 and 0.32, and at ``(gamma, tau) = (1, 1e4)``
+    the shift is 1.2e-3 (relative) from that of a ladder started at
+    1615 nodes.  ROADMAP item 2 (a kernel subtraction that converges
+    at these ``gamma``) and item 3 (a stop judged on the shift) hold
+    the fixes.
     The endpoints ``gamma = 0`` (ideal Bose gas) and ``gamma = inf``
     (impenetrable, free-fermion) run on the same ladder and the same
     ``mu`` solve, with closed-form occupations in place of the kernel;

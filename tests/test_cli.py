@@ -439,6 +439,78 @@ def test_main_single_point_failure_is_a_status_row(tmp_path, argv, error):
     assert table.rows[0][-1].startswith(error + ": ")
 
 
+@pytest.mark.parametrize(
+    "quantity,lines,argv",
+    [
+        (
+            "anyon-b2",
+            "axis = alpha linear 0.2 0.8 2\nsigma = 2\neps = 1\n",
+            "anyon b2 --alpha 0.5 --sigma 2 --eps 1",
+        ),
+        (
+            "nacs-b2",
+            "axis = eps log 0.1 10 2\nk = 2.5\nl = 0.5\nsigma = 1\n",
+            "nacs b2 --k 2.5 --l 0.5 --eps 1 --sigma 1",
+        ),
+        ("classify", "axis = beta linear 1 3 2\nd = 1.5\n", "virial classify --d 1.5"),
+    ],
+    ids=["sigma", "k", "d"],
+)
+def test_main_parameter_kind_errors_are_spec_errors(tmp_path, quantity, lines, argv):
+    # a sigma that is not +-1, or a non-integer k or d, is a malformed
+    # spec whether it comes from a specfile or from flags: no table
+    out = tmp_path / "table.csv"
+    specfile = _write(tmp_path / "kind.sweep", f"quantity = {quantity}\n{lines}out = {out}\n")
+    assert main(["sweep", specfile]) == EXIT_SPEC
+    assert main(argv.split() + ["--out", str(out)]) == EXIT_SPEC
+    assert not out.exists()
+
+
+# one value per parameter name, enough to run every quantity's single point
+POINT_VALUES = {
+    "gamma": "1",
+    "tau": "2",
+    "alpha": "0.5",
+    "sigma": "-1",
+    "eps": "1",
+    "x": "0.1",
+    "k": "3",
+    "l": "0.5",
+    "rho": "0.1",
+    "T": "2",
+    "model": "power-law",
+    "d": "2",
+    "amps": "0.5,-0.2",
+    "c": "1",
+    "sqrt_beta": "-0.5",
+    "beta_log_beta": "0.25",
+    "beta": "2",
+    "extra": "0.1,2,0",
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(cli.REGISTRY))
+def test_main_runs_every_quantity_from_its_parameters(quantity, capsys):
+    q = cli.REGISTRY[quantity]
+    argv = (q.command or quantity.replace("-", " ", 1)).split() + ["--format", "json"]
+    for name in (*q.required, *q.defaults, *q.model_keys):
+        argv += ["--" + name.replace("_", "-"), POINT_VALUES[name]]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["metadata"]["quantity"] == quantity
+    lead = [*q.required, *q.defaults]
+    names = [c["name"] for c in payload["columns"]]
+    assert names == lead + [n for n, _ in q.outputs] + ["status"]
+    (row,) = payload["rows"]
+    assert row[: len(lead)] == [float(POINT_VALUES[n]) for n in lead]
+    assert row[-1] == "ok"
+
+
+def test_integer_parameters_are_never_axes():
+    # run_sweep checks sigma, k and d once, on their fixed values
+    assert not any(set(cli._KINDS) & set(q.axis_ok) for q in cli.REGISTRY.values())
+
+
 def test_main_semion_matches_library(tmp_path):
     out = str(tmp_path / "semion.json")
     rc = main(
