@@ -748,7 +748,10 @@ def _parse_config(text: str, name: str) -> dict:
                 f"{name}:{lineno}: unknown config key {key!r} "
                 f"(one of: {', '.join(_RUN_OPTIONS)})"
             )
-        out[key] = _RUN_OPTIONS[key](value)
+        try:
+            out[key] = _RUN_OPTIONS[key](value)
+        except ValueError as err:
+            raise SpecError(f"{name}:{lineno}: bad value {value!r} for {key!r}") from err
     return out
 
 

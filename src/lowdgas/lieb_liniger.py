@@ -17,14 +17,19 @@ Two solvers live here:
   ``E(K)``, chemical potential ``mu`` and level density ``f(K)``.
 
 Both use dense Nystrom discretizations with the Lorentzian kernel
-handled in subtracted form, ``(Kv)_i = M_i v_i + sum_j w_j k_ij (v_j -
-v_i)`` with the analytic mass ``M_i``: the diagonal singularity cancels
-exactly, so one grid works uniformly from the near-ideal-Bose regime
-(``gamma ~ 1e-3``, kernel close to a delta spike) to the impenetrable
-limit (``gamma ~ 1e4``, kernel flat and weak).  Every unknown is even,
-so both solve on the ``K >= 0`` half of a mirrored Gauss-Legendre rule
-with the folded kernel ``k(K_i - K_j) + k(K_i + K_j)``: a quarter of the
-memory and an eighth of the LU work of the full grid, with the same
+handled in subtracted form.  The ground state subtracts the constant,
+``(Kv)_i = M_i v_i + sum_j w_j k_ij (v_j - v_i)`` with the analytic mass
+``M_i``: the diagonal singularity cancels exactly.  The finite-T solve
+subtracts the local Taylor polynomial of ``v`` to second order, with
+the analytic moments of ``k(q) q^p`` (``p <= 2``) and barycentric
+derivatives on the Gauss-Legendre nodes (product integration, Atkinson
+ch. 4; Wang & Xiang, Math. Comp. 81, 861, 2012), so it stays accurate
+where ``gamma`` is below the node spacing (``gamma ~ 1e-3``, kernel
+close to a delta spike) as well as in the impenetrable limit
+(``gamma ~ 1e4``, kernel flat and weak).  Every unknown is even, so both
+solve on the ``K >= 0`` half of a mirrored Gauss-Legendre rule with the
+folded operator (column ``j`` plus its mirror ``-K_j``): a quarter of
+the memory and an eighth of the LU work of the full grid, with the same
 results up to rounding.
 
 Derived observables: pressure, energy, the energy-pressure shift
@@ -171,7 +176,7 @@ def _lorentz_matrix(
     ``[-kmax, kmax]`` (the domain edge, not the outermost node: Gauss
     nodes stop short of the edge by O(1/n^2) and using them here would
     degrade the scheme to algebraic convergence)."""
-    # in place: one n x n array at a time (n reaches ~6500)
+    # in place: one n x n array at a time
     ker = grid[:, None] - grid[None, :]
     ker *= ker
     ker += gamma * gamma
@@ -207,6 +212,126 @@ def _mirror_kernel(half: np.ndarray, gamma: float) -> np.ndarray:
     if half[0] == 0.0:
         ker[0, 0] = 0.0
     return ker
+
+
+_BLOCK = 1 << 15  # entries per row block of the corrected-kernel builder
+
+
+def _x_minus_atan(x: np.ndarray) -> np.ndarray:
+    """``x - atan(x)`` without cancellation at small ``|x|``: below 0.3
+    the series ``x^3/3 - x^5/5 + ...`` (18 terms, truncation < 1e-19
+    relative) replaces the difference, whose relative error grows like
+    ``3 eps / x^2``."""
+    out = x - np.arctan(x)
+    small = np.abs(x) < 0.3
+    xs = x[small]
+    x2 = xs * xs
+    acc = np.zeros_like(xs)
+    for k in range(18, 0, -1):
+        acc *= x2
+        acc += (-1.0) ** (k + 1) / (2 * k + 1)
+    out[small] = acc * x2 * xs
+    return out
+
+
+def _corrected_kernel(rule, gamma: float) -> np.ndarray:
+    """Folded, moment-corrected Lorentzian convolution on the ``x >= 0``
+    half of the mirror-symmetric Gauss-Legendre ``rule`` on
+    ``[-kmax, kmax]``: ``C @ v`` integrates ``ker(K_i - K) v(K)`` for an
+    even ``v`` given on the half nodes, exactly when ``v`` is a quadratic.
+
+    On the full grid ``C = W + diag(M0 - S0) + diag(M1 - S1) D +
+    diag(M2 - S2) D^2 / 2`` with ``W_ij = w_j ker(K_i - K_j)`` (zero
+    diagonal), the analytic moments ``Mp_i`` of ``ker(q) q^p`` over the
+    domain and their Nystrom sums ``Sp_i = sum_j W_ij (K_j - K_i)^p``: it
+    subtracts the local Taylor polynomial of ``v`` to second order, so the
+    scheme keeps converging when ``gamma`` is below the node spacing.
+    ``D`` and ``D^2`` are the barycentric differentiation matrices with
+    the Gauss-Legendre weights ``lam_j = (-1)^j sqrt((1 - x_j^2) w_j)``;
+    each diagonal entry is minus the rest of its row.  Folding adds each
+    half column's mirror, whose weight carries ``(-1)^(n-1)``; a middle
+    node is counted once through the halved column weight.  The matrix
+    is built in row blocks, with no n x n temporary and no ``D @ D``.
+    """
+    n = rule.nodes.size
+    kmax = rule.domain[1]
+    half, cw, _, _ = _fold(rule)
+    m = half.size
+    x = half / kmax
+    lam = np.sqrt((1.0 - x) * (1.0 + x) * rule.weights[n // 2:])
+    lam[1::2] *= -1.0
+    lam_cw = lam * cw / rule.weights[n // 2:]  # lam_j, halved on a middle node
+    sign = 1.0 if n % 2 else -1.0  # (-1)^(n-1): mirror weight over own weight
+    a, b = -kmax - half, kmax - half
+    arc = np.arctan(b / gamma) - np.arctan(a / gamma)
+    m0 = arc / math.pi
+    m1 = (0.5 * gamma / math.pi) * np.log1p(-4.0 * kmax * half / (a * a + gamma * gamma))
+    # M2 through x - atan(x): the plain (b - a) - gamma * arc cancels to
+    # about eps * gamma * kmax when gamma >> kmax, where M2 - S2 -> 0
+    m2 = (gamma * gamma / math.pi) * (_x_minus_atan(b / gamma) - _x_minus_atan(a / gamma))
+    g2, amp = gamma * gamma, gamma / math.pi
+    out = np.empty((m, m))
+    rows = max(1, _BLOCK // m)
+    for i0 in range(0, m, rows):
+        ki = half[i0:i0 + rows, None]
+        blk = out[i0:i0 + rows]
+        diag = (np.arange(blk.shape[0]), np.arange(i0, i0 + blk.shape[0]))
+        mid = half[0] == 0.0 and i0 == 0  # (0, 0) is the middle node's diagonal
+        q = ki - half  # K_i - K_j and, below, its mirror K_i + K_j
+        t = ki + half
+        kq = np.multiply(q, q)
+        kq += g2
+        np.divide(amp, kq, out=kq)
+        kq[diag] = 0.0
+        kt = np.multiply(t, t)
+        kt += g2
+        np.divide(amp, kt, out=kt)
+        if mid:
+            kt[0, 0] = 0.0
+        # S1 and S2 on the folded grid: K_j - K_i is -q, and -t for the mirror -K_j
+        tmp = np.multiply(kq, q)
+        s1 = -(tmp @ cw)
+        tmp *= q
+        s2 = tmp @ cw
+        np.multiply(kt, t, out=tmp)
+        s1 -= tmp @ cw
+        tmp *= t
+        s2 += tmp @ cw
+        np.add(kq, kt, out=blk)
+        blk *= cw
+        a0 = m0[i0:i0 + rows] - blk.sum(axis=1)
+        a1 = m1[i0:i0 + rows] - s1
+        a2 = 0.5 * (m2[i0:i0 + rows] - s2)
+        del kq, kt
+        # r = 1/(K_i - K_j), p = 1/(K_i + K_j); the diagonal gets 1/inf = 0
+        q[diag] = math.inf
+        if mid:
+            t[0, 0] = math.inf
+        r = np.reciprocal(q, out=q)
+        p = np.reciprocal(t, out=t)
+        lam_i = lam[i0:i0 + rows, None]
+        # off-diagonal D: (lam_j / lam_i) (r + sign p), then its diagonal
+        d1 = np.multiply(p, sign)
+        d1 += r
+        d1 *= lam_cw
+        d1 /= lam_i
+        dd1 = -d1.sum(axis=1)
+        # off-diagonal D^2: 2 (lam_j / lam_i) [dd1_i (r + sign p) - (r^2 + sign p^2)]
+        d2 = np.multiply(r, r, out=r)
+        p *= p
+        p *= sign
+        d2 += p
+        d2 *= lam_cw
+        d2 /= lam_i
+        d2 -= dd1[:, None] * d1
+        d2 *= -2.0
+        dd2 = -d2.sum(axis=1)
+        d1 *= a1[:, None]
+        blk += d1
+        d2 *= a2[:, None]
+        blk += d2
+        blk[diag] += a0 + a1 * dd1 + a2 * dd2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,26 +536,22 @@ class _TBAGrid(_Rung):
     """Interacting rung, ``0 < gamma < inf``.
 
     Every solve goes through the Jacobian ``J = I - C diag(fermi)`` of
-    ``F(E) = E - K^2 + mu + C softplus(E)``, where ``C`` is the
-    subtracted kernel with its defect on the diagonal.  One solve
-    against ``J`` per Newton step gives the step ``J^-1 F``, the dressed
-    ``g = J^-1 (1/2pi)`` (level density ``f = fermi g`` and
+    ``F(E) = E - K^2 + mu + C softplus(E)``, where ``C`` is the folded,
+    moment-corrected kernel of ``_corrected_kernel``, diagonal included.
+    One solve against ``J`` per Newton step gives the step ``J^-1 F``,
+    the dressed ``g = J^-1 (1/2pi)`` (level density ``f = fermi g`` and
     ``dE/dmu = -2pi g``) and ``dg/dmu``, hence ``dn/dmu`` for the outer
-    Newton solve on ``integral f = 1``.  On the half grid the kernel is
-    folded: ``ker(K_i - K_j) + ker(K_i + K_j)``.
+    Newton solve on ``integral f = 1``.
     """
 
     def __init__(self, gamma: float, tau: float, kmax: float, n: int):
         super().__init__(gamma, tau, kmax, n)
-        self.kw, mass = _lorentz_matrix(self.grid, gamma, kmax)
-        self.kw += _mirror_kernel(self.grid, gamma)
-        self.kw *= self.cw[None, :]
-        self.defect = mass - self.kw.sum(axis=1)
+        self.kw = _corrected_kernel(self.rule, gamma)
         self._jac = np.empty_like(self.kw)
         self.g = np.full(self.grid.size, 1.0 / (2.0 * math.pi))
 
     def _conv(self, values: np.ndarray) -> np.ndarray:
-        return self.kw @ values + self.defect * values
+        return self.kw @ values
 
     def seed(self, grid_old: np.ndarray, eps_old: np.ndarray, mu: float) -> None:
         # carry the smooth part E - (K^2 - mu) across grid refinements
@@ -455,7 +576,7 @@ class _TBAGrid(_Rung):
             resid = eps - self.k2 + mu + self._conv(_softplus_e(eps, tau))
             dfermi = (2.0 * math.pi / tau) * fermi * (1.0 - fermi) * g
             np.multiply(self.kw, -fermi[None, :], out=jac)
-            diag += 1.0 - self.defect * fermi
+            diag += 1.0
             rhs = np.column_stack(
                 (resid, np.full(eps.size, 1.0 / (2.0 * math.pi)), self._conv(dfermi * g))
             )
@@ -519,19 +640,21 @@ def solve_tba(
     safeguarded Newton solve of ``integral f = 1``.
 
     Nodes double until the energy per particle is stable to ``tol``
-    (relative).  When the kernel width ``gamma`` sits below the grid
-    spacing the subtracted scheme converges only algebraically (factor
-    2-4 per doubling instead of orders of magnitude), which no
-    affordable uniform grid can push to 1e-8; the ladder detects that
-    regime from its own contraction ratio and accepts at 1e-3 relative
-    instead.  That acceptance is not accurate to ``tol``: at
-    ``tau = 1e3`` the ladder stops at 807 nodes with shifts below
-    ``e_res_high_T`` by 8.0e-5, 5.3e-4 and 7.3e-4 (absolute, ``k_B T_D``)
-    for ``gamma = 0.01``, 0.1 and 0.32, and at ``(gamma, tau) = (1, 1e4)``
-    the shift is 1.2e-3 (relative) from that of a ladder started at
-    1615 nodes.  ROADMAP item 2 (a kernel subtraction that converges
-    at these ``gamma``) and item 3 (a stop judged on the shift) hold
-    the fixes.
+    (relative).  The moment-corrected kernel converges fast even where
+    ``gamma`` is below the node spacing: at ``tau = 1e3`` the ladder
+    stops at 403 nodes at nine log-spaced ``gamma`` from 0.01 to 100.
+    Near the ideal-Bose edge at low ``tau`` the convergence is still
+    algebraic (each doubling shrinks the change only 2-3x), so the
+    ladder keeps an algebraic-tail acceptance for ``0 < gamma < inf``:
+    when a doubling gains less than 8x while the change is already below
+    1e-3, it stops.  Without it ``(gamma, tau) = (0.001, 0.05)`` and
+    ``(0.001, 0.1)`` climb to 6463 nodes in 4-5 s each (1 BLAS thread);
+    with it they stop at 1615 nodes, 1.1e-10 (absolute) from the
+    6463-node shift.  The energy stop does not bound the shift
+    ``E - P/2``, a difference of two numbers of size ``tau/2``: at
+    ``(1, 1e3)``, ``(0.8, 1e3)`` and ``(1, 1e4)`` it stops at 403 nodes
+    with the shift 3-5e-7 (relative) below that of a 6463-node ladder.
+    ROADMAP item 3 (a stop judged on the shift) holds the fix.
     The endpoints ``gamma = 0`` (ideal Bose gas) and ``gamma = inf``
     (impenetrable, free-fermion) run on the same ladder and the same
     ``mu`` solve, with closed-form occupations in place of the kernel;
@@ -574,8 +697,8 @@ def solve_tba(
             if rel <= tol:
                 return sol
             # algebraic tail: doublings gain less than 8x while already
-            # at the 1e-3 level -- the kernel is narrower than the grid
-            # can resolve and further refinement buys ~nothing
+            # at the 1e-3 level -- near the ideal-Bose edge at low tau,
+            # where further refinement buys ~nothing
             if (interacting and prev_rel is not None and rel <= 1e-3
                     and prev_rel / max(rel, 1e-300) < 8.0):
                 return sol

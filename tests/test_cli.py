@@ -615,6 +615,14 @@ def test_main_config_file_precedence(tmp_path, capsys):
     assert main(["ll", "b2", "--gamma", "1", "--tau", "1", "--config", bad]) == EXIT_SPEC
 
 
+@pytest.mark.parametrize("line, key", [("nodes = abc", "nodes"), ("tol = x", "tol")])
+def test_main_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, key):
+    bad = _write(tmp_path / "bad.cfg", f"# defaults\n{line}\n")
+    assert main(["ll", "b2", "--gamma", "1", "--tau", "1", "--config", bad]) == EXIT_SPEC
+    value = line.partition("=")[2].strip()
+    assert f"{bad}:2: bad value {value!r} for {key!r}" in capsys.readouterr().err
+
+
 def test_main_sweep_format_precedence(tmp_path):
     # flag > specfile format line > config file > default
     config = _write(tmp_path / "lowdgas.cfg", "format = json\n")

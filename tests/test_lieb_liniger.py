@@ -35,7 +35,7 @@ from lowdgas import (
 )
 from lowdgas import lieb_liniger
 from lowdgas.lieb_liniger import _lorentz_matrix
-from lowdgas.numerics import ConvergenceError, derivative
+from lowdgas.numerics import ConvergenceError, derivative, gauss_legendre
 
 TWO_PI = 2.0 * math.pi
 
@@ -229,6 +229,24 @@ def test_finite_T_shift_frozen(gamma, tau):
     assert got == pytest.approx(TBA_E_RES[(gamma, tau)], abs=1e-7)
 
 
+# gamma -> shift at tau = 1, deep in the strong-coupling tail, where it
+# falls like 6.75/gamma; frozen from the plain subtracted kernel, which
+# resolves this flat kernel on the first rung
+STRONG_SHIFT = {
+    1e5: 6.750260901311478e-05,
+    1e6: 6.750611875272483e-06,
+    1e7: 6.750638270602849e-07,
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(STRONG_SHIFT))
+def test_strong_coupling_shift_keeps_precision(gamma):
+    # M2 - S2 -> 0 as gamma grows, so the second-moment correction must
+    # not turn the rounding of M2 into an O(1) relative error
+    got = e_res_finite_T(LLParams(gamma, 1.0))
+    assert got == pytest.approx(STRONG_SHIFT[gamma], rel=1e-9)
+
+
 @pytest.mark.parametrize("gamma, tau", sorted(TBA_STATE))
 def test_finite_T_state_frozen(gamma, tau):
     sol = solve_tba(LLParams(gamma, tau))
@@ -258,15 +276,56 @@ def test_solution_closes_its_own_equations():
     assert sol.pseudo_energy_at(k_far) == pytest.approx(k_far**2 - sol.mu, rel=1e-6)
 
 
+def _moments(nodes, gamma, kmax):
+    """``integral ker(q) q^p dq`` over ``q`` in ``[-kmax - K, kmax - K]``,
+    ``p = 0, 1, 2``, from the antiderivatives ``atan(q/gamma)/pi``,
+    ``(gamma/2pi) log(q^2 + gamma^2)`` and ``(gamma/pi) (q - gamma atan(q/gamma))``,
+    evaluated at 30 digits: in double precision M1 and M2 cancel at large
+    ``gamma`` (M2 to about eps * gamma * kmax)."""
+    rows = []
+    with mpmath.workdps(30):
+        g = mpmath.mpf(gamma)
+        for k in nodes:
+            lo, hi = -kmax - mpmath.mpf(float(k)), kmax - mpmath.mpf(float(k))
+            arc = mpmath.atan(hi / g) - mpmath.atan(lo / g)
+            rows.append((
+                arc / mpmath.pi,
+                g / (2 * mpmath.pi) * mpmath.log((hi * hi + g * g) / (lo * lo + g * g)),
+                g / mpmath.pi * (hi - lo - g * arc),
+            ))
+    return tuple(np.array([float(r[p]) for r in rows]) for p in range(3))
+
+
+def _corrected_operator(nodes, weights, gamma, kmax):
+    """Full-grid oracle for the solver's folded kernel, assembled term by
+    term from its definition ``C = W + diag(M0 - S0) + diag(M1 - S1) D +
+    diag(M2 - S2) D^2 / 2`` on a symmetric Gauss-Legendre grid."""
+    n = nodes.size
+    off = ~np.eye(n, dtype=bool)
+    q = nodes[None, :] - nodes[:, None]  # K_j - K_i
+    w = np.where(off, weights[None, :] * (gamma / math.pi) / (q * q + gamma * gamma), 0.0)
+    moments = _moments(nodes, gamma, kmax)
+    a0, a1, a2 = (m - (w * q**p).sum(axis=1) for p, m in enumerate(moments))
+    # barycentric differentiation on Gauss-Legendre nodes (Wang & Xiang 2012)
+    x = nodes / kmax
+    lam = (-1.0) ** np.arange(n) * np.sqrt((1.0 - x * x) * weights)
+    inv = np.zeros((n, n))
+    inv[off] = -1.0 / q[off]  # 1 / (K_i - K_j)
+    d1 = lam[None, :] / lam[:, None] * inv
+    d1[~off] = -d1.sum(axis=1)
+    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - inv)
+    d2[~off] = 0.0
+    d2[~off] = -d2.sum(axis=1)
+    return w + np.diag(a0) + a1[:, None] * d1 + 0.5 * a2[:, None] * d2
+
+
 @pytest.mark.parametrize("gamma, tau", [(1.0, 1.0), (0.1, 0.5), (10.0, 2.0), (1.0, 1e3)])
 def test_density_solves_the_level_density_equation(gamma, tau):
     # the density taken from the Newton Jacobian solves the Nystrom form of
     # f (1 + e^{E/tau}) = 1/2pi + ker * f, (I - diag(fermi) C) f = fermi/2pi,
-    # with C the subtracted kernel rebuilt on the solution's grid
+    # with C the moment-corrected kernel rebuilt on the solution's full grid
     sol = solve_tba(LLParams(gamma, tau))
-    ker, mass = _lorentz_matrix(sol.grid, gamma, sol.kmax)
-    kw = ker * sol.weights[None, :]
-    conv = kw + np.diag(mass - kw.sum(axis=1))
+    conv = _corrected_operator(sol.grid, sol.weights, gamma, sol.kmax)
     fermi = 1.0 / (1.0 + np.exp(sol.eps / tau))
     density = np.linalg.solve(np.eye(sol.grid.size) - fermi[:, None] * conv, fermi / TWO_PI)
     assert np.max(np.abs(sol.density - density)) < 1e-12
@@ -275,7 +334,7 @@ def test_density_solves_the_level_density_equation(gamma, tau):
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("n", [63, 64])
 def test_folded_convolution_matches_the_full_grid(n, gamma):
-    # the solver's folded subtracted convolution on the K >= 0 half of an
+    # the solver's folded corrected convolution on the K >= 0 half of an
     # even vector against the full-grid oracle; at odd n the half starts
     # at the middle node K = 0, so its row and column are in the check
     kmax = 6.0
@@ -283,13 +342,57 @@ def test_folded_convolution_matches_the_full_grid(n, gamma):
     nodes, weights = tba.rule.nodes, tba.rule.weights
     k2 = nodes * nodes
     v = np.exp(-0.5 * k2) * (2.0 + np.cos(k2))
-    ker, mass = _lorentz_matrix(nodes, gamma, kmax)
-    kw = ker * weights[None, :]
-    full = kw @ v + (mass - kw.sum(axis=1)) * v
+    full = _corrected_operator(nodes, weights, gamma, kmax) @ v
     half = n // 2
     assert (tba.grid[0] == 0.0) == (n % 2 == 1)
     np.testing.assert_allclose(tba._conv(v[half:]), full[half:], rtol=1e-13, atol=0.0)
     assert float(tba.w @ v[half:]) == pytest.approx(float(weights @ v), rel=1e-14)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n", [63, 64])
+def test_plain_fold_matches_the_full_grid(n, gamma):
+    # the ground state's folded subtracted kernel, built as _ground_at
+    # builds it, (Kv)_i = M_i v_i + sum_j w_j k_ij (v_j - v_i), against the
+    # same kernel on the full grid
+    kmax = 6.0
+    rule = gauss_legendre(n, -kmax, kmax)
+    nodes, weights = rule.nodes, rule.weights
+    k2 = nodes * nodes
+    v = np.exp(-0.5 * k2) * (2.0 + np.cos(k2))
+    ker, mass = _lorentz_matrix(nodes, gamma, kmax)
+    kw = ker * weights[None, :]
+    full = kw @ v + (mass - kw.sum(axis=1)) * v
+    y, cw, _, _ = lieb_liniger._fold(rule)
+    ker, mass = _lorentz_matrix(y, gamma, kmax)
+    ker += lieb_liniger._mirror_kernel(y, gamma)
+    ker *= cw[None, :]
+    half = n // 2
+    folded = ker @ v[half:] + (mass - ker.sum(axis=1)) * v[half:]
+    np.testing.assert_allclose(folded, full[half:], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n", [63, 64])
+def test_corrected_kernel_is_exact_on_quadratics(n, gamma):
+    # the subtraction is exact to second order: C 1 = M0 and
+    # C K^2 = K^2 M0 + 2 K M1 + M2, at every node, whether or not the
+    # grid resolves the kernel
+    kmax = 6.0
+    tba = lieb_liniger._TBAGrid(gamma, 1.0, kmax, n)
+    k = tba.grid
+    m0, m1, m2 = _moments(k, gamma, kmax)
+    np.testing.assert_allclose(tba._conv(np.ones_like(k)), m0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(tba._conv(k * k), k * k * m0 + 2.0 * k * m1 + m2, rtol=0.0, atol=2e-12)
+    # the closed-form moments against adaptive quadrature at one node
+    i = k.size // 2
+    with mpmath.workdps(30):
+        for p, m in enumerate((m0, m1, m2)):
+            exact = mpmath.quad(
+                lambda kk: gamma / mpmath.pi * (kk - k[i]) ** p / ((kk - k[i]) ** 2 + gamma**2),
+                [-kmax, k[i], kmax],
+            )
+            assert m[i] == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_both_grid_parities_agree_and_mirror_exactly():
@@ -321,6 +424,26 @@ def test_tba_peak_memory_is_a_few_half_size_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 2.25 * 1616**2 * 8
+
+
+# (gamma, tau) -> shift of a corrected ladder started at n0 = 3231 (it
+# stops at 6463 nodes), the reference for the default ladder below
+DEEP_SHIFT = {
+    (0.01, 1e3): 0.009995683059969451,
+    (0.1, 1e3): 0.09956985447689704,
+    (0.0038, 0.5): 0.003507655077658489,
+}
+
+
+def test_ladder_stops_low_and_matches_a_deep_ladder():
+    # the moment-corrected kernel converges when gamma is below the node
+    # spacing, so the default ladder stops low, where the plain subtracted
+    # kernel climbed to 3231 nodes
+    assert solve_tba(LLParams(1.0, 1e3)).grid.size == 403
+    assert solve_tba(LLParams(0.025, 0.5)).grid.size <= 1615
+    for (gamma, tau), deep in DEEP_SHIFT.items():
+        rel = 1e-5 if tau < 1.0 else 1e-7  # near the ideal-Bose edge it is algebraic
+        assert e_res_finite_T(LLParams(gamma, tau)) == pytest.approx(deep, rel=rel)
 
 
 def test_density_positive_peaked_and_dressed():
@@ -526,3 +649,15 @@ def test_high_T_shift_agrees_with_full_solver():
     closed = e_res_high_T(params)
     full = e_res_finite_T(params)
     assert abs(full - closed) / closed < 0.03
+
+
+@pytest.mark.parametrize(
+    "gamma, tau", [(0.01, 1e3), (0.1, 1e3), (0.32, 1e3), (1.0, 1e3), (3.16, 1e3), (1.0, 1e4)]
+)
+def test_finite_T_shift_sits_just_below_the_high_T_form(gamma, tau):
+    # the first degeneracy correction lowers the shift by c gamma^2 / tau,
+    # with c between 2.4 and 3.55 where gamma^2 <= tau/10 and tau >= 1e3;
+    # a shift that misses it is not converged in the kernel width.  At
+    # (0.01, 1e4) the bound, 4e-8, is below the energy stop's error.
+    gap = e_res_high_T(LLParams(gamma, tau)) - e_res_finite_T(LLParams(gamma, tau))
+    assert 0.0 < gap <= 4.0 * gamma * gamma / tau
