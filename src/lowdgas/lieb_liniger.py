@@ -12,7 +12,10 @@ Two solvers live here:
 
 * the zero-temperature ground state, a linear integral equation for the
   quasi-momentum density ``g(t)`` on ``[-1, 1]`` with a Newton solve
-  fixing the cutoff ratio ``ell`` (and giving ``d(energy)/d(gamma)``);
+  fixing the cutoff ratio ``ell`` (and giving ``d(energy)/d(gamma)``):
+  the discretized operator is self-adjoint in the quadrature-weighted
+  inner product, so one solve per Newton step gives ``g`` and every
+  ``ell``-derivative the step and the slope need;
 * the finite-temperature coupled equations for the pseudo-energy
   ``E(K)``, chemical potential ``mu`` and level density ``f(K)``.
 
@@ -125,14 +128,23 @@ class TBASolution:
     kmax: float
 
     def pseudo_energy_at(self, k: float) -> float:
-        """Evaluate ``E(k)`` off-grid through one sweep of the defining
-        equation (useful for the far tail, where ``E -> k^2 - mu``)."""
+        """Evaluate ``E(k)`` off-grid: for ``|k| < kmax`` the barycentric
+        interpolant of ``eps`` on the solution's own Gauss-Legendre rule,
+        beyond it one sweep of the defining equation (the far tail, where
+        ``E -> k^2 - mu``)."""
         k = float(k)
         if self.gamma == 0.0:
             x = (k * k - self.mu) / self.tau
             return self.tau * _log_expm1(np.asarray([x]))[0]
         if math.isinf(self.gamma):
             return k * k - self.mu
+        if abs(k) < self.kmax:
+            gap = k - self.grid
+            hit = np.flatnonzero(gap == 0.0)
+            if hit.size:
+                return float(self.eps[hit[0]])
+            c = _bary_weights(self.grid / self.kmax, self.weights) / gap
+            return float(c @ self.eps) / float(c.sum())
         ker = (self.gamma / math.pi) / ((k - self.grid) ** 2 + self.gamma**2)
         conv = float(np.dot(self.weights * ker, _softplus_e(self.eps, self.tau)))
         return k * k - self.mu - conv
@@ -214,7 +226,16 @@ def _mirror_kernel(half: np.ndarray, gamma: float) -> np.ndarray:
     return ker
 
 
-_BLOCK = 1 << 15  # entries per row block of the corrected-kernel builder
+_BLOCK = 1 << 15  # entries per row block of the row-blocked kernel passes
+
+
+def _bary_weights(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Barycentric weights ``lam_j = (-1)^j sqrt((1 - x_j^2) w_j)`` of the
+    Gauss-Legendre nodes ``x_j`` in ``(-1, 1)`` with weights ``w_j``; a
+    common scale of ``w`` cancels from every barycentric formula."""
+    lam = np.sqrt((1.0 - x) * (1.0 + x) * w)
+    lam[1::2] *= -1.0
+    return lam
 
 
 def _x_minus_atan(x: np.ndarray) -> np.ndarray:
@@ -257,9 +278,7 @@ def _corrected_kernel(rule, gamma: float) -> np.ndarray:
     kmax = rule.domain[1]
     half, cw, _, _ = _fold(rule)
     m = half.size
-    x = half / kmax
-    lam = np.sqrt((1.0 - x) * (1.0 + x) * rule.weights[n // 2:])
-    lam[1::2] *= -1.0
+    lam = _bary_weights(half / kmax, rule.weights[n // 2:])
     lam_cw = lam * cw / rule.weights[n // 2:]  # lam_j, halved on a middle node
     sign = 1.0 if n % 2 else -1.0  # (-1)^(n-1): mirror weight over own weight
     a, b = -kmax - half, kmax - half
@@ -341,51 +360,82 @@ def _corrected_kernel(rule, gamma: float) -> np.ndarray:
 _MAX_ELL_NEWTON = 30
 
 
-def _ground_at(gamma: float, n: int) -> GroundState:
-    """Newton on ``m(ell) = ell - gamma * integral(g)`` at ``n`` nodes.  One
-    solve of ``A(ell) = I - K W - diag(M - rowsum(K W))`` per step, against
-    ``[1/2pi, -(dA/dell) g]``, gives ``g`` and ``dg/dell``; that ``g`` is the
-    previous iterate's, so one more step follows the step test.  ``g`` is
-    even, so the solve runs on the ``y >= 0`` half of the mirrored rule
-    with the folded kernel ``k(y_i - y_j) + k(y_i + y_j)``."""
+def _ground_operator(y: np.ndarray, cw: np.ndarray, ell: float) -> np.ndarray:
+    """``A(ell) = I - K W - diag(M - rowsum(K W))`` on the half nodes ``y``,
+    with the folded kernel ``K`` and ``W = diag(cw)``, built in place
+    over ``K``: no identity, no copy."""
+    ker, mass = _lorentz_matrix(y, ell, 1.0)
+    ker += _mirror_kernel(y, ell)
+    shift = 1.0 - mass + ker @ cw
+    ker *= -cw
+    diag = np.einsum("ii->i", ker)
+    diag += shift
+    return ker
+
+
+def _neg_dA_g(y: np.ndarray, cw: np.ndarray, ell: float, g: np.ndarray) -> np.ndarray:
+    """``-(dA/dell) g = (dM/dell) g + sum_j (dK_ij/dell) cw_j (g_j - g_i)``,
+    with ``dk/dell = k/ell - 2pi k^2`` taken per mirror term (the fold of
+    ``k^2`` is not the square of the fold).  Built in row blocks, so no
+    matrix of the half size is alive; the diagonal and the middle node's
+    mirror meet ``g_j - g_i = 0`` and need no zeroing."""
+    out = -((1.0 - y) / (ell * ell + (1.0 - y) ** 2)
+            + (1.0 + y) / (ell * ell + (1.0 + y) ** 2)) / math.pi * g
+    amp, rows = ell / math.pi, max(1, _BLOCK // y.size)
+    for i0 in range(0, y.size, rows):
+        yi = y[i0:i0 + rows, None]
+        diff = g - g[i0:i0 + rows, None]
+        diff *= cw
+        for q in (yi - y, yi + y):
+            q *= q
+            q += ell * ell
+            k = np.divide(amp, q, out=q)
+            dk = k * (-2.0 * math.pi)
+            dk += 1.0 / ell
+            dk *= k
+            out[i0:i0 + rows] += np.einsum("ij,ij->i", dk, diff)
+    return out
+
+
+def _ground_at(gamma: float, n: int, ell: float) -> GroundState:
+    """Newton on ``m(ell) = ell - gamma * integral(g)`` at ``n`` nodes,
+    from the guess ``ell``.  ``g`` is even, so the solve runs on the
+    ``y >= 0`` half of the mirrored rule with the folded kernel
+    ``k(y_i - y_j) + k(y_i + y_j)``.
+
+    Each step makes one solve of ``A(ell)`` against ``[1/2pi, y^2]``,
+    giving ``g`` and ``h = A^-1 y^2``.  The kernel is symmetric, so
+    ``A^T = W A W^-1`` with ``W = diag(cw)``, and with
+    ``v = -(dA/dell) g`` the slopes ``integral dg/dell = 4pi (W g).v``
+    and ``integral y^2 dg/dell = 2 (W h).v`` need no second solve.  Every
+    step is exact at its own ``ell``; the last one, below ``1e-13 ell``,
+    is applied to ``ell``, ``integral g`` and ``integral y^2 g`` to first
+    order."""
     rule = gauss_legendre(n, -1.0, 1.0)
     y, cw, w, full = _fold(rule)
-    g = source = np.full(y.size, 1.0 / (2.0 * math.pi))
-    ell = max(0.5 * math.sqrt(gamma), gamma / math.pi)
-    done, steps = False, 0
+    rhs = np.column_stack((np.full(y.size, 1.0 / (2.0 * math.pi)), y * y))
+    steps = 0
     while True:
-        ker, mass = _lorentz_matrix(y, ell, 1.0)
-        mirror = _mirror_kernel(y, ell)
-        # -(dA/dell) g = dM/dell g + sum_j dk_ij/dell w_j (g_j - g_i) with
-        # dk/dell = k/ell - 2pi k^2, from matrix-vector products alone; the
-        # square is taken per mirror term, as the fold of k^2 is not ker^2
-        wv = np.column_stack((cw * g, cw))
-        k2v = np.square(ker) @ wv + np.square(mirror) @ wv
-        ker += mirror
-        kv = ker @ wv
-        dmass = -((1.0 - y) / (ell * ell + (1.0 - y) ** 2)
-                  + (1.0 + y) / (ell * ell + (1.0 + y) ** 2)) / math.pi
-        neg_da_g = (dmass * g + (kv[:, 0] - kv[:, 1] * g) / ell
-                    - 2.0 * math.pi * (k2v[:, 0] - k2v[:, 1] * g))
-        ker *= -cw[None, :]  # A overwrites the kernel: no identity, no copy
-        diag = np.einsum("ii->i", ker)
-        diag += 1.0 - mass + kv[:, 1]
-        g, dg = np.linalg.solve(ker, np.column_stack((source, neg_da_g))).T
-        mprime = 1.0 - gamma * float(w @ dg)
-        if done:
-            break
+        g, h = np.linalg.solve(_ground_operator(y, cw, ell), rhs).T
+        v = _neg_dA_g(y, cw, ell, g)
+        dint = 4.0 * math.pi * float((cw * g) @ v)  # d integral(g) / d ell
+        mprime = 1.0 - gamma * dint
+        if mprime > 0.0:
+            step = (ell - gamma * float(w @ g)) / mprime
+            if abs(step) <= 1e-13 * ell:
+                break
         if steps == _MAX_ELL_NEWTON or not mprime > 0.0:
             raise ConvergenceError(
                 f"cutoff-ratio Newton solve failed at ell={ell} (gamma={gamma}, n={n})", best=ell
             )
-        step = (ell - gamma * float(w @ g)) / mprime
-        done = abs(step) <= 1e-13 * ell
         ell = ell - step if step < ell else 0.5 * ell
         steps += 1
-    energy = (gamma / ell) ** 3 * float(w @ (y * y * g))
-    dell = float(w @ g) / mprime  # d(ell)/d(gamma)
-    slope = (energy * (3.0 / gamma - 3.0 * dell / ell)
-             + (gamma / ell) ** 3 * float(w @ (y * y * dg)) * dell)
+    dmoment = 2.0 * float((cw * h) @ v)  # d integral(y^2 g) / d ell
+    ell -= step
+    integral = float(w @ g) - step * dint
+    energy = (gamma / ell) ** 3 * (float(w @ (y * y * g)) - step * dmoment)
+    dell = integral / mprime  # d(ell)/d(gamma)
+    slope = energy * (3.0 / gamma - 3.0 * dell / ell) + (gamma / ell) ** 3 * dmoment * dell
     return GroundState(gamma, ell, rule.nodes, rule.weights, g[full], energy, slope)
 
 
@@ -403,7 +453,9 @@ def solve_ground_state(
     scalar condition ``ell = gamma * integral(g)`` closed by Newton's
     method on ``ell``, whose last step also gives ``slope`` by implicit
     differentiation.  The node count doubles until the energy (not the
-    slope) is stable to ``tol`` (relative).
+    slope) is stable to ``tol`` (relative); each rung starts its Newton
+    solve from the previous rung's ``ell``, so past the first rung it
+    takes two solves.
 
     The dimensionless energy satisfies ``energy ~ gamma`` for weak
     coupling and ``energy -> pi^2/3`` in the impenetrable limit.
@@ -421,9 +473,11 @@ def solve_ground_state(
         )
     prev = state = None
     change = math.nan
+    ell = max(0.5 * math.sqrt(gamma), gamma / math.pi)
     n = n0
     while n <= _GROUND_MAX_NODES:
-        state = _ground_at(gamma, n)
+        state = _ground_at(gamma, n, ell)
+        ell = state.ell
         if prev is not None:
             change = abs(state.energy - prev)
             if change <= tol * max(abs(state.energy), 1e-12):

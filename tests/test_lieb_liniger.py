@@ -147,6 +147,56 @@ def test_zero_T_shift_frozen(gamma):
     assert e_res_zero_T(gamma) == pytest.approx(E_RES_ZERO[gamma], abs=1e-5)
 
 
+# gamma -> (e_res_zero_T, energy) of the Newton solve with a lagged slope
+# right-hand side and a confirming solve; one exact solve per step must
+# reproduce them to rounding, with the same ladder stops
+ZERO_T_FROZEN = {
+    1e-3: (0.0004899994400489283, 0.00098664417187856),
+    0.01: (0.004688204559463923, 0.00958210531914644),
+    0.1: (0.04058107155741464, 0.08722713545902133),
+    1.0: (0.24475349534509505, 0.6391512852720748),
+    4.7: (0.41384991734913396, 1.717664327325743),
+    100.0: (0.06191147076111251, 3.1621812091201775),
+    1e4: (0.00065757889665946, 3.2885525811910985),
+    1e5: (6.579341488727324e-05, 3.2897365429189103),
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(ZERO_T_FROZEN))
+def test_zero_T_shift_and_energy_frozen_to_rounding(gamma):
+    shift, energy = ZERO_T_FROZEN[gamma]
+    assert e_res_zero_T(gamma) == pytest.approx(shift, rel=1e-12, abs=0.0)
+    assert solve_ground_state(gamma).energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+
+def test_ground_state_solve_budget(monkeypatch):
+    # one solve per Newton step and a warm-started ladder: 6 solves on the
+    # first rung, then 2 on each of the 128..1024-node rungs
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    assert solve_ground_state(1e-3).nodes.size == 1024
+    assert len(calls) <= 14
+
+
+def test_ground_state_peak_memory_is_a_few_half_size_matrices():
+    # the 1024-node top rung solves on 512 nodes; the operator, the copy
+    # the solver factors and the row-blocked slope pass stay below 3.5
+    # such matrices
+    tracemalloc.start()
+    try:
+        solve_ground_state(1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 512**2 * 8
+
+
 def test_zero_T_shift_asymptotes():
     # weak coupling: gamma/2 with a -2 sqrt(gamma)/pi slope correction
     gamma = 0.01
@@ -269,11 +319,26 @@ def test_solution_closes_its_own_equations():
     assert np.allclose(sol.eps, sol.eps[::-1], rtol=0.0, atol=1e-10)
     assert np.allclose(sol.density, sol.density[::-1], rtol=0.0, atol=1e-12)
     # one extra sweep of the pseudo-energy map reproduces the stored values
-    resweep = np.array([sol.pseudo_energy_at(k) for k in sol.grid[::40]])
+    # (a plain Nystrom sweep: gamma = 1 is wide against the node spacing)
+    k = sol.grid[::40, None]
+    ker = (1.0 / math.pi) / ((k - sol.grid) ** 2 + 1.0)
+    resweep = k[:, 0] ** 2 - sol.mu - ker @ (sol.weights * np.logaddexp(0.0, -sol.eps))
     assert np.allclose(resweep, sol.eps[::40], rtol=0.0, atol=1e-8)
     # far tail is free-particle: E(k) -> k^2 - mu
     k_far = 150.0
     assert sol.pseudo_energy_at(k_far) == pytest.approx(k_far**2 - sol.mu, rel=1e-6)
+
+
+@pytest.mark.parametrize("gamma, tau", [(0.01, 1e3), (1.0, 1e3)])
+def test_pseudo_energy_between_nodes_matches_a_deeper_ladder(gamma, tau):
+    # off-node bulk values interpolate eps on the solution's own rule; at
+    # gamma below the node spacing a Nystrom sweep misses by ~0.1 max|E|
+    params = LLParams(gamma, tau)
+    sol = solve_tba(params)
+    deep = solve_tba(params, n0=2 * sol.grid.size + 1)
+    inside = np.abs(deep.grid) < sol.kmax
+    got = np.array([sol.pseudo_energy_at(k) for k in deep.grid[inside]])
+    assert np.max(np.abs(got - deep.eps[inside])) <= 1e-8 * np.max(np.abs(deep.eps))
 
 
 def _moments(nodes, gamma, kmax):
