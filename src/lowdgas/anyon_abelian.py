@@ -157,20 +157,18 @@ def _panel_edges(a: float, sc: float, eps: float) -> np.ndarray:
     while v < u_end:
         v *= 2.0
         pts.append(min(v, u_end))
+
+    def refine(centre: float, width: float) -> None:
+        # edges centre * (1 -+ w) for w = 1/2, 1/4, ... down to the first w <= width
+        w = 1.0
+        while w > width:
+            w *= 0.5
+            pts.extend((centre * (1.0 - w), centre * (1.0 + w)))
+
     if sc < -0.5 and u_end > 1.0:
-        width = max(min(math.sqrt(2.0 * (1.0 + sc)), a) / 16.0, 1e-10)
-        w = 0.5
-        while w > width:
-            pts += [1.0 - w, 1.0 + w]
-            w *= 0.5
-        pts += [1.0 - w, 1.0 + w]
+        refine(1.0, max(min(math.sqrt(2.0 * (1.0 + sc)), a) / 16.0, 1e-10))
     if a < 0.5:
-        width = max(a / 16.0, 1e-10)
-        w = 0.5
-        while w > width:
-            pts += [u_star * (1.0 - w), u_star * (1.0 + w)]
-            w *= 0.5
-        pts += [u_star * (1.0 - w), u_star * (1.0 + w)]
+        refine(u_star, max(a / 16.0, 1e-10))
     # drop near-coincident edges: panels much narrower than ~1e-11 of the
     # local scale would alias the Gauss nodes onto each other in double
     edges = [0.0]

@@ -254,7 +254,7 @@ def _eval_ll_tba(p, opts, ctx):
 
 def _eval_ll_shift(p, opts, ctx):
     if p["tau"] == 0.0:
-        return (e_res_zero_T(p["gamma"]),)
+        return (e_res_zero_T(p["gamma"], **_ll_solver_kw(opts)),)
     return (e_res_finite_T(LLParams(gamma=p["gamma"], tau=p["tau"]), **_ll_solver_kw(opts)),)
 
 

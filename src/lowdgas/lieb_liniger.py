@@ -33,7 +33,8 @@ close to a delta spike) as well as in the impenetrable limit
 solve on the ``K >= 0`` half of a mirrored Gauss-Legendre rule with the
 folded operator (column ``j`` plus its mirror ``-K_j``): a quarter of
 the memory and an eighth of the LU work of the full grid, with the same
-results up to rounding.
+results up to rounding.  Both take that folded kernel from one row-block
+pass, ``_folded_blocks``.
 
 Derived observables: pressure, energy, the energy-pressure shift
 ``e_res = energy - pressure/2`` at zero and finite temperature, its
@@ -180,24 +181,6 @@ def _log_expm1(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lorentz_matrix(
-    grid: np.ndarray, gamma: float, kmax: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Off-diagonal kernel matrix (diagonal zeroed) and the analytic row
-    masses ``M_i``, the kernel integrals over the full domain
-    ``[-kmax, kmax]`` (the domain edge, not the outermost node: Gauss
-    nodes stop short of the edge by O(1/n^2) and using them here would
-    degrade the scheme to algebraic convergence)."""
-    # in place: one n x n array at a time
-    ker = grid[:, None] - grid[None, :]
-    ker *= ker
-    ker += gamma * gamma
-    np.divide(gamma / math.pi, ker, out=ker)
-    np.fill_diagonal(ker, 0.0)
-    mass = (np.arctan((kmax - grid) / gamma) + np.arctan((kmax + grid) / gamma)) / math.pi
-    return ker, mass
-
-
 def _fold(rule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ``x >= 0`` half of a mirror-symmetric rule, on which every even
     function lives: the half nodes, the column weights (at odd ``n`` the
@@ -212,21 +195,29 @@ def _fold(rule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return rule.nodes[n // 2:], cw, 2.0 * cw, np.maximum(i, i[::-1]) - n // 2
 
 
-def _mirror_kernel(half: np.ndarray, gamma: float) -> np.ndarray:
-    """Mirror term ``ker(x_i + x_j)`` of the folded kernel on the half nodes;
-    ``_lorentz_matrix(half, ...)`` gives the minus term.  A middle node
-    ``x = 0`` pairs with itself, so its (0, 0) entry is the full diagonal
-    and stays 0."""
-    ker = half[:, None] + half[None, :]
-    ker *= ker
-    ker += gamma * gamma
-    np.divide(gamma / math.pi, ker, out=ker)
-    if half[0] == 0.0:
-        ker[0, 0] = 0.0
-    return ker
-
-
 _BLOCK = 1 << 15  # entries per row block of the row-blocked kernel passes
+
+
+def _folded_blocks(half: np.ndarray, gamma: float):
+    """Row blocks of the folded Lorentzian ``ker(q) = (gamma/pi) / (q^2 +
+    gamma^2)`` on the half nodes ``x >= 0`` of a mirrored rule: per block of
+    about ``_BLOCK`` entries, the row slice ``rs``, ``ker(x_i - x_j)`` with
+    its diagonal zeroed and the mirror term ``ker(x_i + x_j)``, two new
+    arrays the caller may overwrite.  A middle node ``x = 0`` pairs with
+    itself, so the mirror's (0, 0) entry is the full diagonal: zeroed too."""
+    amp, g2 = gamma / math.pi, gamma * gamma
+    rows = max(1, _BLOCK // half.size)
+    for i0 in range(0, half.size, rows):
+        rs = slice(i0, i0 + rows)
+        minus, plus = half[rs, None] - half, half[rs, None] + half
+        for k in (minus, plus):
+            k *= k
+            k += g2
+            np.divide(amp, k, out=k)
+        np.einsum("ii->i", minus[:, rs])[:] = 0.0
+        if i0 == 0 and half[0] == 0.0:
+            plus[0, 0] = 0.0
+        yield rs, minus, plus
 
 
 def _bary_weights(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -288,49 +279,34 @@ def _corrected_kernel(rule, gamma: float) -> np.ndarray:
     # M2 through x - atan(x): the plain (b - a) - gamma * arc cancels to
     # about eps * gamma * kmax when gamma >> kmax, where M2 - S2 -> 0
     m2 = (gamma * gamma / math.pi) * (_x_minus_atan(b / gamma) - _x_minus_atan(a / gamma))
-    g2, amp = gamma * gamma, gamma / math.pi
     out = np.empty((m, m))
-    rows = max(1, _BLOCK // m)
-    for i0 in range(0, m, rows):
-        ki = half[i0:i0 + rows, None]
-        blk = out[i0:i0 + rows]
-        diag = (np.arange(blk.shape[0]), np.arange(i0, i0 + blk.shape[0]))
-        mid = half[0] == 0.0 and i0 == 0  # (0, 0) is the middle node's diagonal
-        q = ki - half  # K_i - K_j and, below, its mirror K_i + K_j
-        t = ki + half
-        kq = np.multiply(q, q)
-        kq += g2
-        np.divide(amp, kq, out=kq)
-        kq[diag] = 0.0
-        kt = np.multiply(t, t)
-        kt += g2
-        np.divide(amp, kt, out=kt)
-        if mid:
-            kt[0, 0] = 0.0
-        # S1 and S2 on the folded grid: K_j - K_i is -q, and -t for the mirror -K_j
-        tmp = np.multiply(kq, q)
-        s1 = -(tmp @ cw)
-        tmp *= q
-        s2 = tmp @ cw
-        np.multiply(kt, t, out=tmp)
-        s1 -= tmp @ cw
-        tmp *= t
-        s2 += tmp @ cw
-        np.add(kq, kt, out=blk)
+    for rs, kq, kt in _folded_blocks(half, gamma):
+        q = half[rs, None] - half  # K_i - K_j and its mirror K_i + K_j
+        t = half[rs, None] + half
+        blk = np.add(kq, kt, out=out[rs])
         blk *= cw
-        a0 = m0[i0:i0 + rows] - blk.sum(axis=1)
-        a1 = m1[i0:i0 + rows] - s1
-        a2 = 0.5 * (m2[i0:i0 + rows] - s2)
-        del kq, kt
-        # r = 1/(K_i - K_j), p = 1/(K_i + K_j); the diagonal gets 1/inf = 0
-        q[diag] = math.inf
-        if mid:
-            t[0, 0] = math.inf
+        # S1 and S2 on the folded grid (K_j - K_i is -q, and -t for the mirror
+        # -K_j), in place: from here on kq and kt are buffers for D and a temporary
+        kq *= q
+        s1 = -(kq @ cw)
+        kq *= q
+        s2 = kq @ cw
+        kt *= t
+        s1 -= kt @ cw
+        kt *= t
+        s2 += kt @ cw
+        a0 = m0[rs] - blk.sum(axis=1)
+        a1 = m1[rs] - s1
+        a2 = 0.5 * (m2[rs] - s2)
+        # r = 1/(K_i - K_j), p = 1/(K_i + K_j); the zeros of K_i -+ K_j
+        # (the diagonal and a middle node's mirror) get 1/inf = 0
+        for x in (q, t):
+            x[x == 0.0] = math.inf
         r = np.reciprocal(q, out=q)
         p = np.reciprocal(t, out=t)
-        lam_i = lam[i0:i0 + rows, None]
+        lam_i = lam[rs, None]
         # off-diagonal D: (lam_j / lam_i) (r + sign p), then its diagonal
-        d1 = np.multiply(p, sign)
+        d1 = np.multiply(p, sign, out=kq)
         d1 += r
         d1 *= lam_cw
         d1 /= lam_i
@@ -342,14 +318,15 @@ def _corrected_kernel(rule, gamma: float) -> np.ndarray:
         d2 += p
         d2 *= lam_cw
         d2 /= lam_i
-        d2 -= dd1[:, None] * d1
+        d2 -= np.multiply(dd1[:, None], d1, out=kt)
         d2 *= -2.0
         dd2 = -d2.sum(axis=1)
         d1 *= a1[:, None]
         blk += d1
         d2 *= a2[:, None]
         blk += d2
-        blk[diag] += a0 + a1 * dd1 + a2 * dd2
+        diag = np.einsum("ii->i", blk[:, rs])
+        diag += a0 + a1 * dd1 + a2 * dd2
     return out
 
 
@@ -362,38 +339,35 @@ _MAX_ELL_NEWTON = 30
 
 def _ground_operator(y: np.ndarray, cw: np.ndarray, ell: float) -> np.ndarray:
     """``A(ell) = I - K W - diag(M - rowsum(K W))`` on the half nodes ``y``,
-    with the folded kernel ``K`` and ``W = diag(cw)``, built in place
-    over ``K``: no identity, no copy."""
-    ker, mass = _lorentz_matrix(y, ell, 1.0)
-    ker += _mirror_kernel(y, ell)
-    shift = 1.0 - mass + ker @ cw
-    ker *= -cw
-    diag = np.einsum("ii->i", ker)
-    diag += shift
-    return ker
+    with the folded kernel ``K``, ``W = diag(cw)`` and the row masses ``M``
+    integrated to the domain edge ``+-1`` (to the outermost node, the scheme
+    would converge only algebraically).  Built in row blocks, with no copy."""
+    mass = (np.arctan((1.0 - y) / ell) + np.arctan((1.0 + y) / ell)) / math.pi
+    out = np.empty((y.size, y.size))
+    for rs, minus, plus in _folded_blocks(y, ell):
+        blk = np.add(minus, plus, out=out[rs])
+        shift = 1.0 - mass[rs] + blk @ cw
+        blk *= -cw
+        diag = np.einsum("ii->i", blk[:, rs])
+        diag += shift
+    return out
 
 
 def _neg_dA_g(y: np.ndarray, cw: np.ndarray, ell: float, g: np.ndarray) -> np.ndarray:
     """``-(dA/dell) g = (dM/dell) g + sum_j (dK_ij/dell) cw_j (g_j - g_i)``,
     with ``dk/dell = k/ell - 2pi k^2`` taken per mirror term (the fold of
     ``k^2`` is not the square of the fold).  Built in row blocks, so no
-    matrix of the half size is alive; the diagonal and the middle node's
-    mirror meet ``g_j - g_i = 0`` and need no zeroing."""
+    matrix of the half size is alive."""
     out = -((1.0 - y) / (ell * ell + (1.0 - y) ** 2)
             + (1.0 + y) / (ell * ell + (1.0 + y) ** 2)) / math.pi * g
-    amp, rows = ell / math.pi, max(1, _BLOCK // y.size)
-    for i0 in range(0, y.size, rows):
-        yi = y[i0:i0 + rows, None]
-        diff = g - g[i0:i0 + rows, None]
+    for rs, minus, plus in _folded_blocks(y, ell):
+        diff = g - g[rs, None]
         diff *= cw
-        for q in (yi - y, yi + y):
-            q *= q
-            q += ell * ell
-            k = np.divide(amp, q, out=q)
+        for k in (minus, plus):
             dk = k * (-2.0 * math.pi)
             dk += 1.0 / ell
             dk *= k
-            out[i0:i0 + rows] += np.einsum("ij,ij->i", dk, diff)
+            out[rs] += np.einsum("ij,ij->i", dk, diff)
     return out
 
 
@@ -471,6 +445,8 @@ def solve_ground_state(
             f"gamma must be positive and finite (got {gamma}); "
             "the gamma=0 ideal gas needs no solver"
         )
+    if n0 > _GROUND_MAX_NODES:
+        raise ConvergenceError(f"n0={n0} is above the ladder's {_GROUND_MAX_NODES}-node ceiling")
     prev = state = None
     change = math.nan
     ell = max(0.5 * math.sqrt(gamma), gamma / math.pi)
@@ -491,10 +467,11 @@ def solve_ground_state(
     )
 
 
-def e_res_zero_T(gamma: float) -> float:
+def e_res_zero_T(gamma: float, **solver_kw) -> float:
     """Zero-temperature energy-pressure shift per particle,
     ``gamma * slope / 2`` with the ground state's ``slope =
-    d(energy)/d(gamma)``, in units of ``k_B T_D``.
+    d(energy)/d(gamma)``, in units of ``k_B T_D``; ``solver_kw`` goes to
+    ``solve_ground_state``.
 
     Positive for all ``0 < gamma < inf``, ``~ gamma/2`` for weak
     coupling, ``~ 2 pi^2 / 3 gamma`` for strong, with a maximum near
@@ -506,7 +483,7 @@ def e_res_zero_T(gamma: float) -> float:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if gamma == 0.0 or math.isinf(gamma):
         return 0.0
-    return 0.5 * gamma * solve_ground_state(gamma).slope
+    return 0.5 * gamma * solve_ground_state(gamma, **solver_kw).slope
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +708,8 @@ def solve_tba(
             "certify its result; use e_res_high_T for the high-temperature shift"
         )
 
+    if n0 > _TBA_MAX_NODES:
+        raise ConvergenceError(f"n0={n0} is above the ladder's {_TBA_MAX_NODES}-node ceiling")
     mu = _boltzmann_mu(tau)
     mu_hat = max(math.pi**2, mu + 2.0 * tau)
     carry: TBASolution | None = None

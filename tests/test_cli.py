@@ -428,6 +428,7 @@ def test_main_single_point_to_stdout(capsys):
         ("anyon b2 --alpha 0.5 --sigma -1 --eps 800", "OverflowError"),
         ("ll shift --gamma 1 --nodes 7000 --tau 0.5", "ConvergenceError"),
         ("ll ground --gamma 1 --nodes 5000", "ConvergenceError"),
+        ("ll shift --gamma 1 --tau 0 --nodes 5000", "ConvergenceError"),
         ("ll b2 --gamma 1 --tau -1", "ValueError"),
     ],
 )

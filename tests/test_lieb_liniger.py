@@ -34,7 +34,6 @@ from lowdgas import (
     solve_tba,
 )
 from lowdgas import lieb_liniger
-from lowdgas.lieb_liniger import _lorentz_matrix
 from lowdgas.numerics import ConvergenceError, derivative, gauss_legendre
 
 TWO_PI = 2.0 * math.pi
@@ -184,17 +183,25 @@ def test_ground_state_solve_budget(monkeypatch):
     assert len(calls) <= 14
 
 
+def test_n0_above_the_ladder_ceiling_is_named():
+    # no rung runs, so the error names n0 and the ceiling, not a tolerance
+    with pytest.raises(ConvergenceError, match=r"^n0=4097 is above the ladder's 4096-node ceiling$"):
+        solve_ground_state(1.0, n0=4097)
+    with pytest.raises(ConvergenceError, match=r"^n0=6501 is above the ladder's 6500-node ceiling$"):
+        solve_tba(LLParams(1.0, 1.0), n0=6501)
+
+
 def test_ground_state_peak_memory_is_a_few_half_size_matrices():
-    # the 1024-node top rung solves on 512 nodes; the operator, the copy
-    # the solver factors and the row-blocked slope pass stay below 3.5
-    # such matrices
+    # the 1024-node top rung solves on 512 nodes: the operator is built in
+    # row blocks straight into one such matrix, the slope pass is row
+    # blocked too, and the traced peak stays below 2 such matrices
     tracemalloc.start()
     try:
         solve_ground_state(1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 512**2 * 8
+    assert peak < 2.0 * 512**2 * 8
 
 
 def test_zero_T_shift_asymptotes():
@@ -361,6 +368,16 @@ def _moments(nodes, gamma, kmax):
     return tuple(np.array([float(r[p]) for r in rows]) for p in range(3))
 
 
+def _plain_operator(nodes, weights, gamma, m0):
+    """Zeroth-order terms ``W + diag(M0 - S0)`` of the oracle below, with
+    ``W_ij = w_j ker(K_i - K_j)`` (zero diagonal) and the analytic masses
+    ``m0``: the plain subtracted kernel the ground state solves with."""
+    q = nodes[None, :] - nodes[:, None]
+    w = weights[None, :] * (gamma / math.pi) / (q * q + gamma * gamma)
+    np.fill_diagonal(w, 0.0)
+    return w + np.diag(m0 - w.sum(axis=1))
+
+
 def _corrected_operator(nodes, weights, gamma, kmax):
     """Full-grid oracle for the solver's folded kernel, assembled term by
     term from its definition ``C = W + diag(M0 - S0) + diag(M1 - S1) D +
@@ -368,9 +385,10 @@ def _corrected_operator(nodes, weights, gamma, kmax):
     n = nodes.size
     off = ~np.eye(n, dtype=bool)
     q = nodes[None, :] - nodes[:, None]  # K_j - K_i
-    w = np.where(off, weights[None, :] * (gamma / math.pi) / (q * q + gamma * gamma), 0.0)
-    moments = _moments(nodes, gamma, kmax)
-    a0, a1, a2 = (m - (w * q**p).sum(axis=1) for p, m in enumerate(moments))
+    m0, m1, m2 = _moments(nodes, gamma, kmax)
+    plain = _plain_operator(nodes, weights, gamma, m0)
+    # q vanishes on the diagonal, so plain * q^p is W q^p there too
+    a1, a2 = (m - (plain * q**p).sum(axis=1) for p, m in ((1, m1), (2, m2)))
     # barycentric differentiation on Gauss-Legendre nodes (Wang & Xiang 2012)
     x = nodes / kmax
     lam = (-1.0) ** np.arange(n) * np.sqrt((1.0 - x * x) * weights)
@@ -381,7 +399,7 @@ def _corrected_operator(nodes, weights, gamma, kmax):
     d2 = 2.0 * d1 * (np.diag(d1)[:, None] - inv)
     d2[~off] = 0.0
     d2[~off] = -d2.sum(axis=1)
-    return w + np.diag(a0) + a1[:, None] * d1 + 0.5 * a2[:, None] * d2
+    return plain + a1[:, None] * d1 + 0.5 * a2[:, None] * d2
 
 
 @pytest.mark.parametrize("gamma, tau", [(1.0, 1.0), (0.1, 0.5), (10.0, 2.0), (1.0, 1e3)])
@@ -417,24 +435,20 @@ def test_folded_convolution_matches_the_full_grid(n, gamma):
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("n", [63, 64])
 def test_plain_fold_matches_the_full_grid(n, gamma):
-    # the ground state's folded subtracted kernel, built as _ground_at
-    # builds it, (Kv)_i = M_i v_i + sum_j w_j k_ij (v_j - v_i), against the
-    # same kernel on the full grid
-    kmax = 6.0
-    rule = gauss_legendre(n, -kmax, kmax)
+    # the ground state's folded operator A = I - plain on the y >= 0 half
+    # of [-1, 1], as _ground_at solves with it, against the full-grid
+    # plain subtracted operator with each column added onto its half node
+    # (a middle node y = 0 at odd n is its own mirror and counted once);
+    # entrywise, since A v cancels to ~1e-3 of v at gamma = 1e-3
+    rule = gauss_legendre(n, -1.0, 1.0)
     nodes, weights = rule.nodes, rule.weights
-    k2 = nodes * nodes
-    v = np.exp(-0.5 * k2) * (2.0 + np.cos(k2))
-    ker, mass = _lorentz_matrix(nodes, gamma, kmax)
-    kw = ker * weights[None, :]
-    full = kw @ v + (mass - kw.sum(axis=1)) * v
-    y, cw, _, _ = lieb_liniger._fold(rule)
-    ker, mass = _lorentz_matrix(y, gamma, kmax)
-    ker += lieb_liniger._mirror_kernel(y, gamma)
-    ker *= cw[None, :]
-    half = n // 2
-    folded = ker @ v[half:] + (mass - ker.sum(axis=1)) * v[half:]
-    np.testing.assert_allclose(folded, full[half:], rtol=1e-13, atol=0.0)
+    plain = _plain_operator(nodes, weights, gamma, _moments(nodes, gamma, 1.0)[0])
+    y, cw, _, full = lieb_liniger._fold(rule)
+    assert (y[0] == 0.0) == (n % 2 == 1)
+    folded = (np.eye(n) - plain)[n // 2:] @ np.eye(y.size)[full]
+    np.testing.assert_allclose(
+        lieb_liniger._ground_operator(y, cw, gamma), folded, rtol=1e-13, atol=0.0
+    )
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
