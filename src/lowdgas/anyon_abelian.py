@@ -139,6 +139,7 @@ def b2_hardcore(alpha: float) -> float:
 _NODES = 32
 _EXP_CUT = 45.0  # exp(-45) ~ 3e-20: where the integrand stops mattering
 _EXP_END = 60.0  # domain truncation; relative tail error ~ exp(-60)
+_LADDER = tuple(2.0**-k for k in range(13))  # the bulk ladder below min(1, u_star)
 
 
 def _panel_edges(a: float, sc: float, eps: float) -> np.ndarray:
@@ -150,9 +151,9 @@ def _panel_edges(a: float, sc: float, eps: float) -> np.ndarray:
     ``u_star``, whose relative width is ``~ a``)."""
     u_star = (_EXP_CUT / eps) ** a
     u_end = (_EXP_END / eps) ** a
-    pts = [0.0, u_end]
     base = min(1.0, u_star)
-    pts += [base * 2.0**-k for k in range(13)]
+    pts = [base * s for s in _LADDER]
+    pts.append(u_end)
     v = base
     while v < u_end:
         v *= 2.0
@@ -170,11 +171,17 @@ def _panel_edges(a: float, sc: float, eps: float) -> np.ndarray:
     if a < 0.5:
         refine(u_star, max(a / 16.0, 1e-10))
     # drop near-coincident edges: panels much narrower than ~1e-11 of the
-    # local scale would alias the Gauss nodes onto each other in double
+    # local scale would alias the Gauss nodes onto each other in double;
+    # every point is positive, and only refinement overshoots u_end
+    pts.sort()
     edges = [0.0]
-    for p in sorted(p for p in pts if 0.0 < p <= u_end):
-        if p - edges[-1] > 1e-11 * max(p, 1.0):
+    last = 0.0
+    for p in pts:
+        if p > u_end:
+            break
+        if p - last > 1e-11 * (p if p > 1.0 else 1.0):
             edges.append(p)
+            last = p
     return np.asarray(edges)
 
 
@@ -200,11 +207,21 @@ def _scatter_integral(a: float, sigma: int, eps: float, moment: int) -> float:
         one_plus_sc = 2.0 * math.sin(0.5 * math.pi * a) ** 2
 
     def integrand(u: np.ndarray) -> np.ndarray:
+        # u**(m/a) * exp(-eps * u**(1/a)) / ((1-u)**2 + 2u(1+sc)), built in
+        # place; at m = 0 the log term is a signed zero and is skipped
         with np.errstate(over="ignore"):
-            t_pow = np.power(u, inv_a)
-            log_w = moment * inv_a * np.log(u)
-            num = np.exp(log_w - eps * t_pow)
-        return num / ((1.0 - u) ** 2 + 2.0 * u * one_plus_sc)
+            f = np.power(u, inv_a)
+            f *= -eps
+            if moment:
+                log_w = np.log(u)
+                log_w *= moment * inv_a
+                f += log_w
+            np.exp(f, out=f)
+        den = np.subtract(1.0, u)
+        np.square(den, out=den)
+        den += np.multiply(u, 2.0 * one_plus_sc)
+        f /= den
+        return f
 
     rule = composite_rule(_panel_edges(a, sc, eps), n=_NODES)
     return integrate(integrand, rule) / a

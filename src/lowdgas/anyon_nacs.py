@@ -11,7 +11,9 @@ even gives a bosonic channel, odd gives a fermionic one, which is the
 bosonic expression with the statistics shifted by one unit.  ``B_2``
 and the energy shift are therefore one channel sum of
 :mod:`.anyon_abelian` terms over ``(2l+1)**2`` channels, in units of the
-squared thermal wavelength; a run of equal ``eps`` in a row is one term.
+squared thermal wavelength.  Each Abelian term depends on the channel
+only through its reduced statistics ``|delta|`` and its ``eps``, so the
+sum evaluates it once per distinct reduced statistics and ``eps``.
 
 ``l = 0`` collapses to a single bosonic channel with ``omega = 0``:
 ideal bosons, as it must.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable
 
-from .anyon_abelian import SoftCoreBC, b2_softcore, e_rel_abelian
+from .anyon_abelian import SoftCoreBC, StatisticsParameter, b2_softcore, e_rel_abelian
 
 __all__ = [
     "NACSSystem",
@@ -138,14 +140,21 @@ def channel_weights(sys: NACSSystem) -> ChannelWeights:
 def _channel_sum(sys: NACSSystem, term: Callable[[float, SoftCoreBC], float]) -> float:
     """``(2l+1)**-2 sum term(stat_j, bc)`` over all ``(j, jz)``, with
     ``stat_j = omega_j`` (bosonic) or ``omega_j + 1`` (fermionic), in fixed
-    ascending order so equal inputs give bit-equal results.  A run of
-    equal ``eps`` in a row is evaluated once, weighted by its length."""
+    ascending order so equal inputs give bit-equal results.  ``term`` is
+    evaluated once per distinct reduced statistics ``|delta_j|`` and
+    ``eps`` (keys compared bit-exactly), and a run of equal ``eps`` in a
+    row is weighted by its length."""
     w = channel_weights(sys)
+    values: dict[tuple[float, float], float] = {}
     total = 0.0
     for j, row in enumerate(sys.eps):
         stat = w.omega[j] if w.bosonic[j] else w.omega[j] + 1.0
+        reduced = abs(StatisticsParameter(stat).delta)
         for eps, run in groupby(row):
-            total += sum(1 for _ in run) * term(stat, SoftCoreBC(sys.sigma, eps))
+            key = (reduced, eps)
+            if key not in values:
+                values[key] = term(stat, SoftCoreBC(sys.sigma, eps))
+            total += sum(1 for _ in run) * values[key]
     return total / (2.0 * sys.l + 1.0) ** 2
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -879,10 +880,12 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per quantity and table, with one ``--name`` flag
     per parameter (underscores written as dashes).  ``ns.quantity``
-    names what to run (None for ``sweep``).
+    names what to run (None for ``sweep``).  Built once per process:
+    parsing leaves the parser unchanged, so every ``main`` call shares it.
     """
     common = _common_flags()
     parser = _Parser(prog="lowdgas", description=__doc__.splitlines()[0])

@@ -429,7 +429,9 @@ def solve_ground_state(
     differentiation.  The node count doubles until the energy (not the
     slope) is stable to ``tol`` (relative); each rung starts its Newton
     solve from the previous rung's ``ell``, so past the first rung it
-    takes two solves.
+    takes two solves.  Stability is judged between two rungs, so an
+    ``n0`` whose next rung ``2*n0`` is above the ladder's ceiling raises
+    :class:`ConvergenceError` before any rung runs.
 
     The dimensionless energy satisfies ``energy ~ gamma`` for weak
     coupling and ``energy -> pi^2/3`` in the impenetrable limit.
@@ -447,6 +449,11 @@ def solve_ground_state(
         )
     if n0 > _GROUND_MAX_NODES:
         raise ConvergenceError(f"n0={n0} is above the ladder's {_GROUND_MAX_NODES}-node ceiling")
+    if 2 * n0 > _GROUND_MAX_NODES:
+        raise ConvergenceError(
+            f"n0={n0} leaves no second rung to compare: the next rung, {2 * n0} nodes, "
+            f"is above the ladder's {_GROUND_MAX_NODES}-node ceiling"
+        )
     prev = state = None
     change = math.nan
     ell = max(0.5 * math.sqrt(gamma), gamma / math.pi)
@@ -671,7 +678,9 @@ def solve_tba(
     safeguarded Newton solve of ``integral f = 1``.
 
     Nodes double until the energy per particle is stable to ``tol``
-    (relative).  The moment-corrected kernel converges fast even where
+    (relative); an ``n0`` whose next rung ``2*n0 + 1`` is above the
+    ladder's ceiling raises :class:`ConvergenceError` before any rung
+    runs.  The moment-corrected kernel converges fast even where
     ``gamma`` is below the node spacing: at ``tau = 1e3`` the ladder
     stops at 403 nodes at nine log-spaced ``gamma`` from 0.01 to 100.
     Near the ideal-Bose edge at low ``tau`` the convergence is still
@@ -710,6 +719,11 @@ def solve_tba(
 
     if n0 > _TBA_MAX_NODES:
         raise ConvergenceError(f"n0={n0} is above the ladder's {_TBA_MAX_NODES}-node ceiling")
+    if 2 * n0 + 1 > _TBA_MAX_NODES:
+        raise ConvergenceError(
+            f"n0={n0} leaves no second rung to compare: the next rung, {2 * n0 + 1} nodes, "
+            f"is above the ladder's {_TBA_MAX_NODES}-node ceiling"
+        )
     mu = _boltzmann_mu(tau)
     mu_hat = max(math.pi**2, mu + 2.0 * tau)
     carry: TBASolution | None = None

@@ -293,8 +293,11 @@ def test_anisotropic_matches_hand_assembled_channel_sum():
 
 
 def test_uniform_rows_cost_one_abelian_call_each(monkeypatch):
-    # an isotropic l = 3/2 system has 4 rows of 1, 3, 5 and 7 equal
-    # entries: one Abelian shift per row, not one per (j, jz) entry
+    # an isotropic system pays one Abelian shift per distinct reduced
+    # statistics |delta_j|, not one per (j, jz) entry or per row:
+    # (4, 3/2) has 4 rows but |delta| in {7/8, 5/8}, (2, 1/2) has 2 rows
+    # both at 1/4; under (3, 1) rows 0 and 2 reduce one ulp apart and stay
+    # separate terms
     calls = []
 
     def counting(alpha, bc, dilution):
@@ -302,8 +305,10 @@ def test_uniform_rows_cost_one_abelian_call_each(monkeypatch):
         return e_rel_abelian(alpha, bc, dilution)
 
     monkeypatch.setattr(anyon_nacs, "e_rel_abelian", counting)
-    e_rel_nacs(NACSSystem.isotropic(4, 1.5, 1.0, +1), 0.1)
-    assert len(calls) == 4
+    for k, l, expected in [(4, 1.5, 2), (2, 0.5, 1), (3, 1.0, 3)]:
+        calls.clear()
+        e_rel_nacs(NACSSystem.isotropic(k, l, 1.0, +1), 0.1)
+        assert len(calls) == expected, (k, l)
 
 
 def test_hardcore_sentinel_routes_per_channel():

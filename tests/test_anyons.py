@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowdgas import numerics
+from lowdgas import anyon_abelian, numerics
 from lowdgas.anyon_abelian import (
     B2Value,
     SoftCoreBC,
@@ -191,6 +191,95 @@ def test_anyon_calls_build_one_reference_rule():
                 b2_softcore(alpha, bc)
                 e_rel_abelian(alpha, bc, 0.1)
     assert numerics._legendre_rule.cache_info().misses == 1
+
+
+# values of the scattering-integral rule frozen bit for bit: (alpha,
+# sigma, eps) -> (B2 value, its scattering part, shift at dilution 0.1).
+# The rows cover both branches, the near-pole layout (sigma*cos(pi a) ->
+# -1), the refined shoulder at |delta| < 1/2, the integer endpoints and
+# eps from 1e-3 to 700.
+SCATTER_PINS = {
+    (0.03, +1, 0.001): (-0.25329133139951515, -0.032841331399515124, 4.4612633917451564e-05),
+    (0.03, +1, 700.0): (-0.24725334371572383, -0.026803343715723817, 4.450542706255198e-05),
+    (0.3, +1, 0.37): (-0.31528260599232544, -0.32028260599232544, 0.004641489679289913),
+    (0.3, +1, 5.0): (-0.1973110219644318, -0.20231102196443176, 0.004179855628657459),
+    (0.49, +1, 0.001): (-0.8236742715289326, -0.9436242715289326, 0.001729589548385226),
+    (0.5, +1, 0.37): (-0.4391255412266347, -0.5641255412266347, 0.013445667562503016),
+    (0.77, +1, 5.0): (0.06759208393478125, -0.15595791606521878, 0.015079599696366807),
+    (0.999, +1, 0.001): (-1.7459888148431275, -1.9959883148431274, 0.00020086604002853836),
+    (0.999, +1, 0.37): (-1.129464877486079, -1.3794643774860789, 0.051040604051874404),
+    (0.999999, +1, 5.0): (0.2365233983389672, -0.013476601660532807, 0.006738030063846113),
+    (-1.001, +1, 0.37): (-1.129464877486079, -1.3794643774860789, 0.051040604051874404),
+    (1.0, +1, 0.37): (-1.1314686612747094, -1.3814686612747094, 0.051114340467164246),
+    (0.0, +1, 0.37): (-0.25, -0.0, 0.0),
+    (2.0, +1, 700.0): (-0.25, -0.0, 0.0),
+    (0.6, +1, 700.0): (0.15930208072433272, -0.010697919275667262, 0.0006464398513056416),
+    (0.2, +1, 60.0): (-0.18170891939217043, -0.11170891939217044, 0.0016347634035996984),
+    (0.001, -1, 0.37): (-2.063193473851374, 1.0812762554752753, -0.12481889319061068),
+    (1e-06, -1, 5.0): (-296.4347391784742, 0.6415780266794984, -148.42715501543108),
+    (0.03, -1, 0.37): (-2.0637054697136845, 1.0522137596129646, -0.12480390886444205),
+    (0.3, -1, 0.001): (-0.6912049148839476, 1.3057960854494692, -0.003294376489353659),
+    (0.49, -1, 5.0): (-296.4676215329698, 0.23874667218334408, -148.42330479973896),
+    (0.5, -1, 700.0): (-2.028464109470009e+304, 0.0213091626985873, -1.4199248766290064e+306),
+    (0.77, -1, 0.37): (-2.405283261952372, 0.26663596737427714, -0.11454359300330577),
+    (0.999, -1, 5.0): (-296.5760226012318, 0.00029610392142313325, -148.41318163551534),
+    (1.0, -1, 5.0): (-296.5763182051532, -0.0, -148.4131591025766),
+    (0.0, -1, 0.001): (-2.2520010003334168, -0.0, -0.00020020010003334168),
+    (3.0, -1, 0.37): (-2.645469229326649, -0.0, -0.10713236148508601),
+    (0.4, -1, 700.0): (-2.028464109470009e+304, 0.039956931264033185, -1.4199248766290064e+306),
+    (0.1, -1, 60.0): (-2.2840147796313685e+26, 0.2984137334078468, -1.370408867778821e+27),
+    (2.001, -1, 0.001): (-0.5559516008878431, 1.6950498994455738, -0.004561412851329373),
+}
+
+
+@pytest.mark.parametrize("key", list(SCATTER_PINS))
+def test_scattering_rule_values_are_pinned_bit_for_bit(key):
+    alpha, sigma, eps = key
+    bc = SoftCoreBC(sigma, eps)
+    b2 = b2_softcore(alpha, bc)
+    assert (b2.value, b2.scattering_part, e_rel_abelian(alpha, bc, 0.1)) == SCATTER_PINS[key]
+
+
+def _reference_panel_edges(a, sc, eps):
+    # the panel layout as first written: Python lists, one sorted
+    # generator over the filtered points, then the dedup pass
+    u_star = (anyon_abelian._EXP_CUT / eps) ** a
+    u_end = (anyon_abelian._EXP_END / eps) ** a
+    pts = [0.0, u_end]
+    base = min(1.0, u_star)
+    pts += [base * 2.0**-k for k in range(13)]
+    v = base
+    while v < u_end:
+        v *= 2.0
+        pts.append(min(v, u_end))
+
+    def refine(centre, width):
+        w = 1.0
+        while w > width:
+            w *= 0.5
+            pts.extend((centre * (1.0 - w), centre * (1.0 + w)))
+
+    if sc < -0.5 and u_end > 1.0:
+        refine(1.0, max(min(math.sqrt(2.0 * (1.0 + sc)), a) / 16.0, 1e-10))
+    if a < 0.5:
+        refine(u_star, max(a / 16.0, 1e-10))
+    edges = [0.0]
+    for p in sorted(p for p in pts if 0.0 < p <= u_end):
+        if p - edges[-1] > 1e-11 * max(p, 1.0):
+            edges.append(p)
+    return np.asarray(edges)
+
+
+def test_panel_edges_match_the_reference_layout():
+    rng = np.random.default_rng(20141)
+    a = np.concatenate([rng.uniform(1e-4, 1.0, 5000), rng.uniform(0.9, 1.0, 1000), [1e-6, 0.5, 1.0]])
+    sigma = rng.choice([-1.0, 1.0], a.size)
+    # the layout's own sc = sigma*cos(pi a), plus arbitrary sc near the pole
+    sc = np.where(rng.uniform(size=a.size) < 0.8, sigma * np.cos(np.pi * a), rng.uniform(-1.0, -0.5, a.size))
+    eps = 10.0 ** rng.uniform(-3.0, np.log10(700.0), a.size)
+    for ai, si, ei in zip(a.tolist(), sc.tolist(), eps.tolist()):
+        got = anyon_abelian._panel_edges(ai, si, ei)
+        assert np.array_equal(got, _reference_panel_edges(ai, si, ei)), (ai, si, ei)
 
 
 def test_shift_fermionic_point_closed_form():

@@ -379,6 +379,24 @@ def test_main_sweep_is_byte_identical_across_runs(tmp_path):
     assert open(out2, "rb").read() == open(out1, "rb").read()
 
 
+def test_one_parser_serves_every_main_call(tmp_path):
+    # the parser is built once per process; a parse in between, with a
+    # repeatable flag, leaves nothing behind for the next run
+    assert cli.build_parser() is cli.build_parser()
+    specfile = _write(
+        tmp_path / "nacs.sweep",
+        "quantity = nacs-shift\naxis = eps log 0.1 10 5\nk = 4\nl = 1.5\nsigma = 1\nx = 0.1\n",
+    )
+    classify = ["virial", "classify", "--d", "1", "--sqrt-beta", "-1.2533", "--beta", "2.6"]
+    out1, out2, c1, c2 = (str(tmp_path / name) for name in ("r1.csv", "r2.csv", "c1.csv", "c2.csv"))
+    assert main(["sweep", specfile, "--out", out1]) == EXIT_OK
+    assert main(classify + ["--extra", "0.3,2,0", "--extra", "0.1,3,0", "--out", c1]) == EXIT_OK
+    assert main(["sweep", specfile, "--out", out2]) == EXIT_OK
+    assert main(classify + ["--extra", "0.3,2,0", "--extra", "0.1,3,0", "--out", c2]) == EXIT_OK
+    assert open(out2, "rb").read() == open(out1, "rb").read()
+    assert open(c2, "rb").read() == open(c1, "rb").read()
+
+
 def test_main_exit_codes(tmp_path):
     bad_quantity = _write(
         tmp_path / "bad.sweep", "quantity = nope\naxis = x linear 0 1 2\n"

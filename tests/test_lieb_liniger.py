@@ -191,6 +191,35 @@ def test_n0_above_the_ladder_ceiling_is_named():
         solve_tba(LLParams(1.0, 1.0), n0=6501)
 
 
+def test_n0_without_a_second_rung_fails_before_any_rung(monkeypatch):
+    # stability is judged between two rungs, so an n0 whose next rung is
+    # above the ceiling is refused up front instead of after one solve
+    def no_rung(*args):
+        raise AssertionError("a rung ran")
+
+    monkeypatch.setattr(lieb_liniger, "_ground_at", no_rung)
+    monkeypatch.setattr(lieb_liniger, "_TBAGrid", no_rung)
+    monkeypatch.setattr(lieb_liniger, "_IdealGrid", no_rung)
+    with pytest.raises(ConvergenceError, match=(
+        r"^n0=2049 leaves no second rung to compare: the next rung, 4098 nodes, "
+        r"is above the ladder's 4096-node ceiling$"
+    )):
+        solve_ground_state(1.0, n0=2049)
+    with pytest.raises(ConvergenceError, match=r"^n0=4000 leaves .* 8000 nodes"):
+        solve_ground_state(1.0, n0=4000)
+    for gamma in (1.0, 0.0, math.inf):
+        with pytest.raises(ConvergenceError, match=(
+            r"^n0=3250 leaves no second rung to compare: the next rung, 6501 nodes, "
+            r"is above the ladder's 6500-node ceiling$"
+        )):
+            solve_tba(LLParams(gamma, 1.0), n0=3250)
+    # the largest n0 that still has a second rung gets as far as its first
+    with pytest.raises(AssertionError, match="a rung ran"):
+        solve_ground_state(1.0, n0=2048)
+    with pytest.raises(AssertionError, match="a rung ran"):
+        solve_tba(LLParams(1.0, 1.0), n0=3249)
+
+
 def test_ground_state_peak_memory_is_a_few_half_size_matrices():
     # the 1024-node top rung solves on 512 nodes: the operator is built in
     # row blocks straight into one such matrix, the slope pass is row

@@ -166,11 +166,64 @@ def test_composite_rule_rejects_no_nodes():
         composite_rule([0.0, 1.0], n=0)
 
 
+_GOOD = ([0.25, 0.5, 0.75], [1 / 3, 1 / 3, 1 / 3], (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "nodes, weights, domain, message",
+    [
+        ([0.25, 0.5], [0.5, 0.25, 0.25], (0.0, 1.0), "1-d arrays of equal length"),
+        ([[0.25, 0.5]], [[0.5, 0.5]], (0.0, 1.0), "1-d arrays of equal length"),
+        ([0.25, 0.25, 0.75], _GOOD[1], (0.0, 1.0), "strictly increasing"),
+        ([0.25, 0.75, 0.5], _GOOD[1], (0.0, 1.0), "strictly increasing"),
+        ([0.75, 0.5, 0.25], _GOOD[1], (0.0, 1.0), "strictly increasing"),
+        ([0.0, 0.5, 0.75], _GOOD[1], (0.0, 1.0), "strictly inside the domain"),
+        ([0.25, 0.5, 1.0], _GOOD[1], (0.0, 1.0), "strictly inside the domain"),
+        ([-0.5, 0.5, 0.75], _GOOD[1], (0.0, 1.0), "strictly inside the domain"),
+        ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], (0.0, math.inf), "strictly inside the domain"),
+        (_GOOD[0], [0.5, 0.0, 0.5], (0.0, 1.0), "weights must be positive"),
+        (_GOOD[0], [0.75, -0.25, 0.5], (0.0, 1.0), "weights must be positive"),
+        (_GOOD[0], [0.5, 0.5, 0.5], (0.0, 1.0), "sum to the domain length"),
+        (_GOOD[0], [0.3, 0.3, 0.3], (0.0, 1.0), "sum to the domain length"),
+    ],
+)
+def test_quadrature_rule_rejects_malformed_input(nodes, weights, domain, message):
+    with pytest.raises(ValueError, match=message):
+        QuadratureRule(np.array(nodes), np.array(weights), domain)
+
+
+def test_quadrature_rule_accepts_the_edge_of_each_check():
+    QuadratureRule(np.array(_GOOD[0]), np.array(_GOOD[1]), _GOOD[2])
+    # the sum is checked only on a finite domain, and only to 1e-12
+    QuadratureRule(np.array([1.0, 2.0]), np.array([5.0, 7.0]), (0.0, math.inf))
+    QuadratureRule(np.array(_GOOD[0]), np.array([1 / 3, 1 / 3, 1 / 3 + 5e-13]), _GOOD[2])
+    QuadratureRule(np.array([0.5]), np.array([1.0]), (0.0, 1.0))
+    QuadratureRule(np.array([]), np.array([]), (0.0, math.inf))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[0.0], [], [0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 0.5], [1.0, 0.0], [[0.0, 1.0]]],
+)
+def test_composite_rule_rejects_edges_that_do_not_increase(edges):
+    with pytest.raises(ValueError, match="strictly increasing sequence of at least two points"):
+        composite_rule(edges, n=4)
+
+
 def test_integrate_rejects_nonfinite_values():
     rule = gauss_legendre(16, 0.0, 1.0)
     with pytest.raises(EvaluationError) as exc, np.errstate(divide="ignore"):
         integrate(lambda x: 1.0 / (x - rule.nodes[3]), rule)
     assert exc.value.node == pytest.approx(rule.nodes[3])
+
+
+def test_integrate_names_the_first_nonfinite_node():
+    rule = gauss_legendre(8, 0.0, 1.0)
+    values = np.ones(8)
+    values[[2, 5]] = math.inf, math.nan
+    with pytest.raises(EvaluationError, match=r"^integrand returned \S*inf\S* at node ") as exc:
+        integrate(lambda x: values, rule)
+    assert exc.value.node == rule.nodes[2]
 
 
 # ---------------------------------------------------------------------------
