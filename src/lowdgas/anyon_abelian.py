@@ -122,6 +122,22 @@ class B2Value:
         return self.parts[2]
 
 
+def _exp_or_inf(x: float) -> float:
+    """``exp(x)``, ``inf`` where it exceeds float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _in_range(value: float, eps: float) -> float:
+    """``value``, or the domain error of an attractive core whose
+    bound-state weight ``exp(eps)`` takes the result out of float range."""
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"eps={eps!r}: the result exceeds float range (the bound-state weight is exp(eps))")
+
+
 def b2_hardcore(alpha: float) -> float:
     """Hard-core anyon ``B_2 / lambda_T**2 = -1/4 + |delta| - delta**2 / 2``.
 
@@ -217,9 +233,11 @@ def _scatter_integral(a: float, sigma: int, eps: float, moment: int) -> float:
                 log_w *= moment * inv_a
                 f += log_w
             np.exp(f, out=f)
-        den = np.subtract(1.0, u)
-        np.square(den, out=den)
-        den += np.multiply(u, 2.0 * one_plus_sc)
+            # at eps -> 0 the domain reaches u ~ 1e176, where den = inf
+            # and f / den = 0, the integrand's limit
+            den = np.subtract(1.0, u)
+            np.square(den, out=den)
+            den += np.multiply(u, 2.0 * one_plus_sc)
         f /= den
         return f
 
@@ -249,16 +267,17 @@ def b2_softcore(alpha: float, bc: SoftCoreBC) -> B2Value:
               - 2 * [exp(eps) * (sigma < 0) + scattering integral]``;
     the hard-core sentinel ``eps = inf`` (repulsive branch) returns
     ``b2_hardcore`` exactly.  On the attractive branch the bound-state
-    part overflows float range for ``eps`` beyond ~709 (the value itself
-    exceeds 1e308 there, so this is not a numerical artifact).
+    part exceeds float range for ``eps`` beyond ~709.78 (the value itself
+    is below -1.8e308 there, so this is not a numerical artifact), and
+    that raises ``ValueError`` naming ``eps``.
     """
     a, sigma, eps = _reduced(alpha, bc)
     hc = b2_hardcore(alpha)
     if math.isinf(eps):
         return B2Value(hc, (hc, 0.0, 0.0))
-    bound = -2.0 * math.exp(eps) if sigma == -1 else 0.0
+    bound = -2.0 * _exp_or_inf(eps) if sigma == -1 else 0.0
     scatter = _scatter_part(a, sigma, eps, moment=0)
-    value = hc + bound + (-2.0 * scatter)
+    value = _in_range(hc + bound + (-2.0 * scatter), eps)
     return B2Value(value, (hc, bound, -2.0 * scatter))
 
 
@@ -271,7 +290,9 @@ def e_rel_abelian(alpha: float, bc: SoftCoreBC, dilution: float) -> float:
     combination ``E - (E_ideal + ...)`` probed by the scale-invariance
     anomaly.  Sign equals ``sigma`` for non-integer ``alpha``; vanishes
     identically at the bosonic points on the repulsive branch and in the
-    hard-core limit (where ``B_2 / lambda_T**2`` is a pure number).
+    hard-core limit (where ``B_2 / lambda_T**2`` is a pure number).  On
+    the attractive branch a shift beyond float range (from ``eps ~ 703``
+    at ``dilution = 1``) raises ``ValueError`` naming ``eps``.
     """
     x = float(dilution)
     if not x >= 0.0 or math.isinf(x):
@@ -279,8 +300,8 @@ def e_rel_abelian(alpha: float, bc: SoftCoreBC, dilution: float) -> float:
     a, sigma, eps = _reduced(alpha, bc)
     if math.isinf(eps) or eps == 0.0:
         return 0.0
-    bound = -math.exp(eps) if sigma == -1 else 0.0
-    return 2.0 * x * eps * (bound + _scatter_part(a, sigma, eps, moment=1))
+    bound = -_exp_or_inf(eps) if sigma == -1 else 0.0
+    return _in_range(2.0 * x * eps * (bound + _scatter_part(a, sigma, eps, moment=1)), eps)
 
 
 def e_rel_semion(bc: SoftCoreBC, dilution: float) -> float:
@@ -290,7 +311,8 @@ def e_rel_semion(bc: SoftCoreBC, dilution: float) -> float:
     repulsive branch (maximum ~0.138 near ``eps = 0.67``, decaying like
     ``1/(2 sqrt(pi eps))``), and
     ``eps erfcx(sqrt(eps)) - 2 eps exp(eps) - sqrt(eps/pi)`` on the
-    attractive one (asymptotically ``-2 eps exp(eps)``).
+    attractive one (asymptotically ``-2 eps exp(eps)``, which leaves
+    float range from ``eps ~ 703`` on and raises ``ValueError`` there).
     """
     x = float(dilution)
     if not x >= 0.0 or math.isinf(x):
@@ -302,7 +324,7 @@ def e_rel_semion(bc: SoftCoreBC, dilution: float) -> float:
     scatter = math.sqrt(eps / math.pi) - eps * erfcx(root)
     if bc.sigma == +1:
         return x * scatter
-    return x * (-scatter - 2.0 * eps * math.exp(eps))
+    return _in_range(x * (-scatter - 2.0 * eps * _exp_or_inf(eps)), eps)
 
 
 def y_dilute(x: float, alpha: float) -> float:

@@ -21,11 +21,18 @@ ideal bosons, as it must.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable
 
-from .anyon_abelian import SoftCoreBC, StatisticsParameter, b2_softcore, e_rel_abelian
+from .anyon_abelian import (
+    SoftCoreBC,
+    StatisticsParameter,
+    _in_range,
+    b2_softcore,
+    e_rel_abelian,
+)
 
 __all__ = [
     "NACSSystem",
@@ -143,10 +150,12 @@ def _channel_sum(sys: NACSSystem, term: Callable[[float, SoftCoreBC], float]) ->
     ascending order so equal inputs give bit-equal results.  ``term`` is
     evaluated once per distinct reduced statistics ``|delta_j|`` and
     ``eps`` (keys compared bit-exactly), and a run of equal ``eps`` in a
-    row is weighted by its length."""
+    row is weighted by its length.  A mean beyond float range raises the
+    ``ValueError`` of an attractive core too strong, naming the largest
+    ``eps``."""
     w = channel_weights(sys)
     values: dict[tuple[float, float], float] = {}
-    total = 0.0
+    terms = []
     for j, row in enumerate(sys.eps):
         stat = w.omega[j] if w.bosonic[j] else w.omega[j] + 1.0
         reduced = abs(StatisticsParameter(stat).delta)
@@ -154,8 +163,16 @@ def _channel_sum(sys: NACSSystem, term: Callable[[float, SoftCoreBC], float]) ->
             key = (reduced, eps)
             if key not in values:
                 values[key] = term(stat, SoftCoreBC(sys.sigma, eps))
-            total += sum(1 for _ in run) * values[key]
-    return total / (2.0 * sys.l + 1.0) ** 2
+            terms.append((sum(1 for _ in run), values[key]))
+    norm = (2.0 * sys.l + 1.0) ** 2
+    total = 0.0
+    for count, value in terms:
+        total += count * value
+    mean = total / norm
+    if math.isinf(total):
+        # the running sum can pass 1.8e308 where the mean does not
+        mean = sum(count / norm * value for count, value in terms)
+    return _in_range(mean, max(map(max, sys.eps)))
 
 
 def b2_nacs_general(sys: NACSSystem) -> float:

@@ -19,22 +19,24 @@ Two solvers live here:
 * the finite-temperature coupled equations for the pseudo-energy
   ``E(K)``, chemical potential ``mu`` and level density ``f(K)``.
 
-Both use dense Nystrom discretizations with the Lorentzian kernel
-handled in subtracted form.  The ground state subtracts the constant,
+Both use dense Nystrom discretizations of the Lorentzian kernel on
+grids mirror-symmetric about 0.  Every unknown is even, so both solve on
+the ``K >= 0`` half with the folded operator (column ``j`` plus its
+mirror ``-K_j``): a quarter of the memory and an eighth of the LU work
+of the full grid, with the same results up to rounding.  Both take the
+plain folded kernel from one row-block pass, ``_folded_blocks``.  The
+ground state, on one Gauss-Legendre rule, subtracts the constant,
 ``(Kv)_i = M_i v_i + sum_j w_j k_ij (v_j - v_i)`` with the analytic mass
 ``M_i``: the diagonal singularity cancels exactly.  The finite-T solve
-subtracts the local Taylor polynomial of ``v`` to second order, with
-the analytic moments of ``k(q) q^p`` (``p <= 2``) and barycentric
-derivatives on the Gauss-Legendre nodes (product integration, Atkinson
-ch. 4; Wang & Xiang, Math. Comp. 81, 861, 2012), so it stays accurate
-where ``gamma`` is below the node spacing (``gamma ~ 1e-3``, kernel
-close to a delta spike) as well as in the impenetrable limit
-(``gamma ~ 1e4``, kernel flat and weak).  Every unknown is even, so both
-solve on the ``K >= 0`` half of a mirrored Gauss-Legendre rule with the
-folded operator (column ``j`` plus its mirror ``-K_j``): a quarter of
-the memory and an eighth of the LU work of the full grid, with the same
-results up to rounding.  Both take that folded kernel from one row-block
-pass, ``_folded_blocks``.
+runs on panels of 16 Gauss-Legendre nodes, graded at the Fermi points
+``E(K_F) = 0`` down to the Fermi width ``tau/|E'|``, and integrates the
+kernel exactly against each panel's interpolant wherever the kernel is
+sharp on the panel's scale (product integration with Legendre-Cauchy
+moments, Helsing & Ojala, J. Comput. Phys. 227, 2899, 2008).  Its error
+therefore does not depend on ``gamma``: it stays accurate where
+``gamma`` is far below the node spacing (``gamma ~ 1e-3``, kernel close
+to a delta spike) as well as in the impenetrable limit (``gamma ~ 1e4``,
+kernel flat and weak).
 
 Derived observables: pressure, energy, the energy-pressure shift
 ``e_res = energy - pressure/2`` at zero and finite temperature, its
@@ -43,13 +45,22 @@ high-temperature closed form, and the second virial coefficient.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConvergenceError, _erfcx_deficit, erfcx, gauss_legendre
+from .numerics import (
+    ConvergenceError,
+    QuadratureRule,
+    _erfcx_deficit,
+    _legendre_rule,
+    composite_rule,
+    erfcx,
+    gauss_legendre,
+)
 
 __all__ = [
     "LLParams",
@@ -112,7 +123,10 @@ class GroundState:
 
 @dataclass(frozen=True)
 class TBASolution:
-    """Finite-temperature solution on a symmetric Gauss-Legendre grid.
+    """Finite-temperature solution on a symmetric grid: Gauss-Legendre
+    panels between the ``edges`` on ``[-kmax, kmax]``, all of equal node
+    count, or one Gauss-Legendre rule over the whole interval when
+    ``edges`` is None.
 
     ``eps`` is the pseudo-energy ``E(K)`` in units of ``k_B T_D``,
     ``density`` the level density ``f(K)`` normalized to ``integral(f) = 1``,
@@ -127,12 +141,13 @@ class TBASolution:
     density: np.ndarray
     mu: float
     kmax: float
+    edges: np.ndarray | None = None
 
     def pseudo_energy_at(self, k: float) -> float:
         """Evaluate ``E(k)`` off-grid: for ``|k| < kmax`` the barycentric
-        interpolant of ``eps`` on the solution's own Gauss-Legendre rule,
-        beyond it one sweep of the defining equation (the far tail, where
-        ``E -> k^2 - mu``)."""
+        interpolant of ``eps`` on the Gauss-Legendre nodes of the panel
+        holding ``k``, beyond it one sweep of the defining equation (the
+        far tail, where ``E -> k^2 - mu``)."""
         k = float(k)
         if self.gamma == 0.0:
             x = (k * k - self.mu) / self.tau
@@ -140,12 +155,19 @@ class TBASolution:
         if math.isinf(self.gamma):
             return k * k - self.mu
         if abs(k) < self.kmax:
-            gap = k - self.grid
+            edges = (-self.kmax, self.kmax) if self.edges is None else self.edges
+            panels = len(edges) - 1
+            p = min(max(int(np.searchsorted(edges, k, side="right")) - 1, 0), panels - 1)
+            size = self.grid.size // panels
+            on = slice(p * size, (p + 1) * size)
+            nodes = self.grid[on]
+            gap = k - nodes
             hit = np.flatnonzero(gap == 0.0)
             if hit.size:
-                return float(self.eps[hit[0]])
-            c = _bary_weights(self.grid / self.kmax, self.weights) / gap
-            return float(c @ self.eps) / float(c.sum())
+                return float(self.eps[on][hit[0]])
+            mid, half = 0.5 * (edges[p + 1] + edges[p]), 0.5 * (edges[p + 1] - edges[p])
+            c = _bary_weights((nodes - mid) / half, self.weights[on]) / gap
+            return float(c @ self.eps[on]) / float(c.sum())
         ker = (self.gamma / math.pi) / ((k - self.grid) ** 2 + self.gamma**2)
         conv = float(np.dot(self.weights * ker, _softplus_e(self.eps, self.tau)))
         return k * k - self.mu - conv
@@ -229,104 +251,119 @@ def _bary_weights(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _x_minus_atan(x: np.ndarray) -> np.ndarray:
-    """``x - atan(x)`` without cancellation at small ``|x|``: below 0.3
-    the series ``x^3/3 - x^5/5 + ...`` (18 terms, truncation < 1e-19
-    relative) replaces the difference, whose relative error grows like
-    ``3 eps / x^2``."""
-    out = x - np.arctan(x)
-    small = np.abs(x) < 0.3
-    xs = x[small]
-    x2 = xs * xs
-    acc = np.zeros_like(xs)
-    for k in range(18, 0, -1):
-        acc *= x2
-        acc += (-1.0) ** (k + 1) / (2 * k + 1)
-    out[small] = acc * x2 * xs
+# Gauss-Legendre nodes per panel of an interacting TBA rung
+_PANEL_NODES = 16
+# Bernstein-ellipse radius from which a panel's plain Gauss rule integrates
+# the Lorentzian times a smooth density to rounding (error ~ rho^-32)
+_FAR_RHO = 1.2 * math.sqrt(10.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _legendre_projection() -> np.ndarray:
+    """``A[k, j] = (k + 1/2) w_j P_k(t_j)`` on the ``_PANEL_NODES``-point
+    reference rule: the Legendre coefficients of its Lagrange basis,
+    ``ell_j = sum_k A[k, j] P_k`` (the rule is exact on ``ell_j P_k``)."""
+    t, w = _legendre_rule(_PANEL_NODES)
+    k = np.arange(_PANEL_NODES)
+    return (np.polynomial.legendre.legvander(t, _PANEL_NODES - 1) * w[:, None] * (k + 0.5)).T
+
+
+def _bernstein_rho(zeta: np.ndarray) -> np.ndarray:
+    """Radius ``|zeta + sqrt(zeta - 1) sqrt(zeta + 1)|`` of the Bernstein
+    ellipse of ``[-1, 1]`` through ``zeta``."""
+    return np.abs(zeta + np.sqrt(zeta - 1.0) * np.sqrt(zeta + 1.0))
+
+
+def _cauchy_moments(zeta: np.ndarray) -> np.ndarray:
+    """``I_k(zeta) = integral_-1^1 P_k(t) / (t - zeta) dt`` for ``k <
+    _PANEL_NODES``, ``Im zeta > 0`` and Bernstein radius ``rho <
+    _FAR_RHO``, one row per ``zeta``.
+
+    ``I_0 = log((1 - zeta)/(-1 - zeta))``, ``I_1 = 2 + zeta I_0`` and
+    ``(k+1) I_{k+1} = (2k+1) zeta I_k - k I_{k-1}``.  ``I_k = -2 Q_k(zeta)``
+    falls like ``rho^-k``, so the recurrence runs forward only where
+    ``rho^32 < 1e3``, which bounds the growth of rounding.  Elsewhere it
+    runs backward (Miller) from ``I_{N+1} = 0``, ``I_N = 1`` and is
+    normalized by ``I_0``; the start leaves a relative error of about
+    ``rho^-2(N-k)`` in ``I_k``, so ``N = 16 + ceil(20/ln rho)`` puts it
+    below ``e^-40`` (Helsing & Ojala, J. Comput. Phys. 227, 2899, 2008)."""
+    p = _PANEL_NODES
+    rho = _bernstein_rho(zeta)
+    out = np.empty((zeta.size, p), dtype=complex)
+    i0 = np.log((1.0 - zeta) / (-1.0 - zeta))
+    fwd = rho ** (2 * p) < 1e3
+    z = zeta[fwd]
+    blk = out[fwd]
+    blk[:, 0] = i0[fwd]
+    blk[:, 1] = 2.0 + z * blk[:, 0]
+    for k in range(1, p - 1):
+        blk[:, k + 1] = ((2 * k + 1) * z * blk[:, k] - k * blk[:, k - 1]) / (k + 1)
+    out[fwd] = blk
+    back = ~fwd
+    if np.any(back):
+        z = zeta[back]
+        y = np.empty((p, z.size), dtype=complex)
+        above, cur = np.zeros_like(z), np.ones_like(z)  # I_{k+1}, I_k from k = N
+        for k in range(p + math.ceil(20.0 / math.log(float(rho[back].min()))), 0, -1):
+            # k I_{k-1} = (2k+1) zeta I_k - (k+1) I_{k+1}
+            nxt = np.multiply(cur, z)
+            nxt *= (2 * k + 1) / k
+            nxt -= ((k + 1) / k) * above
+            above, cur = cur, nxt
+            if k <= p:
+                y[k - 1] = cur
+        out[back] = (y * (i0[back] / y[0])).T
     return out
 
 
-def _corrected_kernel(rule, gamma: float) -> np.ndarray:
-    """Folded, moment-corrected Lorentzian convolution on the ``x >= 0``
-    half of the mirror-symmetric Gauss-Legendre ``rule`` on
-    ``[-kmax, kmax]``: ``C @ v`` integrates ``ker(K_i - K) v(K)`` for an
-    even ``v`` given on the half nodes, exactly when ``v`` is a quadratic.
+def _panel_operator(half: np.ndarray, cw: np.ndarray, edges: np.ndarray, gamma: float) -> np.ndarray:
+    """Folded Lorentzian convolution on the half nodes ``x >= 0`` of a
+    mirrored composite rule with ``_PANEL_NODES`` nodes on each panel of
+    the half-line ``edges``: ``C @ v`` integrates ``ker(x_i - K) v(K)`` over
+    ``[-kmax, kmax]`` for an even ``v`` given on the half nodes, exactly
+    when ``v`` is a polynomial of degree below ``_PANEL_NODES`` on each
+    panel, whether or not the panels resolve the kernel.
 
-    On the full grid ``C = W + diag(M0 - S0) + diag(M1 - S1) D +
-    diag(M2 - S2) D^2 / 2`` with ``W_ij = w_j ker(K_i - K_j)`` (zero
-    diagonal), the analytic moments ``Mp_i`` of ``ker(q) q^p`` over the
-    domain and their Nystrom sums ``Sp_i = sum_j W_ij (K_j - K_i)^p``: it
-    subtracts the local Taylor polynomial of ``v`` to second order, so the
-    scheme keeps converging when ``gamma`` is below the node spacing.
-    ``D`` and ``D^2`` are the barycentric differentiation matrices with
-    the Gauss-Legendre weights ``lam_j = (-1)^j sqrt((1 - x_j^2) w_j)``;
-    each diagonal entry is minus the rest of its row.  Folding adds each
-    half column's mirror, whose weight carries ``(-1)^(n-1)``; a middle
-    node is counted once through the halved column weight.  The matrix
-    is built in row blocks, with no n x n temporary and no ``D @ D``.
+    Column ``j`` sums the direct term (target ``x_i``) and the mirror term
+    (target ``-x_i``) of panel node ``j``.  For a target ``t`` and a panel
+    ``[c - h, c + h]`` with ``zeta = (t - c)/h + i gamma/h``, the weight
+    ``integral ker(t - q) ell_j(q) dq = sum_k (Im I_k(zeta)/pi) A[k, j]``
+    (product integration; ``A`` from ``_legendre_projection``) is used
+    inside the Bernstein ellipse ``rho < _FAR_RHO``.  Beyond it the plain
+    ``cw_j ker(t - x_j)`` of the row blocks of ``_folded_blocks`` integrates
+    a density analytic in that ellipse to rounding (error ``~rho^-32``),
+    though a single entry, against one basis polynomial, can be off by
+    ``~rho^-17``.  A diagonal entry whose own panel is far is the plain
+    ``cw_i / (pi gamma)``, which those blocks zero.
     """
-    n = rule.nodes.size
-    kmax = rule.domain[1]
-    half, cw, _, _ = _fold(rule)
-    m = half.size
-    lam = _bary_weights(half / kmax, rule.weights[n // 2:])
-    lam_cw = lam * cw / rule.weights[n // 2:]  # lam_j, halved on a middle node
-    sign = 1.0 if n % 2 else -1.0  # (-1)^(n-1): mirror weight over own weight
-    a, b = -kmax - half, kmax - half
-    arc = np.arctan(b / gamma) - np.arctan(a / gamma)
-    m0 = arc / math.pi
-    m1 = (0.5 * gamma / math.pi) * np.log1p(-4.0 * kmax * half / (a * a + gamma * gamma))
-    # M2 through x - atan(x): the plain (b - a) - gamma * arc cancels to
-    # about eps * gamma * kmax when gamma >> kmax, where M2 - S2 -> 0
-    m2 = (gamma * gamma / math.pi) * (_x_minus_atan(b / gamma) - _x_minus_atan(a / gamma))
+    m, p = half.size, _PANEL_NODES
+    amp, g2 = gamma / math.pi, gamma * gamma
     out = np.empty((m, m))
-    for rs, kq, kt in _folded_blocks(half, gamma):
-        q = half[rs, None] - half  # K_i - K_j and its mirror K_i + K_j
-        t = half[rs, None] + half
-        blk = np.add(kq, kt, out=out[rs])
+    for rs, minus, plus in _folded_blocks(half, gamma):
+        blk = np.add(minus, plus, out=out[rs])
         blk *= cw
-        # S1 and S2 on the folded grid (K_j - K_i is -q, and -t for the mirror
-        # -K_j), in place: from here on kq and kt are buffers for D and a temporary
-        kq *= q
-        s1 = -(kq @ cw)
-        kq *= q
-        s2 = kq @ cw
-        kt *= t
-        s1 -= kt @ cw
-        kt *= t
-        s2 += kt @ cw
-        a0 = m0[rs] - blk.sum(axis=1)
-        a1 = m1[rs] - s1
-        a2 = 0.5 * (m2[rs] - s2)
-        # r = 1/(K_i - K_j), p = 1/(K_i + K_j); the zeros of K_i -+ K_j
-        # (the diagonal and a middle node's mirror) get 1/inf = 0
-        for x in (q, t):
-            x[x == 0.0] = math.inf
-        r = np.reciprocal(q, out=q)
-        p = np.reciprocal(t, out=t)
-        lam_i = lam[rs, None]
-        # off-diagonal D: (lam_j / lam_i) (r + sign p), then its diagonal
-        d1 = np.multiply(p, sign, out=kq)
-        d1 += r
-        d1 *= lam_cw
-        d1 /= lam_i
-        dd1 = -d1.sum(axis=1)
-        # off-diagonal D^2: 2 (lam_j / lam_i) [dd1_i (r + sign p) - (r^2 + sign p^2)]
-        d2 = np.multiply(r, r, out=r)
-        p *= p
-        p *= sign
-        d2 += p
-        d2 *= lam_cw
-        d2 /= lam_i
-        d2 -= np.multiply(dd1[:, None], d1, out=kt)
-        d2 *= -2.0
-        dd2 = -d2.sum(axis=1)
-        d1 *= a1[:, None]
-        blk += d1
-        d2 *= a2[:, None]
-        blk += d2
-        diag = np.einsum("ii->i", blk[:, rs])
-        diag += a0 + a1 * dd1 + a2 * dd2
+    np.einsum("ii->i", out)[:] += cw / (math.pi * gamma)
+    c = 0.5 * (edges[1:] + edges[:-1])
+    h = 0.5 * (edges[1:] - edges[:-1])
+    beta = gamma / h
+    targets = (half, -half)  # the direct and the mirror term
+    near = [_bernstein_rho((t[:, None] - c) / h + 1j * beta) < _FAR_RHO for t in targets]
+    rows, panels = np.nonzero(near[0] | near[1])
+    cols = panels[:, None] * p + np.arange(p)
+    vals = np.zeros(cols.shape)
+    where, zeta = [], []
+    for t, close in zip(targets, near):
+        on = close[rows, panels]
+        d = t[rows[~on], None] - half[cols[~on]]
+        vals[~on] += cw[cols[~on]] * (amp / (d * d + g2))
+        where.append(np.flatnonzero(on))
+        i, j = rows[on], panels[on]
+        zeta.append((t[i] - c[j]) / h[j] + 1j * beta[j])
+    # one moment pass for both terms; a pair near in both gets both weights
+    prod = _cauchy_moments(np.concatenate(zeta)).imag @ (_legendre_projection() / math.pi)
+    vals[where[0]] += prod[:where[0].size]
+    vals[where[1]] += prod[where[0].size:]
+    out[rows[:, None], cols] = vals
     return out
 
 
@@ -506,11 +543,16 @@ _NEWTON_TOL = 1e-11  # on the pseudo-energy step, relative to max|E|
 _NORM_TOL = 1e-10  # on the normalization residual integral(f) - 1
 _MAX_NEWTON = 50
 _MAX_MU_TRIALS = 60
+# default first rungs: two uniform panels per half-line for 0 < gamma < inf,
+# a 201-node Gauss-Legendre rule for the endpoints gamma in {0, inf}
+_PANEL_N0 = 4 * _PANEL_NODES
+_IDEAL_N0 = 201
 
 
 class _Rung:
-    """One node count of the ``solve_tba`` ladder, on the ``K >= 0`` half
-    of a mirrored Gauss-Legendre rule (``E`` and ``f`` are even in ``K``).
+    """One rung of the ``solve_tba`` ladder, on the ``K >= 0`` half of a
+    mirror-symmetric ``rule`` on ``[-kmax, kmax]`` (``E`` and ``f`` are
+    even in ``K``).
 
     A subclass's ``_newton(mu)`` sets ``eps``, ``density`` and ``mu`` and
     returns ``dn/dmu``; ``solve_mu`` closes ``integral f = 1`` with it and
@@ -518,9 +560,10 @@ class _Rung:
     """
 
     mu_hi = math.inf  # the density is finite at every mu
+    edges = None  # panel edges of the rule; None for one Gauss-Legendre panel
 
-    def __init__(self, gamma: float, tau: float, kmax: float, n: int):
-        self.rule = gauss_legendre(n, -kmax, kmax)
+    def __init__(self, gamma: float, tau: float, kmax: float, rule: QuadratureRule):
+        self.rule = rule
         self.gamma, self.tau, self.kmax = gamma, tau, kmax
         self.grid, self.cw, self.w, self._full = _fold(self.rule)
         self.k2 = self.grid * self.grid
@@ -567,24 +610,39 @@ class _Rung:
             density=self.density[self._full],
             mu=self.mu,
             kmax=self.kmax,
+            edges=self.edges,
         )
 
 
 class _TBAGrid(_Rung):
-    """Interacting rung, ``0 < gamma < inf``.
+    """Interacting rung, ``0 < gamma < inf``, on the composite rule with
+    ``_PANEL_NODES`` Gauss-Legendre nodes on each panel of the half-line
+    ``edges`` (from 0 to ``kmax``) and on their mirror images; with an
+    edge at 0 no node sits there, so every half column has its own full
+    weight.  On the nominal grids of the ``ll-finite-T`` benchmark the
+    rungs are 64 -> 128 nodes at ``tau = 1e3`` and 64 -> 288-416 ->
+    384-448 at ``tau = 0.5``, where the second rung's grading adds 7
+    panels per half-line at the Fermi point.
 
     Every solve goes through the Jacobian ``J = I - C diag(fermi)`` of
     ``F(E) = E - K^2 + mu + C softplus(E)``, where ``C`` is the folded,
-    moment-corrected kernel of ``_corrected_kernel``, diagonal included.
+    product-integrated kernel of ``_panel_operator``, diagonal included.
     One solve against ``J`` per Newton step gives the step ``J^-1 F``,
     the dressed ``g = J^-1 (1/2pi)`` (level density ``f = fermi g`` and
     ``dE/dmu = -2pi g``) and ``dg/dmu``, hence ``dn/dmu`` for the outer
     Newton solve on ``integral f = 1``.
     """
 
-    def __init__(self, gamma: float, tau: float, kmax: float, n: int):
-        super().__init__(gamma, tau, kmax, n)
-        self.kw = _corrected_kernel(self.rule, gamma)
+    def __init__(self, gamma: float, tau: float, kmax: float, edges: np.ndarray):
+        half = composite_rule(edges, _PANEL_NODES)
+        rule = QuadratureRule(
+            np.concatenate((-half.nodes[::-1], half.nodes)),
+            np.concatenate((half.weights[::-1], half.weights)),
+            (-kmax, kmax),
+        )
+        super().__init__(gamma, tau, kmax, rule)
+        self.edges = np.concatenate((-edges[::-1], edges[1:]))
+        self.kw = _panel_operator(self.grid, self.cw, edges, gamma)
         self._jac = np.empty_like(self.kw)
         self.g = np.full(self.grid.size, 1.0 / (2.0 * math.pi))
 
@@ -635,7 +693,7 @@ class _IdealGrid(_Rung):
     ``E``, ``f`` and ``dn/dmu`` are closed forms, so no linear solve."""
 
     def __init__(self, gamma: float, tau: float, kmax: float, n: int):
-        super().__init__(gamma, tau, kmax, n)
+        super().__init__(gamma, tau, kmax, gauss_legendre(n, -kmax, kmax))
         if gamma == 0.0:
             self.mu_hi = 0.0  # the Bose density diverges as mu -> 0-
 
@@ -653,10 +711,45 @@ class _IdealGrid(_Rung):
         return float(self.w @ dn) / (2.0 * math.pi * self.tau)
 
 
+def _graded_edges(kmax: float, panels: int, carry: TBASolution | None) -> np.ndarray:
+    """Half-line panel edges of an interacting rung: ``panels`` uniform
+    panels of width ``h`` on ``[0, kmax]``, graded at each Fermi point
+    ``K_F > 0`` of the previous rung's ``carry`` (a zero of ``E``, located
+    by linear interpolation between nodes) by edges at ``K_F`` and
+    ``K_F +- h 2^-l`` for ``l = 1, 2, ...`` until the step reaches the
+    Fermi width ``tau / |E'(K_F)|``.  Edges closer than half the finest
+    step to a kept one are dropped."""
+    h = kmax / panels
+    cands = [h * i for i in range(1, panels)]
+    gap = 0.5 * h
+    if carry is not None:
+        pos = carry.grid > 0.0
+        k, e = carry.grid[pos], carry.eps[pos]
+        for i in np.flatnonzero(np.signbit(e[:-1]) != np.signbit(e[1:])):
+            slope = (e[i + 1] - e[i]) / (k[i + 1] - k[i])
+            kf = k[i] - e[i] / slope
+            width = carry.tau / abs(slope)
+            cands.append(kf)
+            step = h
+            while step > width:
+                step *= 0.5
+                cands += [kf - step, kf + step]
+            gap = min(gap, 0.5 * step)
+    kept = [0.0]
+    for x in sorted(x for x in cands if 0.0 < x < kmax):
+        if x - kept[-1] > gap:
+            kept.append(x)
+    if kmax - kept[-1] > gap:
+        kept.append(kmax)
+    else:
+        kept[-1] = kmax
+    return np.array(kept)
+
+
 def solve_tba(
     params: LLParams,
     *,
-    n0: int = 201,
+    n0: int | None = None,
     tol: float = 1e-8,
 ) -> TBASolution:
     """Finite-temperature thermodynamics at ``(gamma, tau)``.
@@ -666,7 +759,7 @@ def solve_tba(
     ``E(K) = K^2 - mu - tau * integral ker(K - K') log(1 + exp(-E'/tau)) dK'``
 
     with ``ker(q) = (gamma/pi) / (q^2 + gamma^2)`` is solved by Newton's
-    method on a symmetric Gauss-Legendre grid wide enough that
+    method on a grid symmetric about 0 and wide enough that
     ``exp(-(Kmax^2 - mu)/tau) < 1e-12``; ``E`` is even, so the solve runs
     on the ``K >= 0`` half of that mirrored grid and the returned arrays
     are mirrored back.  The factorized Jacobian of each Newton step also
@@ -677,30 +770,38 @@ def solve_tba(
     and its derivative in ``mu``, so ``mu`` is fixed by an outer
     safeguarded Newton solve of ``integral f = 1``.
 
-    Nodes double until the energy per particle is stable to ``tol``
+    For ``0 < gamma < inf`` the grid is a composite rule, mirrored about
+    0, of panels with 16 Gauss-Legendre nodes, and the kernel is
+    product-integrated against each panel's interpolant
+    (``_panel_operator``).  The first rung has ``n0 // 32`` uniform panels
+    on each half-line; each later rung doubles them and grades the panels
+    at the previous rung's Fermi points (``_graded_edges``).  The default
+    ``n0 = 64`` (two panels per half-line) is the smallest first rung
+    measured to stay accurate: from 32 the ladder stops too early at
+    ``tau = 1e3`` (1e-7 off at ``gamma = 0.01``), and 96-201 cost as
+    much or more.  The endpoints
+    ``gamma = 0`` (ideal Bose gas) and ``gamma = inf`` (impenetrable,
+    free-fermion) keep one Gauss-Legendre rule of ``n0`` nodes (default
+    201) and ``2 n0 + 1`` on the next rung, with the same ``mu`` solve
+    and closed-form occupations in place of the kernel; they solve at
+    any ``tau``.
+
+    The ladder stops when the energy per particle is stable to ``tol``
     (relative); an ``n0`` whose next rung ``2*n0 + 1`` is above the
     ladder's ceiling raises :class:`ConvergenceError` before any rung
-    runs.  The moment-corrected kernel converges fast even where
-    ``gamma`` is below the node spacing: at ``tau = 1e3`` the ladder
-    stops at 403 nodes at nine log-spaced ``gamma`` from 0.01 to 100.
-    Near the ideal-Bose edge at low ``tau`` the convergence is still
-    algebraic (each doubling shrinks the change only 2-3x), so the
-    ladder keeps an algebraic-tail acceptance for ``0 < gamma < inf``:
-    when a doubling gains less than 8x while the change is already below
-    1e-3, it stops.  Without it ``(gamma, tau) = (0.001, 0.05)`` and
-    ``(0.001, 0.1)`` climb to 6463 nodes in 4-5 s each (1 BLAS thread);
-    with it they stop at 1615 nodes, 1.1e-10 (absolute) from the
-    6463-node shift.  The energy stop does not bound the shift
-    ``E - P/2``, a difference of two numbers of size ``tau/2``: at
-    ``(1, 1e3)``, ``(0.8, 1e3)`` and ``(1, 1e4)`` it stops at 403 nodes
-    with the shift 3-5e-7 (relative) below that of a 6463-node ladder.
-    ROADMAP item 3 (a stop judged on the shift) holds the fix.
-    The endpoints ``gamma = 0`` (ideal Bose gas) and ``gamma = inf``
-    (impenetrable, free-fermion) run on the same ladder and the same
-    ``mu`` solve, with closed-form occupations in place of the kernel;
-    having no kernel they never take the algebraic-tail acceptance, which
-    applies only for ``0 < gamma < inf``, and they solve at any ``tau``.
-    For interacting states ``tau >= 2e4`` is outside the domain: the
+    runs.  The product-integrated kernel's error does not depend on
+    ``gamma``, so the energy stop alone ends every ladder: at ``tau =
+    1e3`` it stops at 128 nodes for nine log-spaced ``gamma`` from 0.01
+    to 100, and at ``tau = 0.5`` at 384-448 nodes for eight from 0.025
+    to 100.  Near the ideal-Bose edge, ``(gamma, tau) = (0.001, 0.05)``,
+    ``(0.001, 0.1)`` and ``(0.005, 0.5)`` stop at 384 nodes within
+    1e-10 (absolute) of a ladder started two rungs deeper.  The energy
+    stop does not bound the shift ``E - P/2``, a difference of two
+    numbers of size ``tau/2``, so at high ``tau`` the shift's error
+    depends on where the ladder stops: at ``(1, 1e4)`` it is within
+    1e-12 (relative) from the default first rung and 2e-8 off from
+    ``n0 = 128``; a stop judged on the shift would bound it.  For
+    interacting states ``tau >= 2e4`` is outside the domain: the
     ladder's energy criterion no longer bounds the error of the shift
     there, and ``e_res_high_T`` gives the classical limit.
     """
@@ -717,6 +818,8 @@ def solve_tba(
             "certify its result; use e_res_high_T for the high-temperature shift"
         )
 
+    if n0 is None:
+        n0 = _PANEL_N0 if interacting else _IDEAL_N0
     if n0 > _TBA_MAX_NODES:
         raise ConvergenceError(f"n0={n0} is above the ladder's {_TBA_MAX_NODES}-node ceiling")
     if 2 * n0 + 1 > _TBA_MAX_NODES:
@@ -728,32 +831,30 @@ def solve_tba(
     mu_hat = max(math.pi**2, mu + 2.0 * tau)
     carry: TBASolution | None = None
     prev_energy = None
-    prev_rel = None
-    n = n0
-    while n <= _TBA_MAX_NODES:
+    n, panels = n0, max(1, n0 // (2 * _PANEL_NODES))
+    while True:
         kmax = math.sqrt(max(mu_hat, 0.0) + _TAIL_LOG * tau)
-        solver = (_TBAGrid if interacting else _IdealGrid)(gamma, tau, kmax, n)
-        if carry is not None and interacting:
-            solver.seed(carry.grid, carry.eps, mu)
+        if interacting:
+            edges = _graded_edges(kmax, panels, carry)
+            n = 2 * _PANEL_NODES * (edges.size - 1)
+        if n > _TBA_MAX_NODES:
+            break
+        if interacting:
+            solver = _TBAGrid(gamma, tau, kmax, edges)
+            if carry is not None:
+                solver.seed(carry.grid, carry.eps, mu)
+        else:
+            solver = _IdealGrid(gamma, tau, kmax, n)
         solver.solve_mu(mu)
         sol = solver.result()
         del solver  # the next rung needs only sol: free this kernel and Jacobian
         _, energy = observables(sol)
-        if prev_energy is not None:
-            rel = abs(energy - prev_energy) / max(abs(energy), 1e-12)
-            if rel <= tol:
-                return sol
-            # algebraic tail: doublings gain less than 8x while already
-            # at the 1e-3 level -- near the ideal-Bose edge at low tau,
-            # where further refinement buys ~nothing
-            if (interacting and prev_rel is not None and rel <= 1e-3
-                    and prev_rel / max(rel, 1e-300) < 8.0):
-                return sol
-            prev_rel = rel
+        if prev_energy is not None and abs(energy - prev_energy) <= tol * max(abs(energy), 1e-12):
+            return sol
         prev_energy = energy
         mu = mu_hat = sol.mu
         carry = sol
-        n = 2 * n + 1
+        n, panels = 2 * n + 1, 2 * panels
     raise ConvergenceError(
         f"TBA energy not stable to {tol} by {_TBA_MAX_NODES} nodes (gamma={gamma}, tau={tau})",
         best=carry,

@@ -125,9 +125,9 @@ _GL_MAX_EVALS = 10
 _GL_STEP_TOL = 4.0 * np.finfo(float).eps
 
 
-# The TBA and ground-state node ladders (13 sizes) and the anyon panels
-# (n = 32) use 14 distinct n; the bound keeps a caller that asks for many
-# distinct n from growing memory.
+# The ground-state and endpoint TBA node ladders (13 sizes), the TBA
+# panels (n = 16) and the anyon panels (n = 32) use 15 distinct n; the
+# bound keeps a caller that asks for many distinct n from growing memory.
 @functools.lru_cache(maxsize=16)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on ``[-1, 1]``, ascending.
@@ -212,7 +212,7 @@ def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:
     if np.any(bad):
         i = int(np.argmax(bad))
         raise EvaluationError(
-            f"integrand returned {values[i]!r} at node {nodes[i]!r}", float(nodes[i])
+            f"integrand returned {float(values[i])} at node {float(nodes[i])}", float(nodes[i])
         )
 
 

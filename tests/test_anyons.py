@@ -27,6 +27,7 @@ from lowdgas.anyon_abelian import (
     e_rel_semion,
     y_dilute,
 )
+from lowdgas.anyon_nacs import NACSSystem, b2_nacs_isotropic, e_rel_nacs
 from lowdgas.numerics import golden_section_max
 
 
@@ -334,6 +335,46 @@ def test_shift_matches_b2_temperature_derivative():
         fd = -(b(1.0 + h) - b(1.0 - h)) / (2.0 * h)
         got = e_rel_abelian(alpha, SoftCoreBC(sigma, eps0), 1.0)
         assert got == pytest.approx(fd, rel=1e-8)
+
+
+@pytest.mark.parametrize("eps", [702.0, 705.0, 709.0, 710.0, 1e3])
+def test_attractive_core_beyond_float_range_is_a_domain_error(eps):
+    # the bound-state weight exp(eps) takes B_2 and the shifts past
+    # 1.8e308: each call returns a finite float or raises one ValueError
+    # that names eps, never -inf or a bare OverflowError
+    bc = SoftCoreBC(-1, eps)
+    nacs = NACSSystem.isotropic(3, 0.5, eps, -1)
+    calls = {
+        "b2_softcore": lambda: b2_softcore(0.3, bc).value,
+        "e_rel_abelian": lambda: e_rel_abelian(0.3, bc, 1.0),
+        "e_rel_semion": lambda: e_rel_semion(bc, 1.0),
+        "b2_nacs_isotropic": lambda: b2_nacs_isotropic(nacs),
+        "e_rel_nacs": lambda: e_rel_nacs(nacs, 1.0),
+    }
+    raised = set()
+    for name, call in calls.items():
+        try:
+            value = call()
+        except ValueError as err:
+            assert str(err).startswith(f"eps={eps!r}: the result exceeds float range"), name
+            raised.add(name)
+        else:
+            assert math.isfinite(value), name
+    if eps == 702.0:
+        assert not raised
+        assert e_rel_abelian(0.3, bc, 1.0) == pytest.approx(-1.05e308, rel=3e-3)
+    if eps >= 705.0:
+        assert {"e_rel_abelian", "e_rel_semion", "e_rel_nacs"} <= raised
+    if eps >= 710.0:
+        assert raised == set(calls)
+
+
+def test_vanishing_core_strength_does_not_warn():
+    # at eps = 1e-250 the domain reaches u ~ 1e176, where the denominator
+    # overflows to inf inside the integrand's errstate; the value is the
+    # eps = 0 limit (tier-1 turns a RuntimeWarning into an error)
+    got = b2_softcore(0.7, SoftCoreBC(1, 1e-250))
+    assert got.value == pytest.approx(b2_softcore(0.7, SoftCoreBC(1, 0.0)).value, rel=1e-12)
 
 
 def test_shift_near_integer_continuity_and_jump():

@@ -422,6 +422,22 @@ def test_main_exit_codes(tmp_path):
     assert main(["sweep", good, "--out", str(tmp_path / "no/dir/x.csv")]) == EXIT_IO
 
 
+@pytest.mark.parametrize("argv", [
+    "anyon shift --alpha 0.3 --sigma -1 --eps 705 --x 0.1",
+    "nacs shift --k 3 --l 0.5 --sigma -1 --eps 706 --x 0.1",
+    "anyon semion --sigma -1 --eps 706 --x 0.1",
+    "anyon b2 --alpha 0.3 --sigma -1 --eps 710",
+])
+def test_attractive_core_beyond_float_range_fails_its_row(argv, capsys):
+    # a result beyond float range is a status row and exit 2, never an
+    # "inf" value with status ok
+    assert main(argv.split()) == EXIT_SOLVER
+    row = capsys.readouterr().out.strip().splitlines()[-1]
+    eps = float(argv.split("--eps ")[1].split()[0])
+    assert row.endswith(f"ValueError: eps={eps!r}: the result exceeds float range (the bound-state weight is exp(eps))")
+    assert "inf" not in row.split("ValueError")[0]
+
+
 def test_main_failing_sweep_still_writes_all_rows(tmp_path):
     out = str(tmp_path / "fail.csv")
     specfile = _write(
@@ -443,7 +459,7 @@ def test_main_single_point_to_stdout(capsys):
 @pytest.mark.parametrize(
     "argv,error",
     [
-        ("anyon b2 --alpha 0.5 --sigma -1 --eps 800", "OverflowError"),
+        ("anyon b2 --alpha 0.5 --sigma -1 --eps 800", "ValueError"),
         ("ll shift --gamma 1 --nodes 7000 --tau 0.5", "ConvergenceError"),
         ("ll ground --gamma 1 --nodes 5000", "ConvergenceError"),
         ("ll shift --gamma 1 --tau 0 --nodes 5000", "ConvergenceError"),

@@ -317,18 +317,20 @@ def test_finite_T_shift_frozen(gamma, tau):
 
 # gamma -> shift at tau = 1, deep in the strong-coupling tail, where it
 # falls like 6.75/gamma; frozen from the plain subtracted kernel, which
-# resolves this flat kernel on the first rung
+# resolves this flat kernel on the first rung.  At 1e7 the shift is 2e-7
+# of E, so E - P/2 resolves it only to a few 1e-9 (the node count moves
+# it by that much); that entry is frozen from the panel ladder's default
 STRONG_SHIFT = {
     1e5: 6.750260901311478e-05,
     1e6: 6.750611875272483e-06,
-    1e7: 6.750638270602849e-07,
+    1e7: 6.750638279484633e-07,
 }
 
 
 @pytest.mark.parametrize("gamma", sorted(STRONG_SHIFT))
 def test_strong_coupling_shift_keeps_precision(gamma):
-    # M2 - S2 -> 0 as gamma grows, so the second-moment correction must
-    # not turn the rounding of M2 into an O(1) relative error
+    # the kernel is flat and weak here, so the product weights must not
+    # turn rounding into an O(1) relative error of the shift
     got = e_res_finite_T(LLParams(gamma, 1.0))
     assert got == pytest.approx(STRONG_SHIFT[gamma], rel=1e-9)
 
@@ -378,66 +380,72 @@ def test_pseudo_energy_between_nodes_matches_a_deeper_ladder(gamma, tau):
 
 
 def _moments(nodes, gamma, kmax):
-    """``integral ker(q) q^p dq`` over ``q`` in ``[-kmax - K, kmax - K]``,
-    ``p = 0, 1, 2``, from the antiderivatives ``atan(q/gamma)/pi``,
-    ``(gamma/2pi) log(q^2 + gamma^2)`` and ``(gamma/pi) (q - gamma atan(q/gamma))``,
-    evaluated at 30 digits: in double precision M1 and M2 cancel at large
-    ``gamma`` (M2 to about eps * gamma * kmax)."""
-    rows = []
+    """``integral ker(q) dq`` over ``q`` in ``[-kmax - K, kmax - K]`` from the
+    antiderivative ``atan(q/gamma)/pi``, evaluated at 30 digits."""
     with mpmath.workdps(30):
         g = mpmath.mpf(gamma)
-        for k in nodes:
-            lo, hi = -kmax - mpmath.mpf(float(k)), kmax - mpmath.mpf(float(k))
-            arc = mpmath.atan(hi / g) - mpmath.atan(lo / g)
-            rows.append((
-                arc / mpmath.pi,
-                g / (2 * mpmath.pi) * mpmath.log((hi * hi + g * g) / (lo * lo + g * g)),
-                g / mpmath.pi * (hi - lo - g * arc),
-            ))
-    return tuple(np.array([float(r[p]) for r in rows]) for p in range(3))
+        return np.array([
+            float((mpmath.atan((kmax - mpmath.mpf(float(k))) / g)
+                   - mpmath.atan((-kmax - mpmath.mpf(float(k))) / g)) / mpmath.pi)
+            for k in nodes
+        ])
 
 
 def _plain_operator(nodes, weights, gamma, m0):
-    """Zeroth-order terms ``W + diag(M0 - S0)`` of the oracle below, with
-    ``W_ij = w_j ker(K_i - K_j)`` (zero diagonal) and the analytic masses
-    ``m0``: the plain subtracted kernel the ground state solves with."""
+    """``W + diag(M0 - S0)`` with ``W_ij = w_j ker(K_i - K_j)`` (zero
+    diagonal) and the analytic masses ``m0``: the plain subtracted kernel
+    the ground state solves with."""
     q = nodes[None, :] - nodes[:, None]
     w = weights[None, :] * (gamma / math.pi) / (q * q + gamma * gamma)
     np.fill_diagonal(w, 0.0)
     return w + np.diag(m0 - w.sum(axis=1))
 
 
-def _corrected_operator(nodes, weights, gamma, kmax):
-    """Full-grid oracle for the solver's folded kernel, assembled term by
-    term from its definition ``C = W + diag(M0 - S0) + diag(M1 - S1) D +
-    diag(M2 - S2) D^2 / 2`` on a symmetric Gauss-Legendre grid."""
+def _product_operator(nodes, weights, edges, gamma):
+    """Full-grid oracle for the solver's folded kernel: ``C_ij`` integrates
+    ``ker(K_i - K)`` against the Lagrange basis polynomial of node ``j`` on
+    its panel (16 nodes per panel of ``edges``).  With ``q = c + h t`` on the
+    panel ``[c - h, c + h]`` and ``zeta = (K_i - c)/h + i gamma/h`` that is
+    ``sum_k Im I_k(zeta)/pi (k + 1/2) w_j P_k(t_j)``, where the moments
+    ``I_k = integral_-1^1 P_k(t)/(t - zeta) dt`` come from the forward
+    recurrence at 40 digits wherever the Bernstein radius of ``zeta`` is
+    below the solver's ``_FAR_RHO``; beyond it the plain
+    ``w_j ker(K_i - K_j)``, as the solver defines the operator (there the
+    plain rule integrates a smooth density to rounding, though each entry
+    of the basis is off by up to ``rho^-17``)."""
+    p = 16
     n = nodes.size
-    off = ~np.eye(n, dtype=bool)
-    q = nodes[None, :] - nodes[:, None]  # K_j - K_i
-    m0, m1, m2 = _moments(nodes, gamma, kmax)
-    plain = _plain_operator(nodes, weights, gamma, m0)
-    # q vanishes on the diagonal, so plain * q^p is W q^p there too
-    a1, a2 = (m - (plain * q**p).sum(axis=1) for p, m in ((1, m1), (2, m2)))
-    # barycentric differentiation on Gauss-Legendre nodes (Wang & Xiang 2012)
-    x = nodes / kmax
-    lam = (-1.0) ** np.arange(n) * np.sqrt((1.0 - x * x) * weights)
-    inv = np.zeros((n, n))
-    inv[off] = -1.0 / q[off]  # 1 / (K_i - K_j)
-    d1 = lam[None, :] / lam[:, None] * inv
-    d1[~off] = -d1.sum(axis=1)
-    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - inv)
-    d2[~off] = 0.0
-    d2[~off] = -d2.sum(axis=1)
-    return plain + a1[:, None] * d1 + 0.5 * a2[:, None] * d2
+    out = np.empty((n, n))
+    k = np.arange(p)
+    for panel, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        on = slice(panel * p, (panel + 1) * p)
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t, w = (nodes[on] - c) / h, weights[on] / h
+        proj = (np.polynomial.legendre.legvander(t, p - 1) * w[:, None] * (k + 0.5)).T / math.pi
+        d = nodes[:, None] - nodes[on]
+        out[:, on] = weights[on] * (gamma / math.pi) / (d * d + gamma * gamma)
+        for i in range(n):
+            zeta = complex((nodes[i] - c) / h, gamma / h)
+            if abs(zeta + np.sqrt(zeta - 1.0) * np.sqrt(zeta + 1.0)) >= lieb_liniger._FAR_RHO:
+                continue
+            with mpmath.workdps(40):
+                z = mpmath.mpc(zeta.real, zeta.imag)
+                moments = [mpmath.log((1 - z) / (-1 - z))]
+                moments.append(2 + z * moments[0])
+                for j in range(1, p - 1):
+                    moments.append(((2 * j + 1) * z * moments[j] - j * moments[j - 1]) / (j + 1))
+                im = np.array([float(m.imag) for m in moments])
+            out[i, on] = im @ proj
+    return out
 
 
 @pytest.mark.parametrize("gamma, tau", [(1.0, 1.0), (0.1, 0.5), (10.0, 2.0), (1.0, 1e3)])
 def test_density_solves_the_level_density_equation(gamma, tau):
     # the density taken from the Newton Jacobian solves the Nystrom form of
     # f (1 + e^{E/tau}) = 1/2pi + ker * f, (I - diag(fermi) C) f = fermi/2pi,
-    # with C the moment-corrected kernel rebuilt on the solution's full grid
+    # with C the product-integrated kernel rebuilt on the solution's full grid
     sol = solve_tba(LLParams(gamma, tau))
-    conv = _corrected_operator(sol.grid, sol.weights, gamma, sol.kmax)
+    conv = _product_operator(sol.grid, sol.weights, sol.edges, gamma)
     fermi = 1.0 / (1.0 + np.exp(sol.eps / tau))
     density = np.linalg.solve(np.eye(sol.grid.size) - fermi[:, None] * conv, fermi / TWO_PI)
     assert np.max(np.abs(sol.density - density)) < 1e-12
@@ -446,18 +454,25 @@ def test_density_solves_the_level_density_equation(gamma, tau):
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("n", [63, 64])
 def test_folded_convolution_matches_the_full_grid(n, gamma):
-    # the solver's folded corrected convolution on the K >= 0 half of an
-    # even vector against the full-grid oracle; at odd n the half starts
-    # at the middle node K = 0, so its row and column are in the check
+    # the solver's folded product-integrated convolution on the K >= 0 half
+    # of an even vector against the full-grid oracle, on the first rung
+    # solve_tba builds from n0 = n: n // 32 uniform panels per half-line
+    # (one at n = 63, two at 64), each half mirrored onto the other, so no
+    # node sits at K = 0
     kmax = 6.0
-    tba = lieb_liniger._TBAGrid(gamma, 1.0, kmax, n)
+    tba = lieb_liniger._TBAGrid(gamma, 1.0, kmax, lieb_liniger._graded_edges(kmax, n // 32, None))
     nodes, weights = tba.rule.nodes, tba.rule.weights
     k2 = nodes * nodes
     v = np.exp(-0.5 * k2) * (2.0 + np.cos(k2))
-    full = _corrected_operator(nodes, weights, gamma, kmax) @ v
-    half = n // 2
-    assert (tba.grid[0] == 0.0) == (n % 2 == 1)
-    np.testing.assert_allclose(tba._conv(v[half:]), full[half:], rtol=1e-13, atol=0.0)
+    full = _product_operator(nodes, weights, tba.edges, gamma) @ v
+    half = nodes.size // 2
+    assert nodes.size == 32 * (n // 32) and tba.grid[0] > 0.0
+    assert np.array_equal(nodes[:half], -nodes[half:][::-1])
+    # normwise: a panel's product weights cancel to ~eps entrywise (at
+    # gamma -> 0 they tend to the Kronecker delta), so where v has fallen
+    # by 1e5 the output keeps an absolute rounding of eps * max|v|
+    miss = np.max(np.abs(tba._conv(v[half:]) - full[half:]))
+    assert miss <= 1e-13 * np.max(np.abs(full))
     assert float(tba.w @ v[half:]) == pytest.approx(float(weights @ v), rel=1e-14)
 
 
@@ -471,7 +486,7 @@ def test_plain_fold_matches_the_full_grid(n, gamma):
     # entrywise, since A v cancels to ~1e-3 of v at gamma = 1e-3
     rule = gauss_legendre(n, -1.0, 1.0)
     nodes, weights = rule.nodes, rule.weights
-    plain = _plain_operator(nodes, weights, gamma, _moments(nodes, gamma, 1.0)[0])
+    plain = _plain_operator(nodes, weights, gamma, _moments(nodes, gamma, 1.0))
     y, cw, _, full = lieb_liniger._fold(rule)
     assert (y[0] == 0.0) == (n % 2 == 1)
     folded = (np.eye(n) - plain)[n // 2:] @ np.eye(y.size)[full]
@@ -480,27 +495,49 @@ def test_plain_fold_matches_the_full_grid(n, gamma):
     )
 
 
-@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
-@pytest.mark.parametrize("n", [63, 64])
-def test_corrected_kernel_is_exact_on_quadratics(n, gamma):
-    # the subtraction is exact to second order: C 1 = M0 and
-    # C K^2 = K^2 M0 + 2 K M1 + M2, at every node, whether or not the
-    # grid resolves the kernel
-    kmax = 6.0
-    tba = lieb_liniger._TBAGrid(gamma, 1.0, kmax, n)
+def _even_power_integrals(x, gamma, kmax):
+    """``integral_-kmax^kmax ker(x - q) q^2m dq`` for ``2m < 16``, at 130
+    digits: with ``q = x + u``, the binomial sum of ``x^(2m - r)`` times
+    ``(gamma/pi) J_r``, ``J_r = integral u^r/(u^2 + gamma^2) du`` over
+    ``[-kmax - x, kmax - x]``, from ``J_0 = (atan(b/gamma) - atan(a/gamma))/gamma``,
+    ``J_1 = log((b^2 + gamma^2)/(a^2 + gamma^2))/2`` and
+    ``J_r = (b^(r-1) - a^(r-1))/(r-1) - gamma^2 J_(r-2)``, which cancels
+    like ``gamma^r``."""
+    with mpmath.workdps(130):
+        g, x = mpmath.mpf(gamma), mpmath.mpf(float(x))
+        a, b = -kmax - x, kmax - x
+        j = [(mpmath.atan(b / g) - mpmath.atan(a / g)) / g,
+             mpmath.log((b * b + g * g) / (a * a + g * g)) / 2]
+        for r in range(2, 15):
+            j.append((b ** (r - 1) - a ** (r - 1)) / (r - 1) - g * g * j[r - 2])
+        return [
+            float(g / mpmath.pi * sum(math.comb(n, r) * x ** (n - r) * j[r] for r in range(n + 1)))
+            for n in range(0, 16, 2)
+        ]
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 0.025, 1.0, 1e3])
+def test_panel_operator_is_exact_on_even_polynomials(gamma):
+    # product integration integrates ker(K_i - K) exactly against each
+    # panel's interpolant, so C K^2m matches the integral over [-kmax,
+    # kmax] for 2m < 16 at every node, whether or not the panels resolve
+    # the kernel; the grid is graded like a rung at a Fermi point
+    kmax = 2.0
+    edges = np.array([0.0, 0.5, 0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.2, 1.5, 2.0])
+    tba = lieb_liniger._TBAGrid(gamma, 1.0, kmax, edges)
     k = tba.grid
-    m0, m1, m2 = _moments(k, gamma, kmax)
-    np.testing.assert_allclose(tba._conv(np.ones_like(k)), m0, rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(tba._conv(k * k), k * k * m0 + 2.0 * k * m1 + m2, rtol=0.0, atol=2e-12)
-    # the closed-form moments against adaptive quadrature at one node
-    i = k.size // 2
+    exact = np.array([_even_power_integrals(x, gamma, kmax) for x in k])
+    for m in range(8):
+        np.testing.assert_allclose(tba._conv(k ** (2 * m)), exact[:, m], rtol=1e-12, atol=0.0)
+    # the closed form against adaptive quadrature at one node
+    x = k[k.size // 2]
+    peak = [p for p in (x - gamma, x, x + gamma) if -kmax < p < kmax]
     with mpmath.workdps(30):
-        for p, m in enumerate((m0, m1, m2)):
-            exact = mpmath.quad(
-                lambda kk: gamma / mpmath.pi * (kk - k[i]) ** p / ((kk - k[i]) ** 2 + gamma**2),
-                [-kmax, k[i], kmax],
-            )
-            assert m[i] == pytest.approx(float(exact), rel=1e-12)
+        quad = mpmath.quad(
+            lambda q: gamma / mpmath.pi * q**14 / ((q - x) ** 2 + gamma**2),
+            [-kmax, *peak, kmax],
+        )
+    assert _even_power_integrals(x, gamma, kmax)[7] == pytest.approx(float(quad), rel=1e-12)
 
 
 def test_both_grid_parities_agree_and_mirror_exactly():
@@ -521,10 +558,11 @@ def test_both_grid_parities_agree_and_mirror_exactly():
 
 
 def test_tba_peak_memory_is_a_few_half_size_matrices():
-    # the 3231-node top rung solves on 1616 nodes: its kernel and Jacobian
-    # are two matrices of that size, and the previous rung's are freed
-    # first, so 2.25 such matrices bound the traced peak (one full-size
-    # matrix would be 80 MiB)
+    # from n0 = 1615 (50 panels per half-line) the 3200-node top rung
+    # solves on 1600 nodes: its kernel and Jacobian are two matrices of
+    # that size, and the previous rung's are freed first, so 2.25
+    # matrices of 1616^2 bound the traced peak (one full-size matrix
+    # would be 80 MiB)
     tracemalloc.start()
     try:
         solve_tba(LLParams(1.0, 1e3), n0=1615)
@@ -534,7 +572,7 @@ def test_tba_peak_memory_is_a_few_half_size_matrices():
     assert peak < 2.25 * 1616**2 * 8
 
 
-# (gamma, tau) -> shift of a corrected ladder started at n0 = 3231 (it
+# (gamma, tau) -> shift of a moment-corrected ladder started at n0 = 3231 (it
 # stops at 6463 nodes), the reference for the default ladder below
 DEEP_SHIFT = {
     (0.01, 1e3): 0.009995683059969451,
@@ -544,14 +582,39 @@ DEEP_SHIFT = {
 
 
 def test_ladder_stops_low_and_matches_a_deep_ladder():
-    # the moment-corrected kernel converges when gamma is below the node
-    # spacing, so the default ladder stops low, where the plain subtracted
-    # kernel climbed to 3231 nodes
-    assert solve_tba(LLParams(1.0, 1e3)).grid.size == 403
-    assert solve_tba(LLParams(0.025, 0.5)).grid.size <= 1615
+    # product integration is exact on each panel's interpolant whatever
+    # gamma, so the default ladder stops low: the moment-corrected kernel
+    # stopped at 403 and 1615 nodes here, the plain subtracted one at 3231
+    assert solve_tba(LLParams(1.0, 1e3)).grid.size == 128
+    assert solve_tba(LLParams(0.025, 0.5)).grid.size <= 807
     for (gamma, tau), deep in DEEP_SHIFT.items():
-        rel = 1e-5 if tau < 1.0 else 1e-7  # near the ideal-Bose edge it is algebraic
+        rel = 1e-8 if tau < 1.0 else 1e-7
         assert e_res_finite_T(LLParams(gamma, tau)) == pytest.approx(deep, rel=rel)
+
+
+# (gamma, tau) -> shift of a deep ladder (started at 1615 nodes); the
+# moment-corrected kernel missed the first two by 3.3e-7 and 4.5e-7
+HIGH_T_SHIFT = {
+    (1.0, 1e3): (0.9582198810223872, 1e-8),
+    (0.8, 1e3): (0.7730893330245294, 1e-8),
+    (1.0, 1e4): (0.9872349936422324, 5e-8),
+}
+
+
+@pytest.mark.parametrize("gamma, tau", list(HIGH_T_SHIFT))
+def test_high_T_shift_matches_a_deep_ladder(gamma, tau):
+    deep, rel = HIGH_T_SHIFT[(gamma, tau)]
+    assert e_res_finite_T(LLParams(gamma, tau)) == pytest.approx(deep, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma, tau", [(0.001, 0.05), (0.001, 0.1), (0.005, 0.5)])
+def test_ideal_bose_edge_converges_by_the_energy_stop(gamma, tau):
+    # near the ideal-Bose edge at low tau the ladder used to converge only
+    # algebraically and stop by a tail rule; the energy stop alone now
+    # lands within 1e-10 of a ladder started two rungs deeper
+    params = LLParams(gamma, tau)
+    deeper = e_res_finite_T(params, n0=4 * lieb_liniger._PANEL_N0)
+    assert e_res_finite_T(params) == pytest.approx(deeper, rel=0.0, abs=1e-10)
 
 
 def test_density_positive_peaked_and_dressed():

@@ -226,6 +226,17 @@ def test_integrate_names_the_first_nonfinite_node():
     assert exc.value.node == rule.nodes[2]
 
 
+def test_nonfinite_message_prints_plain_floats():
+    # the CLI writes the message into a status cell: no numpy reprs there
+    rule = gauss_legendre(8, 0.0, 1.0)
+    values = np.ones(8)
+    values[2] = math.inf
+    with pytest.raises(EvaluationError) as exc:
+        integrate(lambda x: values, rule)
+    assert str(exc.value) == f"integrand returned inf at node {float(rule.nodes[2])!r}"
+    assert "np.float64" not in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # fixed point
 # ---------------------------------------------------------------------------
