@@ -186,16 +186,18 @@ def _panel_edges(a: float, sc: float, eps: float) -> np.ndarray:
         refine(1.0, max(min(math.sqrt(2.0 * (1.0 + sc)), a) / 16.0, 1e-10))
     if a < 0.5:
         refine(u_star, max(a / 16.0, 1e-10))
-    # drop near-coincident edges: panels much narrower than ~1e-11 of the
-    # local scale would alias the Gauss nodes onto each other in double;
-    # every point is positive, and only refinement overshoots u_end
+    # drop near-coincident edges: panels narrower than 1e-11 of their
+    # position would alias the Gauss nodes onto each other in double; the
+    # gap is relative at every scale, since at large eps the whole domain
+    # [0, u_end] shrinks far below 1.  Every point is positive, and only
+    # refinement overshoots u_end
     pts.sort()
     edges = [0.0]
     last = 0.0
     for p in pts:
         if p > u_end:
             break
-        if p - last > 1e-11 * (p if p > 1.0 else 1.0):
+        if p - last > 1e-11 * p:
             edges.append(p)
             last = p
     return np.asarray(edges)
@@ -210,10 +212,6 @@ def _scatter_integral(a: float, sigma: int, eps: float, moment: int) -> float:
     ``-d/d(eps)`` appearing in the energy shift.
     """
     sc = sigma * math.cos(math.pi * a)
-    if eps == 0.0:
-        # exp factor gone; for moment 0 the integral is elementary
-        theta = math.acos(max(-1.0, min(1.0, sc)))
-        return theta / math.sin(theta) / a
     inv_a = 1.0 / a
     # 1 + sc without cancellation (it reaches ~(pi*(1-a))^2/2 near the
     # fermionic pole); the denominator is then (1-u)^2 + 2u(1+sc)
@@ -252,6 +250,12 @@ def _scatter_part(a: float, sigma: int, eps: float, moment: int) -> float:
         # sin(pi a) kills the integral except against the sigma = +1
         # fermionic-point pole, whose limit is exp(-eps)
         return math.exp(-eps) if (a == 1.0 and sigma == +1) else 0.0
+    if eps == 0.0:
+        # exp factor gone; the moment-0 integral is theta / (a sin(theta))
+        # with theta = acos(sigma cos(pi a)), that is pi a or pi (1 - a), and
+        # sin(theta) = sin(pi a), so the part is sigma theta / pi.  Taken
+        # without acos, which loses theta where sigma cos(pi a) rounds to -+1
+        return a if sigma == +1 else a - 1.0
     coeff = (sigma / math.pi) * math.sin(math.pi * a)
     return coeff * (a * _scatter_integral(a, sigma, eps, moment))
 

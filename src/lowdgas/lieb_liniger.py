@@ -29,7 +29,8 @@ ground state, on one Gauss-Legendre rule, subtracts the constant,
 ``(Kv)_i = M_i v_i + sum_j w_j k_ij (v_j - v_i)`` with the analytic mass
 ``M_i``: the diagonal singularity cancels exactly.  The finite-T solve
 runs on panels of 16 Gauss-Legendre nodes, graded at the Fermi points
-``E(K_F) = 0`` down to the Fermi width ``tau/|E'|``, and integrates the
+``E(K_F) = 0`` down to the Fermi width ``tau/|E'|`` (and, for the ideal
+Bose gas, at its occupation peak ``K = 0``), and integrates the
 kernel exactly against each panel's interpolant wherever the kernel is
 sharp on the panel's scale (product integration with Legendre-Cauchy
 moments, Helsing & Ojala, J. Comput. Phys. 227, 2899, 2008).  Its error
@@ -125,8 +126,7 @@ class GroundState:
 class TBASolution:
     """Finite-temperature solution on a symmetric grid: Gauss-Legendre
     panels between the ``edges`` on ``[-kmax, kmax]``, all of equal node
-    count, or one Gauss-Legendre rule over the whole interval when
-    ``edges`` is None.
+    count.
 
     ``eps`` is the pseudo-energy ``E(K)`` in units of ``k_B T_D``,
     ``density`` the level density ``f(K)`` normalized to ``integral(f) = 1``,
@@ -141,7 +141,7 @@ class TBASolution:
     density: np.ndarray
     mu: float
     kmax: float
-    edges: np.ndarray | None = None
+    edges: np.ndarray
 
     def pseudo_energy_at(self, k: float) -> float:
         """Evaluate ``E(k)`` off-grid: for ``|k| < kmax`` the barycentric
@@ -155,8 +155,7 @@ class TBASolution:
         if math.isinf(self.gamma):
             return k * k - self.mu
         if abs(k) < self.kmax:
-            edges = (-self.kmax, self.kmax) if self.edges is None else self.edges
-            panels = len(edges) - 1
+            edges, panels = self.edges, self.edges.size - 1
             p = min(max(int(np.searchsorted(edges, k, side="right")) - 1, 0), panels - 1)
             size = self.grid.size // panels
             on = slice(p * size, (p + 1) * size)
@@ -251,7 +250,7 @@ def _bary_weights(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return lam
 
 
-# Gauss-Legendre nodes per panel of an interacting TBA rung
+# Gauss-Legendre nodes per panel of a TBA rung
 _PANEL_NODES = 16
 # Bernstein-ellipse radius from which a panel's plain Gauss rule integrates
 # the Lorentzian times a smooth density to rounding (error ~ rho^-32)
@@ -543,16 +542,17 @@ _NEWTON_TOL = 1e-11  # on the pseudo-energy step, relative to max|E|
 _NORM_TOL = 1e-10  # on the normalization residual integral(f) - 1
 _MAX_NEWTON = 50
 _MAX_MU_TRIALS = 60
-# default first rungs: two uniform panels per half-line for 0 < gamma < inf,
-# a 201-node Gauss-Legendre rule for the endpoints gamma in {0, inf}
+# default first rung: two uniform panels per half-line
 _PANEL_N0 = 4 * _PANEL_NODES
-_IDEAL_N0 = 201
 
 
 class _Rung:
-    """One rung of the ``solve_tba`` ladder, on the ``K >= 0`` half of a
-    mirror-symmetric ``rule`` on ``[-kmax, kmax]`` (``E`` and ``f`` are
-    even in ``K``).
+    """One rung of the ``solve_tba`` ladder, on the composite rule with
+    ``_PANEL_NODES`` Gauss-Legendre nodes on each panel of the half-line
+    ``edges`` (from 0 to ``kmax``) and on their mirror images.  ``E`` and
+    ``f`` are even in ``K``, so the rung solves on the ``K >= 0`` half;
+    with an edge at 0 no node sits there, and every half column has its
+    own full weight.
 
     A subclass's ``_newton(mu)`` sets ``eps``, ``density`` and ``mu`` and
     returns ``dn/dmu``; ``solve_mu`` closes ``integral f = 1`` with it and
@@ -560,15 +560,26 @@ class _Rung:
     """
 
     mu_hi = math.inf  # the density is finite at every mu
-    edges = None  # panel edges of the rule; None for one Gauss-Legendre panel
 
-    def __init__(self, gamma: float, tau: float, kmax: float, rule: QuadratureRule):
-        self.rule = rule
+    def __init__(self, gamma: float, tau: float, kmax: float, edges: np.ndarray):
+        half = composite_rule(edges, _PANEL_NODES)
+        self.rule = QuadratureRule(
+            np.concatenate((-half.nodes[::-1], half.nodes)),
+            np.concatenate((half.weights[::-1], half.weights)),
+            (-kmax, kmax),
+        )
+        self.edges = np.concatenate((-edges[::-1], edges[1:]))
         self.gamma, self.tau, self.kmax = gamma, tau, kmax
         self.grid, self.cw, self.w, self._full = _fold(self.rule)
         self.k2 = self.grid * self.grid
         self.eps = self.density = None
         self.mu = math.nan
+
+    def seed(self, grid_old: np.ndarray, eps_old: np.ndarray, mu: float) -> None:
+        # carry the smooth part E - (K^2 - mu) across grid refinements
+        res = eps_old - (grid_old * grid_old - mu)
+        self.eps = self.k2 - mu + np.interp(self.grid, grid_old, res)
+        self.mu = mu
 
     def solve_mu(self, mu: float) -> None:
         """Safeguarded Newton on ``integral f - 1``: the density rises with
@@ -578,8 +589,6 @@ class _Rung:
         can vanish while the bracket is still open."""
         pad = max(2.0 * self.tau, 2.0)
         lo, hi = -math.inf, self.mu_hi
-        if not mu < hi:  # the classical start is > 0 for Bose at tau < 4pi
-            mu = hi - self.tau
         for _ in range(_MAX_MU_TRIALS):
             slope = self._newton(mu)
             miss = float(self.w @ self.density) - 1.0
@@ -615,14 +624,10 @@ class _Rung:
 
 
 class _TBAGrid(_Rung):
-    """Interacting rung, ``0 < gamma < inf``, on the composite rule with
-    ``_PANEL_NODES`` Gauss-Legendre nodes on each panel of the half-line
-    ``edges`` (from 0 to ``kmax``) and on their mirror images; with an
-    edge at 0 no node sits there, so every half column has its own full
-    weight.  On the nominal grids of the ``ll-finite-T`` benchmark the
-    rungs are 64 -> 128 nodes at ``tau = 1e3`` and 64 -> 288-416 ->
-    384-448 at ``tau = 0.5``, where the second rung's grading adds 7
-    panels per half-line at the Fermi point.
+    """Interacting rung, ``0 < gamma < inf``.  On the nominal grids of the
+    ``ll-finite-T`` benchmark the rungs are 64 -> 128 nodes at ``tau =
+    1e3`` and 64 -> 288-416 -> 384-448 at ``tau = 0.5``, where the second
+    rung's grading adds 7 panels per half-line at the Fermi point.
 
     Every solve goes through the Jacobian ``J = I - C diag(fermi)`` of
     ``F(E) = E - K^2 + mu + C softplus(E)``, where ``C`` is the folded,
@@ -634,26 +639,13 @@ class _TBAGrid(_Rung):
     """
 
     def __init__(self, gamma: float, tau: float, kmax: float, edges: np.ndarray):
-        half = composite_rule(edges, _PANEL_NODES)
-        rule = QuadratureRule(
-            np.concatenate((-half.nodes[::-1], half.nodes)),
-            np.concatenate((half.weights[::-1], half.weights)),
-            (-kmax, kmax),
-        )
-        super().__init__(gamma, tau, kmax, rule)
-        self.edges = np.concatenate((-edges[::-1], edges[1:]))
+        super().__init__(gamma, tau, kmax, edges)
         self.kw = _panel_operator(self.grid, self.cw, edges, gamma)
         self._jac = np.empty_like(self.kw)
         self.g = np.full(self.grid.size, 1.0 / (2.0 * math.pi))
 
     def _conv(self, values: np.ndarray) -> np.ndarray:
         return self.kw @ values
-
-    def seed(self, grid_old: np.ndarray, eps_old: np.ndarray, mu: float) -> None:
-        # carry the smooth part E - (K^2 - mu) across grid refinements
-        res = eps_old - (grid_old * grid_old - mu)
-        self.eps = self.k2 - mu + np.interp(self.grid, grid_old, res)
-        self.mu = mu
 
     def _newton(self, mu: float) -> float:
         """Solve ``F(E) = 0`` at ``mu``; sets ``eps``, ``g``, ``density``
@@ -692,8 +684,8 @@ class _IdealGrid(_Rung):
     (free fermions): the kernel drops out and, with ``x = (K^2 - mu)/tau``,
     ``E``, ``f`` and ``dn/dmu`` are closed forms, so no linear solve."""
 
-    def __init__(self, gamma: float, tau: float, kmax: float, n: int):
-        super().__init__(gamma, tau, kmax, gauss_legendre(n, -kmax, kmax))
+    def __init__(self, gamma: float, tau: float, kmax: float, edges: np.ndarray):
+        super().__init__(gamma, tau, kmax, edges)
         if gamma == 0.0:
             self.mu_hi = 0.0  # the Bose density diverges as mu -> 0-
 
@@ -711,17 +703,28 @@ class _IdealGrid(_Rung):
         return float(self.w @ dn) / (2.0 * math.pi * self.tau)
 
 
-def _graded_edges(kmax: float, panels: int, carry: TBASolution | None) -> np.ndarray:
-    """Half-line panel edges of an interacting rung: ``panels`` uniform
-    panels of width ``h`` on ``[0, kmax]``, graded at each Fermi point
-    ``K_F > 0`` of the previous rung's ``carry`` (a zero of ``E``, located
-    by linear interpolation between nodes) by edges at ``K_F`` and
-    ``K_F +- h 2^-l`` for ``l = 1, 2, ...`` until the step reaches the
-    Fermi width ``tau / |E'(K_F)|``.  Edges closer than half the finest
-    step to a kept one are dropped."""
+def _graded_edges(
+    kmax: float, panels: int, carry: TBASolution | None, peak: float | None = None
+) -> np.ndarray:
+    """Half-line panel edges of a rung: ``panels`` uniform panels of width
+    ``h`` on ``[0, kmax]``, graded at each Fermi point ``K_F > 0`` of the
+    previous rung's ``carry`` (a zero of ``E``, located by linear
+    interpolation between nodes) by edges at ``K_F`` and ``K_F +- h 2^-l``
+    for ``l = 1, 2, ...`` until the step reaches the Fermi width
+    ``tau / |E'(K_F)|``.  The ideal Bose gas passes the half-width
+    ``peak = sqrt(-mu)`` of its occupation ``~ tau / (K^2 - mu)`` at
+    ``K = 0``, which is graded by edges at ``h 2^-l`` until the step
+    reaches it.  Edges closer than half the finest step to a kept one are
+    dropped."""
     h = kmax / panels
     cands = [h * i for i in range(1, panels)]
     gap = 0.5 * h
+    if peak is not None:
+        step = h
+        while step > peak:
+            step *= 0.5
+            cands.append(step)
+        gap = 0.5 * step
     if carry is not None:
         pos = carry.grid > 0.0
         k, e = carry.grid[pos], carry.eps[pos]
@@ -770,21 +773,20 @@ def solve_tba(
     and its derivative in ``mu``, so ``mu`` is fixed by an outer
     safeguarded Newton solve of ``integral f = 1``.
 
-    For ``0 < gamma < inf`` the grid is a composite rule, mirrored about
-    0, of panels with 16 Gauss-Legendre nodes, and the kernel is
-    product-integrated against each panel's interpolant
-    (``_panel_operator``).  The first rung has ``n0 // 32`` uniform panels
-    on each half-line; each later rung doubles them and grades the panels
-    at the previous rung's Fermi points (``_graded_edges``).  The default
-    ``n0 = 64`` (two panels per half-line) is the smallest first rung
-    measured to stay accurate: from 32 the ladder stops too early at
-    ``tau = 1e3`` (1e-7 off at ``gamma = 0.01``), and 96-201 cost as
-    much or more.  The endpoints
-    ``gamma = 0`` (ideal Bose gas) and ``gamma = inf`` (impenetrable,
-    free-fermion) keep one Gauss-Legendre rule of ``n0`` nodes (default
-    201) and ``2 n0 + 1`` on the next rung, with the same ``mu`` solve
-    and closed-form occupations in place of the kernel; they solve at
-    any ``tau``.
+    At every ``gamma`` the grid is a composite rule, mirrored about 0, of
+    panels with 16 Gauss-Legendre nodes.  The first rung has ``n0 // 32``
+    uniform panels on each half-line; each later rung doubles them and
+    grades the panels at the previous rung's Fermi points, and the ideal
+    Bose gas also at its peak ``K = 0`` (``_graded_edges``).  For ``0 <
+    gamma < inf`` the kernel is product-integrated against each panel's
+    interpolant (``_panel_operator``).  The default ``n0 = 64`` (two
+    panels per half-line) is the smallest first rung measured to stay
+    accurate: from 32 the ladder stops too early at ``tau = 1e3`` (1e-7
+    off at ``gamma = 0.01``), and 96-201 cost as much or more.  The
+    endpoints ``gamma = 0`` (ideal Bose gas) and ``gamma = inf``
+    (impenetrable, free-fermion) take the same ``mu`` solve with
+    closed-form occupations in place of the kernel; they solve at any
+    ``tau``.
 
     The ladder stops when the energy per particle is stable to ``tol``
     (relative); an ``n0`` whose next rung ``2*n0 + 1`` is above the
@@ -819,7 +821,7 @@ def solve_tba(
         )
 
     if n0 is None:
-        n0 = _PANEL_N0 if interacting else _IDEAL_N0
+        n0 = _PANEL_N0
     if n0 > _TBA_MAX_NODES:
         raise ConvergenceError(f"n0={n0} is above the ladder's {_TBA_MAX_NODES}-node ceiling")
     if 2 * n0 + 1 > _TBA_MAX_NODES:
@@ -829,22 +831,19 @@ def solve_tba(
         )
     mu = _boltzmann_mu(tau)
     mu_hat = max(math.pi**2, mu + 2.0 * tau)
+    if gamma == 0.0 and mu >= 0.0:  # the classical start is >= 0 for Bose at tau <= 4pi
+        mu = -tau
     carry: TBASolution | None = None
     prev_energy = None
-    n, panels = n0, max(1, n0 // (2 * _PANEL_NODES))
+    panels = max(1, n0 // (2 * _PANEL_NODES))
     while True:
         kmax = math.sqrt(max(mu_hat, 0.0) + _TAIL_LOG * tau)
-        if interacting:
-            edges = _graded_edges(kmax, panels, carry)
-            n = 2 * _PANEL_NODES * (edges.size - 1)
-        if n > _TBA_MAX_NODES:
+        edges = _graded_edges(kmax, panels, carry, math.sqrt(-mu) if gamma == 0.0 else None)
+        if 2 * _PANEL_NODES * (edges.size - 1) > _TBA_MAX_NODES:
             break
-        if interacting:
-            solver = _TBAGrid(gamma, tau, kmax, edges)
-            if carry is not None:
-                solver.seed(carry.grid, carry.eps, mu)
-        else:
-            solver = _IdealGrid(gamma, tau, kmax, n)
+        solver = (_TBAGrid if interacting else _IdealGrid)(gamma, tau, kmax, edges)
+        if carry is not None:
+            solver.seed(carry.grid, carry.eps, mu)
         solver.solve_mu(mu)
         sol = solver.result()
         del solver  # the next rung needs only sol: free this kernel and Jacobian
@@ -854,7 +853,7 @@ def solve_tba(
         prev_energy = energy
         mu = mu_hat = sol.mu
         carry = sol
-        n, panels = 2 * n + 1, 2 * panels
+        panels *= 2
     raise ConvergenceError(
         f"TBA energy not stable to {tol} by {_TBA_MAX_NODES} nodes (gamma={gamma}, tau={tau})",
         best=carry,

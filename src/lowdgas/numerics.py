@@ -119,14 +119,15 @@ class QuadratureRule:
 
 
 # Newton budget of the node builder, in recurrence sweeps.  From
-# Tricomi's guesses n < 400 and the ladder sizes 807..3231 need at most
-# 4 steps plus the sweep at the converged nodes that gives the weights.
+# Tricomi's guesses the panel sizes 16 and 32 and the ground-state ladder
+# 64..4096 need at most 4 steps plus the sweep at the converged nodes
+# that gives the weights.
 _GL_MAX_EVALS = 10
 _GL_STEP_TOL = 4.0 * np.finfo(float).eps
 
 
-# The ground-state and endpoint TBA node ladders (13 sizes), the TBA
-# panels (n = 16) and the anyon panels (n = 32) use 15 distinct n; the
+# The ground-state node ladder (7 sizes from its default n0 = 64), the
+# TBA panels (n = 16) and the anyon panels (n = 32) use 9 distinct n; the
 # bound keeps a caller that asks for many distinct n from growing memory.
 @functools.lru_cache(maxsize=16)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:

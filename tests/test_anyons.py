@@ -10,7 +10,9 @@ which is the same reason the implementation integrates in ``u = t**a``.
 from __future__ import annotations
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,8 +152,9 @@ def test_softcore_bosonic_point_is_bound_state_only():
 
 def test_softcore_eps0_joins_the_branches():
     # at eps = 0 the bound state costs nothing and both branches meet:
-    # B2 -> -(1 + 4|d| + 2 d^2)/4, from theta/sin(theta) on either side
-    for alpha in (0.3, 0.7):
+    # B2 -> -(1 + 4|d| + 2 d^2)/4, from theta/sin(theta) on either side,
+    # also where cos(pi d) rounds to +-1 (d near 0 or 1)
+    for alpha in (0.3, 0.7, 1e-9, 1e-6, 0.999999, 1e-300):
         d = abs(StatisticsParameter(alpha).delta)
         expected = -0.25 * (1.0 + 4.0 * d + 2.0 * d * d)
         plus = b2_softcore(alpha, SoftCoreBC(1, 0.0)).value
@@ -375,6 +378,64 @@ def test_vanishing_core_strength_does_not_warn():
     # eps = 0 limit (tier-1 turns a RuntimeWarning into an error)
     got = b2_softcore(0.7, SoftCoreBC(1, 1e-250))
     assert got.value == pytest.approx(b2_softcore(0.7, SoftCoreBC(1, 0.0)).value, rel=1e-12)
+
+
+def _e_rel_repulsive_mpmath(alpha, eps):
+    # 2 eps (1/pi) sin(pi a) a integral exp(-eps t) t^a / D(t) dt for
+    # 0 < a = alpha < 1 and sigma = +1, with s = eps t: the integrand
+    # lives at t ~ 1/eps whatever eps
+    with mpmath.workdps(30):
+        a, e = mpmath.mpf(alpha), mpmath.mpf(eps)
+        c = mpmath.cos(mpmath.pi * a)
+        f = lambda s: mpmath.exp(-s) * s**a / (1 + 2 * c * (s / e) ** a + (s / e) ** (2 * a))
+        integral = mpmath.quad(f, [0, 1, 10, 100, mpmath.inf])
+        return float(2 * mpmath.sin(mpmath.pi * a) / mpmath.pi * a * e ** (-a) * integral)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("eps", [10.0**k for k in range(9, 16)])
+def test_large_repulsive_core_matches_mpmath(alpha, eps):
+    # the domain [0, (60/eps)^a] shrinks far below 1 here, so the panel
+    # edges must stay apart by a gap relative to their position, or the
+    # bulk ladder merges into too few panels
+    got = e_rel_abelian(alpha, SoftCoreBC(1, eps), 1.0)
+    assert got == pytest.approx(_e_rel_repulsive_mpmath(alpha, eps), rel=1e-9, abs=0.0)
+
+
+# the deterministic domain-edge grid: alpha, sigma = +-1 and eps from 0
+# through the attractive overflow edge (~703-709.8) and 1e-300 .. 1e300
+EDGE_ALPHAS = sorted({*np.linspace(-3.0, 3.0, 25).tolist(), 0.5, 0.999999, 2.0, -1.0, 1e-9})
+EDGE_EPS = [0.0, 703.0, 709.0, 709.9, 1e13, 1e15] + [10.0**k for k in range(-300, 301, 7)]
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_domain_edges_return_a_finite_float_or_the_range_error(sigma):
+    # every call returns a finite float or raises the one ValueError that
+    # says the result exceeds float range, and nothing warns.  Left out:
+    # (1e-9, -1, 1e-300), where e_rel_abelian warns of an overflow in the
+    # moment-1 integral, which itself exceeds float range
+    def check(name, call):
+        try:
+            value = call()
+        except ValueError as err:
+            assert "exceeds float range" in str(err), (name, err)
+        else:
+            assert isinstance(value, float) and math.isfinite(value), (name, value)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in EDGE_EPS:
+            bc = SoftCoreBC(sigma, eps)
+            for alpha in EDGE_ALPHAS:
+                if (alpha, sigma, eps) == (1e-9, -1, 1e-300):
+                    continue
+                check(("b2_softcore", alpha, eps), lambda: b2_softcore(alpha, bc).value)
+                check(("e_rel_abelian", alpha, eps), lambda: e_rel_abelian(alpha, bc, 1.0))
+            check(("e_rel_semion", eps), lambda: e_rel_semion(bc, 1.0))
+            for k, l in ((3, 0.5), (2, 1.0), (5, 1.5)):
+                nacs = NACSSystem.isotropic(k, l, eps, sigma)
+                check(("b2_nacs_isotropic", k, l, eps), lambda: b2_nacs_isotropic(nacs))
+                check(("e_rel_nacs", k, l, eps), lambda: e_rel_nacs(nacs, 1.0))
 
 
 def test_shift_near_integer_continuity_and_jump():
