@@ -82,8 +82,17 @@ EXIT_IO = 3
 
 _FLOAT_FMT = "%.17g"
 
-# The run options a config file may set, with the type of each value.
-_RUN_OPTIONS = {"format": str, "tol": float, "nodes": int}
+_FORMATS = ("csv", "json")
+
+
+def _format_name(value: str) -> str:
+    if value not in _FORMATS:
+        raise ValueError(value)
+    return value
+
+
+# The run options a config file may set, with the converter of each value.
+_RUN_OPTIONS = {"format": _format_name, "tol": float, "nodes": int}
 
 
 class SpecError(ValueError):
@@ -159,7 +168,7 @@ class SweepSpec:
         for name in names:
             if name in fixed:
                 raise SpecError(f"{name} is both an axis and a fixed parameter")
-        if self.format not in ("csv", "json", None):
+        if self.format not in (*_FORMATS, None):
             raise SpecError(f"format must be csv or json, got {self.format!r}")
 
 
@@ -769,7 +778,7 @@ class _Parser(argparse.ArgumentParser):
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--format", choices=_FORMATS, default=None)
     common.add_argument("--tol", type=float, default=None, help="solver tolerance")
     common.add_argument("--nodes", type=int, default=None, help="initial grid size")
     common.add_argument("--config", metavar="PATH", help="key=value defaults file")

@@ -144,10 +144,10 @@ class TBASolution:
     edges: np.ndarray
 
     def pseudo_energy_at(self, k: float) -> float:
-        """Evaluate ``E(k)`` off-grid: for ``|k| < kmax`` the barycentric
-        interpolant of ``eps`` on the Gauss-Legendre nodes of the panel
-        holding ``k``, beyond it one sweep of the defining equation (the
-        far tail, where ``E -> k^2 - mu``)."""
+        """Evaluate ``E(k)`` off-grid: for ``|k| < kmax`` the Legendre
+        series of ``eps`` on the panel holding ``k`` (the interpolant the
+        product-integrated kernel integrates), beyond it one sweep of the
+        defining equation (the far tail, where ``E -> k^2 - mu``)."""
         k = float(k)
         if self.gamma == 0.0:
             x = (k * k - self.mu) / self.tau
@@ -155,18 +155,11 @@ class TBASolution:
         if math.isinf(self.gamma):
             return k * k - self.mu
         if abs(k) < self.kmax:
-            edges, panels = self.edges, self.edges.size - 1
-            p = min(max(int(np.searchsorted(edges, k, side="right")) - 1, 0), panels - 1)
-            size = self.grid.size // panels
-            on = slice(p * size, (p + 1) * size)
-            nodes = self.grid[on]
-            gap = k - nodes
-            hit = np.flatnonzero(gap == 0.0)
-            if hit.size:
-                return float(self.eps[on][hit[0]])
+            edges = self.edges
+            p = min(max(int(np.searchsorted(edges, k, side="right")) - 1, 0), edges.size - 2)
             mid, half = 0.5 * (edges[p + 1] + edges[p]), 0.5 * (edges[p + 1] - edges[p])
-            c = _bary_weights((nodes - mid) / half, self.weights[on]) / gap
-            return float(c @ self.eps[on]) / float(c.sum())
+            coef = _legendre_projection() @ self.eps[p * _PANEL_NODES:(p + 1) * _PANEL_NODES]
+            return float(np.polynomial.legendre.legval((k - mid) / half, coef))
         ker = (self.gamma / math.pi) / ((k - self.grid) ** 2 + self.gamma**2)
         conv = float(np.dot(self.weights * ker, _softplus_e(self.eps, self.tau)))
         return k * k - self.mu - conv
@@ -239,15 +232,6 @@ def _folded_blocks(half: np.ndarray, gamma: float):
         if i0 == 0 and half[0] == 0.0:
             plus[0, 0] = 0.0
         yield rs, minus, plus
-
-
-def _bary_weights(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Barycentric weights ``lam_j = (-1)^j sqrt((1 - x_j^2) w_j)`` of the
-    Gauss-Legendre nodes ``x_j`` in ``(-1, 1)`` with weights ``w_j``; a
-    common scale of ``w`` cancels from every barycentric formula."""
-    lam = np.sqrt((1.0 - x) * (1.0 + x) * w)
-    lam[1::2] *= -1.0
-    return lam
 
 
 # Gauss-Legendre nodes per panel of a TBA rung
@@ -367,6 +351,44 @@ def _panel_operator(half: np.ndarray, cw: np.ndarray, edges: np.ndarray, gamma: 
 
 
 # ---------------------------------------------------------------------------
+# the node ladder
+# ---------------------------------------------------------------------------
+
+def _climb(rungs, n0: int, first: int, ceiling: int, tol: float, what: str, where: str):
+    """Return the solution of the first rung whose energy (``what`` at
+    ``where`` in the messages) is stable to ``tol`` (relative) against the
+    rung below.  ``rungs`` yields each solved rung as ``(solution, energy,
+    size)``, ``size`` being the node count of its next rung, which is asked
+    for only while it fits under ``ceiling``.
+
+    Stability is judged between two rungs, so an ``n0`` above the ceiling,
+    or whose ``first`` rung has no room for its double, raises
+    :class:`ConvergenceError` before any rung runs, and so does a second
+    rung that grading pushes past the ceiling, after the first.  At the
+    ceiling it raises with the last rung as ``best`` and the last energy
+    change as ``residual``."""
+    if n0 > ceiling:
+        raise ConvergenceError(f"n0={n0} is above the ladder's {ceiling}-node ceiling")
+    prev = None
+    change, size = math.nan, 2 * first
+    while size <= ceiling:
+        best, energy, size = next(rungs)
+        if prev is not None:
+            change = abs(energy - prev)
+            if change <= tol * max(abs(energy), 1e-12):
+                return best
+        prev = energy
+    if math.isnan(change):
+        raise ConvergenceError(
+            f"n0={n0} leaves no second rung to compare: the next rung, {size} nodes, "
+            f"is above the ladder's {ceiling}-node ceiling"
+        )
+    raise ConvergenceError(
+        f"{what} not stable to {tol} by {ceiling} nodes ({where})", best=best, residual=change
+    )
+
+
+# ---------------------------------------------------------------------------
 # zero temperature
 # ---------------------------------------------------------------------------
 
@@ -483,31 +505,20 @@ def solve_ground_state(
             f"gamma must be positive and finite (got {gamma}); "
             "the gamma=0 ideal gas needs no solver"
         )
-    if n0 > _GROUND_MAX_NODES:
-        raise ConvergenceError(f"n0={n0} is above the ladder's {_GROUND_MAX_NODES}-node ceiling")
-    if 2 * n0 > _GROUND_MAX_NODES:
-        raise ConvergenceError(
-            f"n0={n0} leaves no second rung to compare: the next rung, {2 * n0} nodes, "
-            f"is above the ladder's {_GROUND_MAX_NODES}-node ceiling"
-        )
-    prev = state = None
-    change = math.nan
-    ell = max(0.5 * math.sqrt(gamma), gamma / math.pi)
-    n = n0
-    while n <= _GROUND_MAX_NODES:
-        state = _ground_at(gamma, n, ell)
-        ell = state.ell
-        if prev is not None:
-            change = abs(state.energy - prev)
-            if change <= tol * max(abs(state.energy), 1e-12):
-                return state
-        prev = state.energy
-        n *= 2
-    raise ConvergenceError(
-        f"ground-state energy not stable to {tol} by {_GROUND_MAX_NODES} nodes (gamma={gamma})",
-        best=state,
-        residual=change,
+    return _climb(
+        _ground_rungs(gamma, n0), n0, n0, _GROUND_MAX_NODES, tol,
+        "ground-state energy", f"gamma={gamma}",
     )
+
+
+def _ground_rungs(gamma: float, n: int):
+    """The rungs of the T = 0 ladder from ``n`` nodes, doubling, each
+    Newton solve started from the previous rung's ``ell``."""
+    ell = max(0.5 * math.sqrt(gamma), gamma / math.pi)
+    while True:
+        state = _ground_at(gamma, n, ell)
+        ell, n = state.ell, 2 * n
+        yield state, state.energy, n
 
 
 def e_res_zero_T(gamma: float, **solver_kw) -> float:
@@ -703,41 +714,39 @@ class _IdealGrid(_Rung):
         return float(self.w @ dn) / (2.0 * math.pi * self.tau)
 
 
-def _graded_edges(
-    kmax: float, panels: int, carry: TBASolution | None, peak: float | None = None
-) -> np.ndarray:
+def _fermi_points(sol: TBASolution) -> list[tuple[float, float]]:
+    """The Fermi points ``K_F > 0`` of a solved rung, in increasing order,
+    each with its Fermi width ``tau / |E'(K_F)|``: the zeros of ``E``,
+    located by linear interpolation between nodes."""
+    pos = sol.grid > 0.0
+    k, e = sol.grid[pos], sol.eps[pos]
+    points = []
+    for i in np.flatnonzero(np.signbit(e[:-1]) != np.signbit(e[1:])):
+        slope = (e[i + 1] - e[i]) / (k[i + 1] - k[i])
+        points.append((k[i] - e[i] / slope, sol.tau / abs(slope)))
+    return points
+
+
+def _graded_edges(kmax: float, panels: int, features: list[tuple[float, float]]) -> np.ndarray:
     """Half-line panel edges of a rung: ``panels`` uniform panels of width
-    ``h`` on ``[0, kmax]``, graded at each Fermi point ``K_F > 0`` of the
-    previous rung's ``carry`` (a zero of ``E``, located by linear
-    interpolation between nodes) by edges at ``K_F`` and ``K_F +- h 2^-l``
-    for ``l = 1, 2, ...`` until the step reaches the Fermi width
-    ``tau / |E'(K_F)|``.  The ideal Bose gas passes the half-width
-    ``peak = sqrt(-mu)`` of its occupation ``~ tau / (K^2 - mu)`` at
-    ``K = 0``, which is graded by edges at ``h 2^-l`` until the step
-    reaches it.  Edges closer than half the finest step to a kept one are
-    dropped."""
+    ``h`` on ``[0, kmax]``, graded at each feature ``(centre, width)`` by
+    edges at ``centre`` and ``centre +- h 2^-l`` for ``l = 1, 2, ...``
+    until the step reaches ``width``.  The features are the previous
+    rung's Fermi points with their Fermi widths (``_fermi_points``) and,
+    for the ideal Bose gas, its occupation peak ``~ tau / (K^2 - mu)`` at
+    ``K = 0`` with half-width ``sqrt(-mu)``.  Edges outside ``(0, kmax)``
+    are dropped, and so are edges closer than half the finest step to a
+    kept one."""
     h = kmax / panels
     cands = [h * i for i in range(1, panels)]
     gap = 0.5 * h
-    if peak is not None:
+    for centre, width in features:
+        cands.append(centre)
         step = h
-        while step > peak:
+        while step > width:
             step *= 0.5
-            cands.append(step)
-        gap = 0.5 * step
-    if carry is not None:
-        pos = carry.grid > 0.0
-        k, e = carry.grid[pos], carry.eps[pos]
-        for i in np.flatnonzero(np.signbit(e[:-1]) != np.signbit(e[1:])):
-            slope = (e[i + 1] - e[i]) / (k[i + 1] - k[i])
-            kf = k[i] - e[i] / slope
-            width = carry.tau / abs(slope)
-            cands.append(kf)
-            step = h
-            while step > width:
-                step *= 0.5
-                cands += [kf - step, kf + step]
-            gap = min(gap, 0.5 * step)
+            cands += [centre - step, centre + step]
+        gap = min(gap, 0.5 * step)
     kept = [0.0]
     for x in sorted(x for x in cands if 0.0 < x < kmax):
         if x - kept[-1] > gap:
@@ -749,10 +758,45 @@ def _graded_edges(
     return np.array(kept)
 
 
+def _tba_rungs(gamma: float, tau: float, panels: int):
+    """The rungs of the finite-T ladder from ``panels`` uniform panels per
+    half-line, doubling, each graded at the previous rung's Fermi points
+    and seeded from its pseudo-energy and ``mu``.  A rung's grid reaches
+    ``kmax = sqrt(mu + ln(1e12) tau)`` with the previous rung's ``mu`` (at
+    least ``pi^2`` for the first rung), or with ``max(mu, pi^2)`` where the
+    dressing ``K_F^2 - mu`` at the outermost Fermi point takes more than a
+    quarter of the tail margin ``ln(1e12) tau`` (at unit density ``K_F <=
+    pi``); the rest is kept for the next rung's move of ``mu`` and ``K_F``."""
+    rung_type = _TBAGrid if 0.0 < gamma < math.inf else _IdealGrid
+    mu = _boltzmann_mu(tau)
+    top = max(math.pi**2, mu + 2.0 * tau)  # the mu the grid is sized for
+    if gamma == 0.0 and mu >= 0.0:  # the classical start is >= 0 for Bose at tau <= 4pi
+        mu = -tau
+    sol, fermi = None, []
+    while True:
+        kmax = math.sqrt(max(top, 0.0) + _TAIL_LOG * tau)
+        peak = [(0.0, math.sqrt(-mu))] if gamma == 0.0 else []
+        edges = _graded_edges(kmax, panels, fermi + peak)
+        if sol is not None:
+            yield sol, energy, 2 * _PANEL_NODES * (edges.size - 1)
+        rung = rung_type(gamma, tau, kmax, edges)
+        if sol is not None:
+            rung.seed(sol.grid, sol.eps, mu)
+        rung.solve_mu(mu)
+        sol = rung.result()
+        rung = None  # the next rung needs only sol: free this kernel and Jacobian
+        _, energy = observables(sol)
+        mu = top = sol.mu
+        fermi = _fermi_points(sol)
+        if fermi and fermi[-1][0] ** 2 > mu + 0.25 * _TAIL_LOG * tau:
+            top = max(mu, math.pi**2)
+        panels *= 2
+
+
 def solve_tba(
     params: LLParams,
     *,
-    n0: int | None = None,
+    n0: int = _PANEL_N0,
     tol: float = 1e-8,
 ) -> TBASolution:
     """Finite-temperature thermodynamics at ``(gamma, tau)``.
@@ -788,10 +832,12 @@ def solve_tba(
     closed-form occupations in place of the kernel; they solve at any
     ``tau``.
 
-    The ladder stops when the energy per particle is stable to ``tol``
-    (relative); an ``n0`` whose next rung ``2*n0 + 1`` is above the
-    ladder's ceiling raises :class:`ConvergenceError` before any rung
-    runs.  The product-integrated kernel's error does not depend on
+    The ladder (``_climb``) stops when the energy per particle is stable
+    to ``tol`` (relative).  An ``n0`` whose first rung, ``32 * max(1, n0
+    // 32)`` nodes, has no room for its double under the ladder's ceiling
+    raises :class:`ConvergenceError` before any rung runs, and so does a
+    second rung that grading pushes past the ceiling, after the first.
+    The product-integrated kernel's error does not depend on
     ``gamma``, so the energy stop alone ends every ladder: at ``tau =
     1e3`` it stops at 128 nodes for nine log-spaced ``gamma`` from 0.01
     to 100, and at ``tau = 0.5`` at 384-448 nodes for eight from 0.025
@@ -813,51 +859,16 @@ def solve_tba(
             f"tau={tau} is below 1e-3: the finite-T grid degenerates there; "
             "use solve_ground_state / e_res_zero_T for the T=0 physics"
         )
-    interacting = 0.0 < gamma < math.inf
-    if interacting and tau >= 2e4:
+    if 0.0 < gamma < math.inf and tau >= 2e4:
         raise ValueError(
             f"tau={tau} is at or above 2e4, where the finite-T ladder cannot "
             "certify its result; use e_res_high_T for the high-temperature shift"
         )
 
-    if n0 is None:
-        n0 = _PANEL_N0
-    if n0 > _TBA_MAX_NODES:
-        raise ConvergenceError(f"n0={n0} is above the ladder's {_TBA_MAX_NODES}-node ceiling")
-    if 2 * n0 + 1 > _TBA_MAX_NODES:
-        raise ConvergenceError(
-            f"n0={n0} leaves no second rung to compare: the next rung, {2 * n0 + 1} nodes, "
-            f"is above the ladder's {_TBA_MAX_NODES}-node ceiling"
-        )
-    mu = _boltzmann_mu(tau)
-    mu_hat = max(math.pi**2, mu + 2.0 * tau)
-    if gamma == 0.0 and mu >= 0.0:  # the classical start is >= 0 for Bose at tau <= 4pi
-        mu = -tau
-    carry: TBASolution | None = None
-    prev_energy = None
     panels = max(1, n0 // (2 * _PANEL_NODES))
-    while True:
-        kmax = math.sqrt(max(mu_hat, 0.0) + _TAIL_LOG * tau)
-        edges = _graded_edges(kmax, panels, carry, math.sqrt(-mu) if gamma == 0.0 else None)
-        if 2 * _PANEL_NODES * (edges.size - 1) > _TBA_MAX_NODES:
-            break
-        solver = (_TBAGrid if interacting else _IdealGrid)(gamma, tau, kmax, edges)
-        if carry is not None:
-            solver.seed(carry.grid, carry.eps, mu)
-        solver.solve_mu(mu)
-        sol = solver.result()
-        del solver  # the next rung needs only sol: free this kernel and Jacobian
-        _, energy = observables(sol)
-        if prev_energy is not None and abs(energy - prev_energy) <= tol * max(abs(energy), 1e-12):
-            return sol
-        prev_energy = energy
-        mu = mu_hat = sol.mu
-        carry = sol
-        panels *= 2
-    raise ConvergenceError(
-        f"TBA energy not stable to {tol} by {_TBA_MAX_NODES} nodes (gamma={gamma}, tau={tau})",
-        best=carry,
-        residual=math.nan,
+    return _climb(
+        _tba_rungs(gamma, tau, panels), n0, 2 * _PANEL_NODES * panels, _TBA_MAX_NODES, tol,
+        "TBA energy", f"gamma={gamma}, tau={tau}",
     )
 
 

@@ -650,12 +650,24 @@ def test_main_config_file_precedence(tmp_path, capsys):
     assert main(["ll", "b2", "--gamma", "1", "--tau", "1", "--config", bad]) == EXIT_SPEC
 
 
-@pytest.mark.parametrize("line, key", [("nodes = abc", "nodes"), ("tol = x", "tol")])
+@pytest.mark.parametrize(
+    "line, key", [("nodes = abc", "nodes"), ("tol = x", "tol"), ("format = xml", "format")]
+)
 def test_main_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, key):
     bad = _write(tmp_path / "bad.cfg", f"# defaults\n{line}\n")
     assert main(["ll", "b2", "--gamma", "1", "--tau", "1", "--config", bad]) == EXIT_SPEC
     value = line.partition("=")[2].strip()
     assert f"{bad}:2: bad value {value!r} for {key!r}" in capsys.readouterr().err
+
+
+def test_main_config_bad_format_fails_cleanly_for_a_table_command(tmp_path, capsys):
+    # nacs channels builds its table without a sweep spec, so the format
+    # is checked when the config file is read, not first by emit
+    bad = _write(tmp_path / "bad.cfg", "format = xml\n")
+    assert main(["nacs", "channels", "--k", "3", "--l", "0.5", "--config", bad]) == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lowdgas: error: {bad}:1: bad value 'xml' for 'format'\n"
 
 
 def test_main_sweep_format_precedence(tmp_path):

@@ -207,17 +207,45 @@ def test_n0_without_a_second_rung_fails_before_any_rung(monkeypatch):
         solve_ground_state(1.0, n0=2049)
     with pytest.raises(ConvergenceError, match=r"^n0=4000 leaves .* 8000 nodes"):
         solve_ground_state(1.0, n0=4000)
+    # the finite-T first rung is 32 * (n0 // 32) nodes: 3264 from n0 = 3264
     for gamma in (1.0, 0.0, math.inf):
         with pytest.raises(ConvergenceError, match=(
-            r"^n0=3250 leaves no second rung to compare: the next rung, 6501 nodes, "
+            r"^n0=3264 leaves no second rung to compare: the next rung, 6528 nodes, "
             r"is above the ladder's 6500-node ceiling$"
         )):
-            solve_tba(LLParams(gamma, 1.0), n0=3250)
+            solve_tba(LLParams(gamma, 1.0), n0=3264)
     # the largest n0 that still has a second rung gets as far as its first
     with pytest.raises(AssertionError, match="a rung ran"):
         solve_ground_state(1.0, n0=2048)
-    with pytest.raises(AssertionError, match="a rung ran"):
-        solve_tba(LLParams(1.0, 1.0), n0=3249)
+    for gamma in (1.0, 0.0, math.inf):
+        with pytest.raises(AssertionError, match="a rung ran"):
+            solve_tba(LLParams(gamma, 1.0), n0=3263)
+
+
+def test_a_graded_second_rung_past_the_ceiling_leaves_no_second_rung(monkeypatch):
+    # at (1, 0.5) the 64-node first rung fits twice under a 200-node
+    # ceiling, but grading at its Fermi point takes the second past it
+    monkeypatch.setattr(lieb_liniger, "_TBA_MAX_NODES", 200)
+    with pytest.raises(ConvergenceError, match=(
+        r"^n0=64 leaves no second rung to compare: the next rung, \d+ nodes, "
+        r"is above the ladder's 200-node ceiling$"
+    )) as err:
+        solve_tba(LLParams(1.0, 0.5))
+    assert int(str(err.value).split("rung, ")[1].split()[0]) > 200
+
+
+def test_an_unstable_ladder_carries_its_last_rung_and_change(monkeypatch):
+    # the TBA ladder reports its last energy change, as the T = 0 one does
+    monkeypatch.setattr(lieb_liniger, "_TBA_MAX_NODES", 300)
+    with pytest.raises(ConvergenceError, match=r"^TBA energy not stable to 1e-300 by 300 nodes") as err:
+        solve_tba(LLParams(1.0, 1e3), tol=1e-300)
+    assert err.value.best.grid.size == 256
+    assert 0.0 < err.value.residual < 1e-6
+    monkeypatch.setattr(lieb_liniger, "_GROUND_MAX_NODES", 256)
+    with pytest.raises(ConvergenceError, match=r"^ground-state energy not stable") as err:
+        solve_ground_state(1.0, tol=1e-300)
+    assert err.value.best.nodes.size == 256
+    assert 0.0 < err.value.residual < 1e-6
 
 
 def test_ground_state_peak_memory_is_a_few_half_size_matrices():
@@ -460,7 +488,7 @@ def test_folded_convolution_matches_the_full_grid(n, gamma):
     # (one at n = 63, two at 64), each half mirrored onto the other, so no
     # node sits at K = 0
     kmax = 6.0
-    tba = lieb_liniger._TBAGrid(gamma, 1.0, kmax, lieb_liniger._graded_edges(kmax, n // 32, None))
+    tba = lieb_liniger._TBAGrid(gamma, 1.0, kmax, lieb_liniger._graded_edges(kmax, n // 32, []))
     nodes, weights = tba.rule.nodes, tba.rule.weights
     k2 = nodes * nodes
     v = np.exp(-0.5 * k2) * (2.0 + np.cos(k2))
@@ -541,18 +569,19 @@ def test_panel_operator_is_exact_on_even_polynomials(gamma):
 
 
 def test_both_grid_parities_agree_and_mirror_exactly():
-    # --nodes reaches n0: an even TBA grid has no middle node, an odd
-    # ground-state grid has one; the arrays come back exactly even
+    # --nodes reaches n0: every TBA grid is even (mirrored 16-node panels,
+    # no middle node), from the default n0 = 64 as from n0 = 200; an odd
+    # ground-state grid has a middle node; the arrays come back exactly even
     def shift(sol):
         pressure, energy = observables(sol)
         return energy - 0.5 * pressure
 
     params = LLParams(1.0, 1.0)
-    tba_odd, tba_even = solve_tba(params), solve_tba(params, n0=200)
-    assert shift(tba_even) == pytest.approx(shift(tba_odd), rel=1e-8)
+    tba_default, tba_wide = solve_tba(params), solve_tba(params, n0=200)
+    assert shift(tba_wide) == pytest.approx(shift(tba_default), rel=1e-8)
     ground_even, ground_odd = solve_ground_state(1.0), solve_ground_state(1.0, n0=65)
     assert ground_odd.energy == pytest.approx(ground_even.energy, rel=1e-10)
-    for a in (tba_odd.eps, tba_odd.density, tba_even.eps, tba_even.density,
+    for a in (tba_default.eps, tba_default.density, tba_wide.eps, tba_wide.density,
               ground_even.g_nodes, ground_odd.g_nodes):
         assert np.array_equal(a, a[::-1])
 
@@ -615,6 +644,38 @@ def test_ideal_bose_edge_converges_by_the_energy_stop(gamma, tau):
     params = LLParams(gamma, tau)
     deeper = e_res_finite_T(params, n0=4 * lieb_liniger._PANEL_N0)
     assert e_res_finite_T(params) == pytest.approx(deeper, rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 100.0])
+def test_every_low_and_high_tau_point_solves(gamma):
+    # at low tau the dressed Fermi sea reaches past the free-particle grid
+    # edge sqrt(mu + ln(1e12) tau); a rung grid that stops short of it
+    # saturates integral(f) and the mu solve runs out of trials
+    for tau in np.geomspace(1e-3, 1e4, 29):
+        sol = solve_tba(LLParams(gamma, float(tau)))
+        assert float(sol.weights @ sol.density) == pytest.approx(1.0, abs=1e-9)
+
+
+def _sound_velocity(gamma, h=1e-3):
+    """``v_s = sqrt(2 (6e - 4 gamma e' + gamma^2 e''))`` at unit density
+    (``hbar = 2m = 1``), with ``e''`` a central difference of the slope."""
+    state = solve_ground_state(gamma)
+    d = h * gamma
+    curvature = (solve_ground_state(gamma + d).slope - solve_ground_state(gamma - d).slope) / (2 * d)
+    return math.sqrt(2.0 * (6.0 * state.energy - 4.0 * gamma * state.slope + gamma**2 * curvature))
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 100.0])
+def test_low_tau_shift_follows_the_cft_law(gamma):
+    # F/L = E0/L - pi T^2 / 6 v_s (c = 1) puts the shift's tau^2 term at
+    # (pi gamma / 12) v_s' / v_s^2 above the ground state's shift
+    d = 1e-2 * gamma
+    dv = (_sound_velocity(gamma + d) - _sound_velocity(gamma - d)) / (2 * d)
+    law = math.pi * gamma / 12.0 * dv / _sound_velocity(gamma) ** 2
+    zero = e_res_zero_T(gamma)
+    for tau in (1e-3, 2e-3, 4e-3):
+        coeff = (e_res_finite_T(LLParams(gamma, tau)) - zero) / tau**2
+        assert coeff == pytest.approx(law, rel=2e-3)
 
 
 def test_density_positive_peaked_and_dressed():
