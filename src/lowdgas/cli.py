@@ -513,8 +513,9 @@ def _check_parameters(spec: SweepSpec, q: _Quantity) -> None:
 def run_sweep(spec: SweepSpec, opts: Mapping | None = None) -> ResultTable:
     """Evaluate the quantity on the grid.  Points are independent; any
     per-point failure is recorded in that row's ``status`` cell and the
-    sweep carries on.  Row order follows the grid (first axis outermost).
-    With no axes the one row leads with the quantity's parameters.
+    sweep carries on, and so is a non-finite float output, named by its
+    column.  Row order follows the grid (first axis outermost).  With no
+    axes the one row leads with the quantity's parameters.
     """
     opts = dict(opts or {})
     q = REGISTRY[spec.quantity]
@@ -533,8 +534,11 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None) -> ResultTable:
         params.update(zip(axis_names, point))
         head = tuple(params[name] for name in lead)
         try:
-            outs = q.evaluate(params, opts, context)
-            return head + tuple(outs) + ("ok",)
+            outs = tuple(q.evaluate(params, opts, context))
+            for (name, _), value in zip(q.outputs, outs):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise FloatingPointError(f"{name} is {value}")
+            return head + outs + ("ok",)
         except Exception as err:  # recorded per row, the sweep must finish
             blanks = ("",) * len(q.outputs)
             note = f"{type(err).__name__}: {err}".replace("\n", "; ")

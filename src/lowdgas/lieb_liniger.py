@@ -12,32 +12,22 @@ Two solvers live here:
 
 * the zero-temperature ground state, a linear integral equation for the
   quasi-momentum density ``g(t)`` on ``[-1, 1]`` with a Newton solve
-  fixing the cutoff ratio ``ell`` (and giving ``d(energy)/d(gamma)``):
-  the discretized operator is self-adjoint in the quadrature-weighted
-  inner product, so one solve per Newton step gives ``g`` and every
-  ``ell``-derivative the step and the slope need;
+  fixing the cutoff ratio ``ell`` (and giving ``d(energy)/d(gamma)``);
 * the finite-temperature coupled equations for the pseudo-energy
   ``E(K)``, chemical potential ``mu`` and level density ``f(K)``.
 
-Both use dense Nystrom discretizations of the Lorentzian kernel on
-grids mirror-symmetric about 0.  Every unknown is even, so both solve on
-the ``K >= 0`` half with the folded operator (column ``j`` plus its
-mirror ``-K_j``): a quarter of the memory and an eighth of the LU work
-of the full grid, with the same results up to rounding.  Both take the
-plain folded kernel from one row-block pass, ``_folded_blocks``.  The
-ground state, on one Gauss-Legendre rule, subtracts the constant,
-``(Kv)_i = M_i v_i + sum_j w_j k_ij (v_j - v_i)`` with the analytic mass
-``M_i``: the diagonal singularity cancels exactly.  The finite-T solve
-runs on panels of 16 Gauss-Legendre nodes, graded at the Fermi points
-``E(K_F) = 0`` down to the Fermi width ``tau/|E'|`` (and, for the ideal
-Bose gas, at its occupation peak ``K = 0``), and integrates the
-kernel exactly against each panel's interpolant wherever the kernel is
-sharp on the panel's scale (product integration with Legendre-Cauchy
-moments, Helsing & Ojala, J. Comput. Phys. 227, 2899, 2008).  Its error
-therefore does not depend on ``gamma``: it stays accurate where
-``gamma`` is far below the node spacing (``gamma ~ 1e-3``, kernel close
-to a delta spike) as well as in the impenetrable limit (``gamma ~ 1e4``,
-kernel flat and weak).
+Both are dense Nystrom discretizations of one Lorentzian kernel, of
+width ``ell`` at T = 0 and ``gamma`` at finite T, on 16-node
+Gauss-Legendre panels mirrored about 0, solved on the ``K > 0`` half
+with the folded operator (column ``j`` plus its mirror ``-K_j``).
+``_panel_operator`` integrates the kernel exactly against each panel's
+interpolant where it is sharp on the panel's scale (product integration
+with Legendre-Cauchy moments, Helsing & Ojala, J. Comput. Phys. 227,
+2899, 2008), so the error does not depend on the width, from a near
+delta spike (``ell = 5e-5`` at ``gamma = 1e-8``) to a flat, weak kernel
+(``gamma ~ 1e4``).  The T = 0 panels are graded at the support edge
+``t = 1``, where ``g`` is singular a distance ``ell`` off the real axis;
+the finite-T ones at the Fermi points down to the Fermi width.
 
 Derived observables: pressure, energy, the energy-pressure shift
 ``e_res = energy - pressure/2`` at zero and finite temperature, its
@@ -60,7 +50,6 @@ from .numerics import (
     _legendre_rule,
     composite_rule,
     erfcx,
-    gauss_legendre,
 )
 
 __all__ = [
@@ -80,7 +69,7 @@ _SQRT2 = math.sqrt(2.0)
 # grid edge: keep exp(-(Kmax^2 - mu)/tau) below 1e-12
 _TAIL_LOG = math.log(1e12)
 # node-count ceilings of the doubling ladders
-_GROUND_MAX_NODES = 4096
+_GROUND_MAX_NODES = 1024
 _TBA_MAX_NODES = 6500  # interacting and ideal branches alike
 
 
@@ -108,10 +97,12 @@ class LLParams:
 @dataclass(frozen=True)
 class GroundState:
     """T = 0 solution: cutoff ratio ``ell = c/K_cut``, quasi-momentum
-    density ``g`` on the scaled support ``[-1, 1]``, and the dimensionless
-    ground-state energy ``energy`` (``E/N = rho^2 * energy`` in units of
-    ``hbar^2/2m``, so ``energy`` runs from ``~gamma`` to ``pi^2/3``), and
-    its implicit-differentiation ``slope = d(energy)/d(gamma)``."""
+    density ``g`` on the scaled support ``[-1, 1]`` at the ``nodes`` of the
+    rung's rule (16-node Gauss-Legendre panels graded at ``+-1``, mirrored
+    about 0, with their ``weights``), the dimensionless ground-state
+    energy ``energy`` (``E/N = rho^2 * energy`` in units of ``hbar^2/2m``,
+    so ``energy`` runs from ``~gamma`` to ``pi^2/3``), and its
+    implicit-differentiation ``slope = d(energy)/d(gamma)``."""
 
     gamma: float
     ell: float
@@ -195,47 +186,56 @@ def _log_expm1(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold(rule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ``x >= 0`` half of a mirror-symmetric rule, on which every even
-    function lives: the half nodes, the column weights (at odd ``n`` the
-    middle node's is halved, since both mirror terms of the folded kernel
-    reach it), the integration weights ``2 * cw`` and the full -> half
-    index map that mirrors a half-grid array back onto the full rule."""
-    n = rule.nodes.size
-    cw = rule.weights[n // 2:].copy()
-    if n % 2:
-        cw[0] *= 0.5
-    i = np.arange(n)
-    return rule.nodes[n // 2:], cw, 2.0 * cw, np.maximum(i, i[::-1]) - n // 2
+def _mirrored_rule(edges: np.ndarray) -> tuple[QuadratureRule, np.ndarray, np.ndarray]:
+    """The composite rule with ``_PANEL_NODES`` Gauss-Legendre nodes on
+    each panel of the half-line ``edges`` (from 0) and on their mirror
+    images, and its ``x > 0`` half, where every even function lives: the
+    half nodes and their column weights ``cw`` (integration weights
+    ``2 cw``)."""
+    half = composite_rule(edges, _PANEL_NODES)
+    kmax = float(edges[-1])
+    rule = QuadratureRule(
+        np.concatenate((-half.nodes[::-1], half.nodes)),
+        np.concatenate((half.weights[::-1], half.weights)),
+        (-kmax, kmax),
+    )
+    return rule, half.nodes, half.weights
 
 
-_BLOCK = 1 << 15  # entries per row block of the row-blocked kernel passes
+def _mirror(values: np.ndarray) -> np.ndarray:
+    """An even function's half-rule values on the whole mirrored rule."""
+    return np.concatenate((values[::-1], values))
+
+
+_BLOCK = 1 << 14  # entries per row block of the row-blocked kernel passes
 
 
 def _folded_blocks(half: np.ndarray, gamma: float):
     """Row blocks of the folded Lorentzian ``ker(q) = (gamma/pi) / (q^2 +
-    gamma^2)`` on the half nodes ``x >= 0`` of a mirrored rule: per block of
+    gamma^2)`` on the half nodes ``x > 0`` of a mirrored rule: per block of
     about ``_BLOCK`` entries, the row slice ``rs``, ``ker(x_i - x_j)`` with
-    its diagonal zeroed and the mirror term ``ker(x_i + x_j)``, two new
-    arrays the caller may overwrite.  A middle node ``x = 0`` pairs with
-    itself, so the mirror's (0, 0) entry is the full diagonal: zeroed too."""
+    its diagonal zeroed and the mirror term ``ker(x_i + x_j)``, in two
+    buffers that the next block reuses and the caller may overwrite."""
     amp, g2 = gamma / math.pi, gamma * gamma
     rows = max(1, _BLOCK // half.size)
+    buf = np.empty((2, min(rows, half.size), half.size))
     for i0 in range(0, half.size, rows):
         rs = slice(i0, i0 + rows)
-        minus, plus = half[rs, None] - half, half[rs, None] + half
+        minus, plus = buf[:, :half[rs].size]
+        np.subtract(half[rs, None], half, out=minus)
+        np.add(half[rs, None], half, out=plus)
         for k in (minus, plus):
             k *= k
             k += g2
             np.divide(amp, k, out=k)
         np.einsum("ii->i", minus[:, rs])[:] = 0.0
-        if i0 == 0 and half[0] == 0.0:
-            plus[0, 0] = 0.0
         yield rs, minus, plus
 
 
-# Gauss-Legendre nodes per panel of a TBA rung
+# Gauss-Legendre nodes per panel of a rung, and the default first rung of
+# both ladders: two uniform panels per half-line
 _PANEL_NODES = 16
+_PANEL_N0 = 4 * _PANEL_NODES
 # Bernstein-ellipse radius from which a panel's plain Gauss rule integrates
 # the Lorentzian times a smooth density to rounding (error ~ rho^-32)
 _FAR_RHO = 1.2 * math.sqrt(10.0)
@@ -299,78 +299,121 @@ def _cauchy_moments(zeta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _panel_operator(half: np.ndarray, cw: np.ndarray, edges: np.ndarray, gamma: float) -> np.ndarray:
-    """Folded Lorentzian convolution on the half nodes ``x >= 0`` of a
-    mirrored composite rule with ``_PANEL_NODES`` nodes on each panel of
-    the half-line ``edges``: ``C @ v`` integrates ``ker(x_i - K) v(K)`` over
-    ``[-kmax, kmax]`` for an even ``v`` given on the half nodes, exactly
-    when ``v`` is a polynomial of degree below ``_PANEL_NODES`` on each
-    panel, whether or not the panels resolve the kernel.
+def _near_pairs(half: np.ndarray, edges: np.ndarray, gamma: float):
+    """The pairs of a target (``x_i`` for the direct term, ``-x_i`` for the
+    mirror) and a panel of the half-line ``edges`` inside the Bernstein
+    ellipse ``rho < _FAR_RHO`` at width ``gamma``: ``(rows, panels, on,
+    zeta, moments)``, with one mask ``on`` per term over the pairs and the
+    moments of each near (pair, term), the direct term first.  ``None``
+    where ``gamma/h`` is at least the ellipse's semi-minor axis on every
+    panel: no pair is near and the moment pass is skipped."""
+    c = 0.5 * (edges[1:] + edges[:-1])
+    h = 0.5 * (edges[1:] - edges[:-1])
+    beta = gamma / h
+    if beta.min() >= 0.5 * (_FAR_RHO - 1.0 / _FAR_RHO):
+        return None
+    targets = (half, -half)  # the direct and the mirror term
+    near = [_bernstein_rho((t[:, None] - c) / h + 1j * beta) < _FAR_RHO for t in targets]
+    rows, panels = np.nonzero(near[0] | near[1])
+    on = [close[rows, panels] for close in near]
+    zeta = np.concatenate([(t[rows[o]] - c[panels[o]]) / h[panels[o]] + 1j * beta[panels[o]]
+                           for t, o in zip(targets, on)])
+    return rows, panels, on, zeta, _cauchy_moments(zeta)  # a pair near in both terms has both
+
+
+def _operator_blocks(half: np.ndarray, cw: np.ndarray, gamma: float, near, far, diag, weight):
+    """Row blocks ``(rs, block)`` of a folded operator on the half nodes
+    ``x > 0``, in the buffers of ``_folded_blocks``: ``cw_j far(ker)`` for
+    a far pair (``far`` may map in place), ``diag`` on a far diagonal, and
+    per term of a pair of ``near`` (``_near_pairs``) the product weight
+    ``sum_k weight(zeta, moments)[k] A[k, j] / pi`` (``A`` from
+    ``_legendre_projection``) where it is near, the far entry where not."""
+    if near is not None:
+        rows, panels, on, zeta, moments = near
+        cols = panels[:, None] * _PANEL_NODES + np.arange(_PANEL_NODES)
+        vals = np.zeros(cols.shape)
+        for t, o in zip((half, -half), on):
+            d = t[rows[~o], None] - half[cols[~o]]
+            vals[~o] += cw[cols[~o]] * far((gamma / math.pi) / (d * d + gamma * gamma))
+        prod = weight(zeta[:, None], moments) @ (_legendre_projection() / math.pi)
+        split = np.count_nonzero(on[0])
+        vals[on[0]] += prod[:split]
+        vals[on[1]] += prod[split:]
+    for rs, minus, plus in _folded_blocks(half, gamma):
+        blk = np.add(far(minus), far(plus), out=minus)
+        blk *= cw
+        np.einsum("ii->i", blk[:, rs])[:] += diag[rs]
+        if near is not None:
+            sel = slice(*np.searchsorted(rows, (rs.start, rs.stop)))
+            blk[rows[sel, None] - rs.start, cols[sel]] = vals[sel]
+        yield rs, blk
+
+
+def _panel_operator(half: np.ndarray, cw: np.ndarray, gamma: float, near) -> np.ndarray:
+    """Folded Lorentzian convolution on the half nodes ``x > 0`` of a
+    mirrored rule of ``_PANEL_NODES``-node panels, with ``near`` their
+    ``_near_pairs`` at width ``gamma``: ``C @ v`` integrates ``ker(x_i -
+    K) v(K)`` over ``[-kmax, kmax]`` for an even ``v`` on the half nodes,
+    exactly when ``v`` is a polynomial of degree below ``_PANEL_NODES`` on
+    each panel, whether or not the panels resolve the kernel.
 
     Column ``j`` sums the direct term (target ``x_i``) and the mirror term
     (target ``-x_i``) of panel node ``j``.  For a target ``t`` and a panel
     ``[c - h, c + h]`` with ``zeta = (t - c)/h + i gamma/h``, the weight
     ``integral ker(t - q) ell_j(q) dq = sum_k (Im I_k(zeta)/pi) A[k, j]``
-    (product integration; ``A`` from ``_legendre_projection``) is used
-    inside the Bernstein ellipse ``rho < _FAR_RHO``.  Beyond it the plain
-    ``cw_j ker(t - x_j)`` of the row blocks of ``_folded_blocks`` integrates
-    a density analytic in that ellipse to rounding (error ``~rho^-32``),
-    though a single entry, against one basis polynomial, can be off by
-    ``~rho^-17``.  A diagonal entry whose own panel is far is the plain
-    ``cw_i / (pi gamma)``, which those blocks zero.
-    """
-    m, p = half.size, _PANEL_NODES
-    amp, g2 = gamma / math.pi, gamma * gamma
-    out = np.empty((m, m))
-    for rs, minus, plus in _folded_blocks(half, gamma):
-        blk = np.add(minus, plus, out=out[rs])
-        blk *= cw
-    np.einsum("ii->i", out)[:] += cw / (math.pi * gamma)
-    c = 0.5 * (edges[1:] + edges[:-1])
-    h = 0.5 * (edges[1:] - edges[:-1])
-    beta = gamma / h
-    targets = (half, -half)  # the direct and the mirror term
-    near = [_bernstein_rho((t[:, None] - c) / h + 1j * beta) < _FAR_RHO for t in targets]
-    rows, panels = np.nonzero(near[0] | near[1])
-    cols = panels[:, None] * p + np.arange(p)
-    vals = np.zeros(cols.shape)
-    where, zeta = [], []
-    for t, close in zip(targets, near):
-        on = close[rows, panels]
-        d = t[rows[~on], None] - half[cols[~on]]
-        vals[~on] += cw[cols[~on]] * (amp / (d * d + g2))
-        where.append(np.flatnonzero(on))
-        i, j = rows[on], panels[on]
-        zeta.append((t[i] - c[j]) / h[j] + 1j * beta[j])
-    # one moment pass for both terms; a pair near in both gets both weights
-    prod = _cauchy_moments(np.concatenate(zeta)).imag @ (_legendre_projection() / math.pi)
-    vals[where[0]] += prod[:where[0].size]
-    vals[where[1]] += prod[where[0].size:]
-    out[rows[:, None], cols] = vals
+    is used inside the Bernstein ellipse ``rho < _FAR_RHO``; beyond it the
+    plain ``cw_j ker(t - x_j)`` (``cw_i / (pi gamma)`` on the diagonal)
+    integrates a density analytic in that ellipse to rounding (``~rho^-32``;
+    one entry can be off by ``~rho^-17``)."""
+    out = np.empty((half.size, half.size))
+    for rs, blk in _operator_blocks(half, cw, gamma, near, lambda k: k, cw / (math.pi * gamma),
+                                    lambda zeta, moments: moments.imag):
+        out[rs] = blk
     return out
+
+
+def _width_product(half: np.ndarray, cw: np.ndarray, gamma: float, near, v: np.ndarray) -> np.ndarray:
+    """``(dC/dgamma) @ v`` for ``C = _panel_operator(half, cw, gamma,
+    near)``, row block by row block, never stored.  A near weight's
+    derivative is ``sum_k (Re I_k'(zeta) / (pi h)) A[k, j]``, with
+    ``(zeta^2 - 1) I_k' = k (zeta I_k - I_{k-1})``, ``I_0' = 2/(zeta^2 -
+    1)`` and ``1/h = Im(zeta)/gamma``; a far ``ker`` maps in place (one
+    scratch per row block) to ``ker/gamma - 2 pi ker^2``, and a far
+    diagonal entry is ``-cw_i / (pi gamma^2)``."""
+    def weight(zeta, moments):
+        dm = np.arange(_PANEL_NODES) * (zeta * moments - np.roll(moments, 1, axis=1))
+        dm[:, 0] = 2.0
+        return (dm / (zeta * zeta - 1.0)).real * (zeta.imag / gamma)
+
+    def far(k):
+        return np.multiply(k, 1.0 / gamma - 2.0 * math.pi * k, out=k)
+
+    diag = -cw / (math.pi * gamma * gamma)
+    return np.concatenate([b @ v for _, b in _operator_blocks(half, cw, gamma, near, far, diag, weight)])
 
 
 # ---------------------------------------------------------------------------
 # the node ladder
 # ---------------------------------------------------------------------------
 
-def _climb(rungs, n0: int, first: int, ceiling: int, tol: float, what: str, where: str):
-    """Return the solution of the first rung whose energy (``what`` at
-    ``where`` in the messages) is stable to ``tol`` (relative) against the
-    rung below.  ``rungs`` yields each solved rung as ``(solution, energy,
-    size)``, ``size`` being the node count of its next rung, which is asked
-    for only while it fits under ``ceiling``.
-
-    Stability is judged between two rungs, so an ``n0`` above the ceiling,
-    or whose ``first`` rung has no room for its double, raises
+def _climb(ladder, n0: int, ceiling: int, tol: float, what: str, where: str):
+    """Return the first rung whose energy (``what`` at ``where`` in the
+    messages) is stable to ``tol`` (relative) against the rung below.
+    ``ladder(panels)`` yields ``(solution, energy, size)``, first ``(None,
+    nan, size)`` with the node count of its first rung (``max(1, n0 //
+    32)`` uniform panels per half-line, ``32`` nodes each, plus grading),
+    then each solved rung with that of its next, asked for only while it
+    fits under ``ceiling``.  So an ``n0`` above the ceiling, or whose first
+    rung is above it or has no room for its ungraded double, raises
     :class:`ConvergenceError` before any rung runs, and so does a second
     rung that grading pushes past the ceiling, after the first.  At the
     ceiling it raises with the last rung as ``best`` and the last energy
     change as ``residual``."""
     if n0 > ceiling:
         raise ConvergenceError(f"n0={n0} is above the ladder's {ceiling}-node ceiling")
-    prev = None
-    change, size = math.nan, 2 * first
+    panels = max(1, n0 // (2 * _PANEL_NODES))
+    rungs, prev = ladder(panels), None
+    change, size = math.nan, max(next(rungs)[2], 4 * _PANEL_NODES * panels)
     while size <= ceiling:
         best, energy, size = next(rungs)
         if prev is not None:
@@ -395,104 +438,69 @@ def _climb(rungs, n0: int, first: int, ceiling: int, tol: float, what: str, wher
 _MAX_ELL_NEWTON = 30
 
 
-def _ground_operator(y: np.ndarray, cw: np.ndarray, ell: float) -> np.ndarray:
-    """``A(ell) = I - K W - diag(M - rowsum(K W))`` on the half nodes ``y``,
-    with the folded kernel ``K``, ``W = diag(cw)`` and the row masses ``M``
-    integrated to the domain edge ``+-1`` (to the outermost node, the scheme
-    would converge only algebraically).  Built in row blocks, with no copy."""
-    mass = (np.arctan((1.0 - y) / ell) + np.arctan((1.0 + y) / ell)) / math.pi
-    out = np.empty((y.size, y.size))
-    for rs, minus, plus in _folded_blocks(y, ell):
-        blk = np.add(minus, plus, out=out[rs])
-        shift = 1.0 - mass[rs] + blk @ cw
-        blk *= -cw
-        diag = np.einsum("ii->i", blk[:, rs])
-        diag += shift
-    return out
-
-
-def _neg_dA_g(y: np.ndarray, cw: np.ndarray, ell: float, g: np.ndarray) -> np.ndarray:
-    """``-(dA/dell) g = (dM/dell) g + sum_j (dK_ij/dell) cw_j (g_j - g_i)``,
-    with ``dk/dell = k/ell - 2pi k^2`` taken per mirror term (the fold of
-    ``k^2`` is not the square of the fold).  Built in row blocks, so no
-    matrix of the half size is alive."""
-    out = -((1.0 - y) / (ell * ell + (1.0 - y) ** 2)
-            + (1.0 + y) / (ell * ell + (1.0 + y) ** 2)) / math.pi * g
-    for rs, minus, plus in _folded_blocks(y, ell):
-        diff = g - g[rs, None]
-        diff *= cw
-        for k in (minus, plus):
-            dk = k * (-2.0 * math.pi)
-            dk += 1.0 / ell
-            dk *= k
-            out[rs] += np.einsum("ij,ij->i", dk, diff)
-    return out
-
-
-def _ground_at(gamma: float, n: int, ell: float) -> GroundState:
-    """Newton on ``m(ell) = ell - gamma * integral(g)`` at ``n`` nodes,
-    from the guess ``ell``.  ``g`` is even, so the solve runs on the
-    ``y >= 0`` half of the mirrored rule with the folded kernel
-    ``k(y_i - y_j) + k(y_i + y_j)``.
-
-    Each step makes one solve of ``A(ell)`` against ``[1/2pi, y^2]``,
-    giving ``g`` and ``h = A^-1 y^2``.  The kernel is symmetric, so
-    ``A^T = W A W^-1`` with ``W = diag(cw)``, and with
-    ``v = -(dA/dell) g`` the slopes ``integral dg/dell = 4pi (W g).v``
-    and ``integral y^2 dg/dell = 2 (W h).v`` need no second solve.  Every
-    step is exact at its own ``ell``; the last one, below ``1e-13 ell``,
-    is applied to ``ell``, ``integral g`` and ``integral y^2 g`` to first
-    order."""
-    rule = gauss_legendre(n, -1.0, 1.0)
-    y, cw, w, full = _fold(rule)
-    rhs = np.column_stack((np.full(y.size, 1.0 / (2.0 * math.pi)), y * y))
-    steps = 0
-    while True:
-        g, h = np.linalg.solve(_ground_operator(y, cw, ell), rhs).T
-        v = _neg_dA_g(y, cw, ell, g)
-        dint = 4.0 * math.pi * float((cw * g) @ v)  # d integral(g) / d ell
+def _ground_at(gamma: float, edges: np.ndarray, ell: float, stop: float) -> GroundState:
+    """Newton on ``m(ell) = ell - gamma * integral(g)`` on the mirrored
+    panels of the half-line ``edges`` from the guess ``ell``, on the ``y >
+    0`` half with ``C = _panel_operator`` at width ``ell``.  Each step
+    solves ``A = I - C`` for ``g`` and ``A^T`` against ``[w, w y^2]`` for
+    ``z``, so ``z.(dC/dell g)`` (``_width_product``) gives ``I'`` and
+    ``M'``, the ``ell``-derivatives of ``I = integral g`` and ``M =
+    integral y^2 g`` (``C`` is unsymmetric).  The last step is below ``stop * ell``, or below ``1e-10
+    ell`` and no smaller than the one before (the rounding floor of an
+    ill-conditioned ``A``, ``~1e-12 ell`` at ``gamma = 1e-8``).  It is
+    applied to ``ell`` and ``M`` to first order (exact to ``~stop^2``); the
+    slope, taken before it, is within ``~stop``.  With ``m' = 1 - gamma
+    I'``, the slope ``(gamma/ell)^2 (M' - 3 (gamma/ell) M I') / m'`` is
+    ``d((gamma/ell)^3 M)/d(gamma)`` at ``ell = gamma I``, free of the
+    chain rule's cancellation of two ``O(1/gamma)`` terms."""
+    rule, y, cw = _mirrored_rule(edges)
+    w = 2.0 * cw
+    adjoint = np.column_stack((w, w * y * y))
+    last = math.inf
+    for _ in range(_MAX_ELL_NEWTON + 1):
+        near = _near_pairs(y, edges, ell)
+        a = _panel_operator(y, cw, ell, near)
+        a *= -1.0
+        np.einsum("ii->i", a)[:] += 1.0
+        g = np.linalg.solve(a, np.full(y.size, 1.0 / (2.0 * math.pi)))
+        z = np.linalg.solve(a.T, adjoint)
+        a = None  # free it before the derivative pass and the next step's build
+        dint, dmoment = (_width_product(y, cw, ell, near, g) @ z).tolist()
         mprime = 1.0 - gamma * dint
-        if mprime > 0.0:
-            step = (ell - gamma * float(w @ g)) / mprime
-            if abs(step) <= 1e-13 * ell:
-                break
-        if steps == _MAX_ELL_NEWTON or not mprime > 0.0:
-            raise ConvergenceError(
-                f"cutoff-ratio Newton solve failed at ell={ell} (gamma={gamma}, n={n})", best=ell
-            )
+        if not mprime > 0.0:
+            break
+        step = (ell - gamma * float(w @ g)) / mprime
+        if abs(step) <= stop * ell or last <= abs(step) <= 1e-10 * ell:
+            ell -= step
+            moment = float(w @ (y * y * g)) - step * dmoment
+            ratio = gamma / ell
+            slope = ratio**2 * (dmoment - 3.0 * ratio * moment * dint) / mprime
+            return GroundState(gamma, ell, rule.nodes, rule.weights, _mirror(g), ratio**3 * moment, slope)
+        last = abs(step)
         ell = ell - step if step < ell else 0.5 * ell
-        steps += 1
-    dmoment = 2.0 * float((cw * h) @ v)  # d integral(y^2 g) / d ell
-    ell -= step
-    integral = float(w @ g) - step * dint
-    energy = (gamma / ell) ** 3 * (float(w @ (y * y * g)) - step * dmoment)
-    dell = integral / mprime  # d(ell)/d(gamma)
-    slope = energy * (3.0 / gamma - 3.0 * dell / ell) + (gamma / ell) ** 3 * dmoment * dell
-    return GroundState(gamma, ell, rule.nodes, rule.weights, g[full], energy, slope)
+    raise ConvergenceError(f"cutoff-ratio Newton solve failed at ell={ell} "
+                           f"(gamma={gamma}, n={rule.nodes.size})", best=ell)
 
 
 def solve_ground_state(
     gamma: float,
     *,
-    n0: int = 64,
+    n0: int = _PANEL_N0,
     tol: float = 1e-10,
 ) -> GroundState:
     """Ground state at coupling ``gamma > 0``.
 
-    Solves the linear integral equation
-    ``g(y) = 1/2pi + (ell/pi) * integral g(t) / (ell^2 + (y-t)^2) dt``
-    on ``[-1, 1]`` by a subtracted-kernel Nystrom method, with the outer
-    scalar condition ``ell = gamma * integral(g)`` closed by Newton's
-    method on ``ell``, whose last step also gives ``slope`` by implicit
-    differentiation.  The node count doubles until the energy (not the
-    slope) is stable to ``tol`` (relative); each rung starts its Newton
-    solve from the previous rung's ``ell``, so past the first rung it
-    takes two solves.  Stability is judged between two rungs, so an
-    ``n0`` whose next rung ``2*n0`` is above the ladder's ceiling raises
-    :class:`ConvergenceError` before any rung runs.
-
-    The dimensionless energy satisfies ``energy ~ gamma`` for weak
-    coupling and ``energy -> pi^2/3`` in the impenetrable limit.
+    Solves ``g(y) = 1/2pi + (ell/pi) * integral g(t) / (ell^2 + (y-t)^2)
+    dt`` on ``[-1, 1]`` with ``_panel_operator`` at width ``ell``, and
+    closes ``ell = gamma * integral(g)`` by Newton's method on ``ell``,
+    whose last step also gives ``slope`` by implicit differentiation.
+    ``n0`` and the ladder are ``solve_tba``'s, with the panels graded at
+    the support edge ``y = 1`` down to ``ell``; each rung starts from the
+    previous rung's ``ell``, and the energy (not the slope) is judged.
+    The error does not depend on how narrow the kernel is: the ladder
+    stops at 128 nodes for ``gamma >= 1`` and at 544 or fewer down to
+    ``gamma = 1e-8``.  ``energy ~ gamma`` at weak coupling and ``->
+    pi^2/3`` in the impenetrable limit.
     """
     gamma = float(gamma)
     if math.isinf(gamma):
@@ -506,19 +514,27 @@ def solve_ground_state(
             "the gamma=0 ideal gas needs no solver"
         )
     return _climb(
-        _ground_rungs(gamma, n0), n0, n0, _GROUND_MAX_NODES, tol,
+        functools.partial(_ground_rungs, gamma), n0, _GROUND_MAX_NODES, tol,
         "ground-state energy", f"gamma={gamma}",
     )
 
 
-def _ground_rungs(gamma: float, n: int):
-    """The rungs of the T = 0 ladder from ``n`` nodes, doubling, each
-    Newton solve started from the previous rung's ``ell``."""
-    ell = max(0.5 * math.sqrt(gamma), gamma / math.pi)
+def _ground_rungs(gamma: float, panels: int):
+    """The rungs of the T = 0 ladder from ``panels`` uniform panels per
+    half-line, doubling, each graded at ``y = 1`` down to the ``ell`` its
+    Newton solve starts from, the previous rung's.  The first rung is never
+    returned, so its solve stops at a step below ``1e-7 ell``, which leaves
+    its energy and ``ell`` exact to ``~1e-14`` for the next rung."""
+    # Newton's start, within 3% of the solution at every gamma: the weak
+    # coupling's sqrt(gamma)/2 with a fitted gamma/5, the strong's (gamma + 2)/pi
+    ell = 0.5 * math.sqrt(gamma) + 0.2 * gamma if gamma < 4.0 else (gamma + 2.0) / math.pi
+    state, energy = None, math.nan
     while True:
-        state = _ground_at(gamma, n, ell)
-        ell, n = state.ell, 2 * n
-        yield state, state.energy, n
+        edges = _graded_edges(1.0, panels, [(1.0, ell)])
+        yield state, energy, 2 * _PANEL_NODES * (edges.size - 1)
+        state = _ground_at(gamma, edges, ell, 1e-7 if state is None else 1e-13)
+        ell, energy = state.ell, state.energy
+        panels *= 2
 
 
 def e_res_zero_T(gamma: float, **solver_kw) -> float:
@@ -553,17 +569,12 @@ _NEWTON_TOL = 1e-11  # on the pseudo-energy step, relative to max|E|
 _NORM_TOL = 1e-10  # on the normalization residual integral(f) - 1
 _MAX_NEWTON = 50
 _MAX_MU_TRIALS = 60
-# default first rung: two uniform panels per half-line
-_PANEL_N0 = 4 * _PANEL_NODES
 
 
 class _Rung:
-    """One rung of the ``solve_tba`` ladder, on the composite rule with
-    ``_PANEL_NODES`` Gauss-Legendre nodes on each panel of the half-line
-    ``edges`` (from 0 to ``kmax``) and on their mirror images.  ``E`` and
-    ``f`` are even in ``K``, so the rung solves on the ``K >= 0`` half;
-    with an edge at 0 no node sits there, and every half column has its
-    own full weight.
+    """One rung of the ``solve_tba`` ladder, on the ``_mirrored_rule`` of
+    the half-line ``edges`` (from 0 to ``kmax``).  ``E`` and ``f`` are
+    even in ``K``, so the rung solves on the ``K > 0`` half.
 
     A subclass's ``_newton(mu)`` sets ``eps``, ``density`` and ``mu`` and
     returns ``dn/dmu``; ``solve_mu`` closes ``integral f = 1`` with it and
@@ -573,15 +584,10 @@ class _Rung:
     mu_hi = math.inf  # the density is finite at every mu
 
     def __init__(self, gamma: float, tau: float, kmax: float, edges: np.ndarray):
-        half = composite_rule(edges, _PANEL_NODES)
-        self.rule = QuadratureRule(
-            np.concatenate((-half.nodes[::-1], half.nodes)),
-            np.concatenate((half.weights[::-1], half.weights)),
-            (-kmax, kmax),
-        )
+        self.rule, self.grid, self.cw = _mirrored_rule(edges)
+        self.w = 2.0 * self.cw
         self.edges = np.concatenate((-edges[::-1], edges[1:]))
         self.gamma, self.tau, self.kmax = gamma, tau, kmax
-        self.grid, self.cw, self.w, self._full = _fold(self.rule)
         self.k2 = self.grid * self.grid
         self.eps = self.density = None
         self.mu = math.nan
@@ -626,8 +632,8 @@ class _Rung:
             tau=self.tau,
             grid=self.rule.nodes,
             weights=self.rule.weights,
-            eps=self.eps[self._full],
-            density=self.density[self._full],
+            eps=_mirror(self.eps),
+            density=_mirror(self.density),
             mu=self.mu,
             kmax=self.kmax,
             edges=self.edges,
@@ -651,7 +657,7 @@ class _TBAGrid(_Rung):
 
     def __init__(self, gamma: float, tau: float, kmax: float, edges: np.ndarray):
         super().__init__(gamma, tau, kmax, edges)
-        self.kw = _panel_operator(self.grid, self.cw, edges, gamma)
+        self.kw = _panel_operator(self.grid, self.cw, gamma, _near_pairs(self.grid, edges, gamma))
         self._jac = np.empty_like(self.kw)
         self.g = np.full(self.grid.size, 1.0 / (2.0 * math.pi))
 
@@ -772,13 +778,12 @@ def _tba_rungs(gamma: float, tau: float, panels: int):
     top = max(math.pi**2, mu + 2.0 * tau)  # the mu the grid is sized for
     if gamma == 0.0 and mu >= 0.0:  # the classical start is >= 0 for Bose at tau <= 4pi
         mu = -tau
-    sol, fermi = None, []
+    sol, energy, fermi = None, math.nan, []
     while True:
         kmax = math.sqrt(max(top, 0.0) + _TAIL_LOG * tau)
         peak = [(0.0, math.sqrt(-mu))] if gamma == 0.0 else []
         edges = _graded_edges(kmax, panels, fermi + peak)
-        if sol is not None:
-            yield sol, energy, 2 * _PANEL_NODES * (edges.size - 1)
+        yield sol, energy, 2 * _PANEL_NODES * (edges.size - 1)
         rung = rung_type(gamma, tau, kmax, edges)
         if sol is not None:
             rung.seed(sol.grid, sol.eps, mu)
@@ -832,16 +837,12 @@ def solve_tba(
     closed-form occupations in place of the kernel; they solve at any
     ``tau``.
 
-    The ladder (``_climb``) stops when the energy per particle is stable
-    to ``tol`` (relative).  An ``n0`` whose first rung, ``32 * max(1, n0
-    // 32)`` nodes, has no room for its double under the ladder's ceiling
-    raises :class:`ConvergenceError` before any rung runs, and so does a
-    second rung that grading pushes past the ceiling, after the first.
-    The product-integrated kernel's error does not depend on
-    ``gamma``, so the energy stop alone ends every ladder: at ``tau =
-    1e3`` it stops at 128 nodes for nine log-spaced ``gamma`` from 0.01
-    to 100, and at ``tau = 0.5`` at 384-448 nodes for eight from 0.025
-    to 100.  Near the ideal-Bose edge, ``(gamma, tau) = (0.001, 0.05)``,
+    The ladder (``_climb``, with its rules for ``n0`` and the ceiling)
+    stops when the energy per particle is stable to ``tol`` (relative).
+    The product-integrated kernel's error does not depend on ``gamma``,
+    so the energy stop alone ends every ladder (``_TBAGrid`` gives the
+    rungs on the benchmark grids).  Near the ideal-Bose edge, ``(gamma,
+    tau) = (0.001, 0.05)``,
     ``(0.001, 0.1)`` and ``(0.005, 0.5)`` stop at 384 nodes within
     1e-10 (absolute) of a ladder started two rungs deeper.  The energy
     stop does not bound the shift ``E - P/2``, a difference of two
@@ -865,9 +866,8 @@ def solve_tba(
             "certify its result; use e_res_high_T for the high-temperature shift"
         )
 
-    panels = max(1, n0 // (2 * _PANEL_NODES))
     return _climb(
-        _tba_rungs(gamma, tau, panels), n0, 2 * _PANEL_NODES * panels, _TBA_MAX_NODES, tol,
+        functools.partial(_tba_rungs, gamma, tau), n0, _TBA_MAX_NODES, tol,
         "TBA energy", f"gamma={gamma}, tau={tau}",
     )
 

@@ -119,16 +119,16 @@ class QuadratureRule:
 
 
 # Newton budget of the node builder, in recurrence sweeps.  From
-# Tricomi's guesses the panel sizes 16 and 32 and the ground-state ladder
-# 64..4096 need at most 4 steps plus the sweep at the converged nodes
-# that gives the weights.
+# Tricomi's guesses the panel sizes 16 and 32, and single rules of 64,
+# 128, ..., 4096 nodes, need at most 4 steps plus the sweep at the
+# converged nodes that gives the weights.
 _GL_MAX_EVALS = 10
 _GL_STEP_TOL = 4.0 * np.finfo(float).eps
 
 
-# The ground-state node ladder (7 sizes from its default n0 = 64), the
-# TBA panels (n = 16) and the anyon panels (n = 32) use 9 distinct n; the
-# bound keeps a caller that asks for many distinct n from growing memory.
+# The library asks for two n: the 1d solvers' panels (n = 16, both
+# ladders) and the anyon panels (n = 32); the bound keeps a caller that
+# asks gauss_legendre for many distinct n from growing memory.
 @functools.lru_cache(maxsize=16)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on ``[-1, 1]``, ascending.

@@ -1,5 +1,6 @@
 """Command-line front end: sweep engine, emitters, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -447,6 +448,18 @@ def test_main_failing_sweep_still_writes_all_rows(tmp_path):
     assert main(["sweep", specfile]) == EXIT_SOLVER
     table = load_table(out)
     assert len(table.rows) == 3 and table.failures == 2
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_output_is_a_status_row(monkeypatch, capsys, value):
+    # one backstop in run_sweep for every quantity: a float output that is
+    # not finite fails its row, named by its column, and the command exits
+    # 2; an inf input cell (gamma = inf) stays legitimate
+    entry = dataclasses.replace(cli.REGISTRY["ll-b2"], evaluate=lambda p, o, c: (value,))
+    monkeypatch.setitem(cli.REGISTRY, "ll-b2", entry)
+    assert main(["ll", "b2", "--gamma", "inf", "--tau", "1"]) == EXIT_SOLVER
+    row = capsys.readouterr().out.strip().splitlines()[-1]
+    assert row == f"inf,1,,FloatingPointError: b2 is {value}"
 
 
 def test_main_single_point_to_stdout(capsys):

@@ -13,6 +13,7 @@ solver's self-reported convergence.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -34,7 +35,7 @@ from lowdgas import (
     solve_tba,
 )
 from lowdgas import lieb_liniger
-from lowdgas.numerics import ConvergenceError, derivative, gauss_legendre
+from lowdgas.numerics import ConvergenceError, derivative
 
 TWO_PI = 2.0 * math.pi
 
@@ -147,8 +148,11 @@ def test_zero_T_shift_frozen(gamma):
 
 
 # gamma -> (e_res_zero_T, energy) of the Newton solve with a lagged slope
-# right-hand side and a confirming solve; one exact solve per step must
-# reproduce them to rounding, with the same ladder stops
+# right-hand side and a confirming solve; later solvers must reproduce them
+# to rounding.  The shifts at 1e4 and 1e5 were re-pinned (by 3.9e-13 and
+# 1.6e-11 relative) when the slope lost the cancellation of its chain
+# rule: the old value at 1e5 was 1.7e-11 off the strong-coupling series,
+# the new one is 1.3e-13 off (see test_zero_T_shift_strong_coupling_tail)
 ZERO_T_FROZEN = {
     1e-3: (0.0004899994400489283, 0.00098664417187856),
     0.01: (0.004688204559463923, 0.00958210531914644),
@@ -156,8 +160,8 @@ ZERO_T_FROZEN = {
     1.0: (0.24475349534509505, 0.6391512852720748),
     4.7: (0.41384991734913396, 1.717664327325743),
     100.0: (0.06191147076111251, 3.1621812091201775),
-    1e4: (0.00065757889665946, 3.2885525811910985),
-    1e5: (6.579341488727324e-05, 3.2897365429189103),
+    1e4: (0.0006575788966597202, 3.2885525811910985),
+    1e5: (6.579341488618778e-05, 3.2897365429189103),
 }
 
 
@@ -169,8 +173,10 @@ def test_zero_T_shift_and_energy_frozen_to_rounding(gamma):
 
 
 def test_ground_state_solve_budget(monkeypatch):
-    # one solve per Newton step and a warm-started ladder: 6 solves on the
-    # first rung, then 2 on each of the 128..1024-node rungs
+    # two solves per Newton step (A for g, its transpose for the slopes)
+    # and a warm-started ladder: 3 steps on the 224-node first rung, which
+    # stops at a step below 1e-7 ell, then one on the 256-node rung, whose
+    # step is already below 1e-13 ell
     calls = []
     solve = np.linalg.solve
 
@@ -179,14 +185,14 @@ def test_ground_state_solve_budget(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
-    assert solve_ground_state(1e-3).nodes.size == 1024
-    assert len(calls) <= 14
+    assert solve_ground_state(1e-3).nodes.size == 256
+    assert len(calls) <= 8
 
 
 def test_n0_above_the_ladder_ceiling_is_named():
     # no rung runs, so the error names n0 and the ceiling, not a tolerance
-    with pytest.raises(ConvergenceError, match=r"^n0=4097 is above the ladder's 4096-node ceiling$"):
-        solve_ground_state(1.0, n0=4097)
+    with pytest.raises(ConvergenceError, match=r"^n0=1025 is above the ladder's 1024-node ceiling$"):
+        solve_ground_state(1.0, n0=1025)
     with pytest.raises(ConvergenceError, match=r"^n0=6501 is above the ladder's 6500-node ceiling$"):
         solve_tba(LLParams(1.0, 1.0), n0=6501)
 
@@ -200,23 +206,33 @@ def test_n0_without_a_second_rung_fails_before_any_rung(monkeypatch):
     monkeypatch.setattr(lieb_liniger, "_ground_at", no_rung)
     monkeypatch.setattr(lieb_liniger, "_TBAGrid", no_rung)
     monkeypatch.setattr(lieb_liniger, "_IdealGrid", no_rung)
+    # at gamma = 1 no first rung is graded (ell = 0.7 is wider than its
+    # panels), so both are 32 * (n0 // 32) nodes: 544 from n0 = 544, 992
+    # from 1000 and 3264 from 3264
     with pytest.raises(ConvergenceError, match=(
-        r"^n0=2049 leaves no second rung to compare: the next rung, 4098 nodes, "
-        r"is above the ladder's 4096-node ceiling$"
+        r"^n0=544 leaves no second rung to compare: the next rung, 1088 nodes, "
+        r"is above the ladder's 1024-node ceiling$"
     )):
-        solve_ground_state(1.0, n0=2049)
-    with pytest.raises(ConvergenceError, match=r"^n0=4000 leaves .* 8000 nodes"):
-        solve_ground_state(1.0, n0=4000)
-    # the finite-T first rung is 32 * (n0 // 32) nodes: 3264 from n0 = 3264
+        solve_ground_state(1.0, n0=544)
+    with pytest.raises(ConvergenceError, match=r"^n0=1000 leaves .* 1984 nodes"):
+        solve_ground_state(1.0, n0=1000)
     for gamma in (1.0, 0.0, math.inf):
         with pytest.raises(ConvergenceError, match=(
             r"^n0=3264 leaves no second rung to compare: the next rung, 6528 nodes, "
             r"is above the ladder's 6500-node ceiling$"
         )):
             solve_tba(LLParams(gamma, 1.0), n0=3264)
+    # at gamma = 1e-12 the first T = 0 rung from n0 = 512 is graded at
+    # y = 1 down to ell ~ 5e-7, 17 halvings of one more panel pair each:
+    # 1056 nodes, above the ceiling on its own
+    with pytest.raises(ConvergenceError, match=(
+        r"^n0=512 leaves no second rung to compare: the next rung, 1056 nodes, "
+        r"is above the ladder's 1024-node ceiling$"
+    )):
+        solve_ground_state(1e-12, n0=512)
     # the largest n0 that still has a second rung gets as far as its first
     with pytest.raises(AssertionError, match="a rung ran"):
-        solve_ground_state(1.0, n0=2048)
+        solve_ground_state(1.0, n0=543)
     for gamma in (1.0, 0.0, math.inf):
         with pytest.raises(AssertionError, match="a rung ran"):
             solve_tba(LLParams(gamma, 1.0), n0=3263)
@@ -241,24 +257,41 @@ def test_an_unstable_ladder_carries_its_last_rung_and_change(monkeypatch):
         solve_tba(LLParams(1.0, 1e3), tol=1e-300)
     assert err.value.best.grid.size == 256
     assert 0.0 < err.value.residual < 1e-6
+    # the T = 0 ladder is stable to rounding from its second rung on (at
+    # gamma = 1 the 64-, 128- and 256-node energies can agree to the last
+    # bit), so each rung's energy is offset by 1e-9 per node to keep it
+    # climbing to the ceiling
+    ground_at = lieb_liniger._ground_at
+
+    def drifting(*args):
+        state = ground_at(*args)
+        return dataclasses.replace(state, energy=state.energy + 1e-9 * state.nodes.size)
+
+    monkeypatch.setattr(lieb_liniger, "_ground_at", drifting)
     monkeypatch.setattr(lieb_liniger, "_GROUND_MAX_NODES", 256)
-    with pytest.raises(ConvergenceError, match=r"^ground-state energy not stable") as err:
-        solve_ground_state(1.0, tol=1e-300)
+    with pytest.raises(ConvergenceError, match=r"^ground-state energy not stable to 1e-10 by 256") as err:
+        solve_ground_state(1.0)
     assert err.value.best.nodes.size == 256
-    assert 0.0 < err.value.residual < 1e-6
+    assert err.value.residual == pytest.approx(128e-9, rel=1e-6)
 
 
 def test_ground_state_peak_memory_is_a_few_half_size_matrices():
-    # the 1024-node top rung solves on 512 nodes: the operator is built in
-    # row blocks straight into one such matrix, the slope pass is row
-    # blocked too, and the traced peak stays below 2 such matrices
+    # the deepest default rung, 544 nodes at gamma = 1e-8, solves on 272
+    # nodes: the operator is the one matrix of that size, the width
+    # derivative is applied to g row block by row block and never stored,
+    # and the previous step's operator is freed first.  The two row-block
+    # buffers (0.9 of such a matrix here) and the near pairs with their
+    # moments bring the traced peak to 2.45 matrices (a warm-up call
+    # imports what the moment pass needs)
+    solve_ground_state(1e-3)
     tracemalloc.start()
     try:
-        solve_ground_state(1e-3)
+        state = solve_ground_state(1e-8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.0 * 512**2 * 8
+    assert state.nodes.size == 544
+    assert peak < 2.75 * 272**2 * 8
 
 
 def test_zero_T_shift_asymptotes():
@@ -294,6 +327,50 @@ def test_zero_T_shift_strong_coupling_series():
         2.0 / gamma - 12.0 / gamma**2 + 48.0 * (1.0 - math.pi**2 / 15.0) / gamma**3
     )
     assert e_res_zero_T(gamma) == pytest.approx(series, rel=1e-10, abs=0.0)
+
+
+def _weak_shift(gamma):
+    """``gamma/2 - gamma^{3/2}/pi + (1/6 - 1/pi^2) gamma^2 + (5/4) c_{5/2}
+    gamma^{5/2}``, ``c_{5/2} = (3 zeta(3)/8 - 1/2)/pi^3``: the shift
+    ``gamma e'/2`` of the weak-coupling series of the energy (Tracy &
+    Widom, J. Phys. A 49, 294001, 2016)."""
+    c52 = (3.0 * float(mpmath.zeta(3)) / 8.0 - 0.5) / math.pi**3
+    return (gamma / 2.0 - gamma**1.5 / math.pi + (1.0 / 6.0 - 1.0 / math.pi**2) * gamma**2
+            + 1.25 * c52 * gamma**2.5)
+
+
+def _strong_shift(gamma):
+    """``(pi^2/3) (2/g - 12/g^2 - (3/2) (32 pi^2/15 - 32)/g^3)``, the shift
+    of the strong-coupling series to ``1/gamma^3``."""
+    return math.pi**2 / 3.0 * (
+        2.0 / gamma - 12.0 / gamma**2 - 1.5 * (32.0 * math.pi**2 / 15.0 - 32.0) / gamma**3
+    )
+
+
+def test_zero_T_shift_meets_the_weak_coupling_series():
+    # the panels keep the narrow kernel exact, so what is left is the
+    # gamma^3 term (-2.5e-4 gamma^3) and rounding
+    for gamma in (1e-6, 1e-5, 1e-4, 1e-3):
+        assert abs(e_res_zero_T(gamma) - _weak_shift(gamma)) <= 1e-3 * gamma**3 + 1e-12 * gamma
+
+
+@pytest.mark.parametrize("gamma", np.geomspace(1e6, 1e10, 9).tolist())
+def test_zero_T_shift_strong_coupling_tail(gamma):
+    # the omitted 1/gamma^4 term is below 1e-17 relative here; the chain
+    # rule's slope, a difference of two O(1/gamma) terms, was 1e-6 off at 1e10
+    assert e_res_zero_T(gamma) == pytest.approx(_strong_shift(gamma), rel=1e-13, abs=0.0)
+
+
+def test_zero_T_shift_solves_from_the_ideal_gas_to_the_tonks_edge():
+    # every gamma of 65 log-spaced from 1e-6 to 1e10 returns a positive
+    # shift below the maximum, within both series at their ends
+    for gamma in np.geomspace(1e-6, 1e10, 65):
+        shift = e_res_zero_T(float(gamma))
+        assert 0.0 < shift < 0.4139
+        if gamma <= 1e-3:
+            assert abs(shift - _weak_shift(gamma)) <= 1e-3 * gamma**3 + 1e-12 * gamma
+        if gamma >= 1e6:
+            assert shift == pytest.approx(_strong_shift(gamma), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 0.01])
@@ -407,28 +484,6 @@ def test_pseudo_energy_between_nodes_matches_a_deeper_ladder(gamma, tau):
     assert np.max(np.abs(got - deep.eps[inside])) <= 1e-8 * np.max(np.abs(deep.eps))
 
 
-def _moments(nodes, gamma, kmax):
-    """``integral ker(q) dq`` over ``q`` in ``[-kmax - K, kmax - K]`` from the
-    antiderivative ``atan(q/gamma)/pi``, evaluated at 30 digits."""
-    with mpmath.workdps(30):
-        g = mpmath.mpf(gamma)
-        return np.array([
-            float((mpmath.atan((kmax - mpmath.mpf(float(k))) / g)
-                   - mpmath.atan((-kmax - mpmath.mpf(float(k))) / g)) / mpmath.pi)
-            for k in nodes
-        ])
-
-
-def _plain_operator(nodes, weights, gamma, m0):
-    """``W + diag(M0 - S0)`` with ``W_ij = w_j ker(K_i - K_j)`` (zero
-    diagonal) and the analytic masses ``m0``: the plain subtracted kernel
-    the ground state solves with."""
-    q = nodes[None, :] - nodes[:, None]
-    w = weights[None, :] * (gamma / math.pi) / (q * q + gamma * gamma)
-    np.fill_diagonal(w, 0.0)
-    return w + np.diag(m0 - w.sum(axis=1))
-
-
 def _product_operator(nodes, weights, edges, gamma):
     """Full-grid oracle for the solver's folded kernel: ``C_ij`` integrates
     ``ker(K_i - K)`` against the Lagrange basis polynomial of node ``j`` on
@@ -507,20 +562,50 @@ def test_folded_convolution_matches_the_full_grid(n, gamma):
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("n", [63, 64])
 def test_plain_fold_matches_the_full_grid(n, gamma):
-    # the ground state's folded operator A = I - plain on the y >= 0 half
-    # of [-1, 1], as _ground_at solves with it, against the full-grid
-    # plain subtracted operator with each column added onto its half node
-    # (a middle node y = 0 at odd n is its own mirror and counted once);
-    # entrywise, since A v cancels to ~1e-3 of v at gamma = 1e-3
-    rule = gauss_legendre(n, -1.0, 1.0)
+    # the plain folded kernel of the row-block pass, on the y > 0 half of
+    # the first T = 0 rung from n0 = n (n // 32 uniform panels per
+    # half-line of [-1, 1], graded at y = 1 down to the width gamma),
+    # against the full-grid plain kernel w_j ker(y_i - y_j), zero on the
+    # diagonal, with each column added onto its half node
+    edges = lieb_liniger._graded_edges(1.0, n // 32, [(1.0, gamma)])
+    rule, y, cw = lieb_liniger._mirrored_rule(edges)
     nodes, weights = rule.nodes, rule.weights
-    plain = _plain_operator(nodes, weights, gamma, _moments(nodes, gamma, 1.0))
-    y, cw, _, full = lieb_liniger._fold(rule)
-    assert (y[0] == 0.0) == (n % 2 == 1)
-    folded = (np.eye(n) - plain)[n // 2:] @ np.eye(y.size)[full]
-    np.testing.assert_allclose(
-        lieb_liniger._ground_operator(y, cw, gamma), folded, rtol=1e-13, atol=0.0
-    )
+    assert np.array_equal(nodes[: y.size], -y[::-1]) and y[0] > 0.0
+    q = nodes[:, None] - nodes
+    plain = weights * (gamma / math.pi) / (q * q + gamma * gamma)
+    np.fill_diagonal(plain, 0.0)
+    full = plain[y.size:]
+    folded = full[:, y.size:] + full[:, : y.size][:, ::-1]
+    blocks = np.empty_like(folded)
+    for rs, minus, plus in lieb_liniger._folded_blocks(y, gamma):
+        blocks[rs] = (minus + plus) * cw
+    np.testing.assert_allclose(blocks, folded, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("ell", [1e-3, 0.01, 0.12, 2.0])
+def test_width_derivative_matches_central_differences(ell):
+    # dC/dell of the ground state's folded product-integrated operator,
+    # applied column by column by the row-blocked _width_product, on a
+    # T = 0 rung graded at y = 1 down to ell, against a fourth-order
+    # central difference of C itself (step 1e-3 ell, measured within 7e-12
+    # relative to max|dC|); every pair is far at 2, near and far pairs mix
+    # below.  C jumps by ~rho^-17 of an entry where a pair crosses the far
+    # ellipse, so no pair crosses it inside these stencils (at ell = 0.1
+    # one does, and the difference misses by 4e-8)
+    edges = lieb_liniger._graded_edges(1.0, 4, [(1.0, ell)])
+    _, y, cw = lieb_liniger._mirrored_rule(edges)
+    near = lieb_liniger._near_pairs(y, edges, ell)
+    assert (near is None) == (ell == 2.0)
+    dconv = np.column_stack([
+        lieb_liniger._width_product(y, cw, ell, near, e) for e in np.eye(y.size)
+    ])
+
+    def op(width):
+        return lieb_liniger._panel_operator(y, cw, width, lieb_liniger._near_pairs(y, edges, width))
+
+    d = 1e-3 * ell
+    diff = (8.0 * (op(ell + d) - op(ell - d)) - (op(ell + 2 * d) - op(ell - 2 * d))) / (12.0 * d)
+    assert np.max(np.abs(dconv - diff)) <= 1e-10 * np.max(np.abs(dconv))
 
 
 def _even_power_integrals(x, gamma, kmax):
@@ -569,9 +654,9 @@ def test_panel_operator_is_exact_on_even_polynomials(gamma):
 
 
 def test_both_grid_parities_agree_and_mirror_exactly():
-    # --nodes reaches n0: every TBA grid is even (mirrored 16-node panels,
-    # no middle node), from the default n0 = 64 as from n0 = 200; an odd
-    # ground-state grid has a middle node; the arrays come back exactly even
+    # --nodes reaches n0: every grid of both solvers is even (mirrored
+    # 16-node panels, no middle node), from the default n0 = 64 as from
+    # n0 = 200 (six panels per half-line); the arrays come back exactly even
     def shift(sol):
         pressure, energy = observables(sol)
         return energy - 0.5 * pressure
@@ -579,10 +664,11 @@ def test_both_grid_parities_agree_and_mirror_exactly():
     params = LLParams(1.0, 1.0)
     tba_default, tba_wide = solve_tba(params), solve_tba(params, n0=200)
     assert shift(tba_wide) == pytest.approx(shift(tba_default), rel=1e-8)
-    ground_even, ground_odd = solve_ground_state(1.0), solve_ground_state(1.0, n0=65)
-    assert ground_odd.energy == pytest.approx(ground_even.energy, rel=1e-10)
+    ground_default, ground_wide = solve_ground_state(1.0), solve_ground_state(1.0, n0=200)
+    assert ground_wide.nodes.size == 384
+    assert ground_wide.energy == pytest.approx(ground_default.energy, rel=1e-10)
     for a in (tba_default.eps, tba_default.density, tba_wide.eps, tba_wide.density,
-              ground_even.g_nodes, ground_odd.g_nodes):
+              ground_default.g_nodes, ground_wide.g_nodes):
         assert np.array_equal(a, a[::-1])
 
 

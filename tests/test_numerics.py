@@ -11,6 +11,9 @@ different method (bisection, series).
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -148,6 +151,24 @@ def test_cached_reference_rule_is_read_only():
     with pytest.raises(ValueError):
         w[0] = 0.0
     assert numerics._legendre_rule(24)[0] is x
+
+
+def test_importing_the_package_builds_no_rule_and_pulls_in_no_extras():
+    # interpreter start and these imports are the fixed cost of every CLI
+    # call: no rule or table is built and no optional or lazily loaded
+    # module is imported until a solver asks for it
+    code = (
+        "import sys, lowdgas, lowdgas.cli\n"
+        "from lowdgas import lieb_liniger, numerics\n"
+        "extras = ('numpy.polynomial', 'mpmath', 'scipy', 'sympy', 'hypothesis')\n"
+        "print([m for m in extras if m in sys.modules])\n"
+        "print(numerics._legendre_rule.cache_info().currsize,"
+        " lieb_liniger._legendre_projection.cache_info().currsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == ["[]", "0 0"]
 
 
 def test_gauss_legendre_returns_fresh_arrays():
