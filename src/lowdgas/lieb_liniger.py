@@ -27,7 +27,7 @@ with Legendre-Cauchy moments, Helsing & Ojala, J. Comput. Phys. 227,
 delta spike (``ell = 5e-5`` at ``gamma = 1e-8``) to a flat, weak kernel
 (``gamma ~ 1e4``).  The T = 0 panels are graded at the support edge
 ``t = 1``, where ``g`` is singular a distance ``ell`` off the real axis;
-the finite-T ones at the Fermi points down to the Fermi width.
+the finite-T ones at the Fermi points, whose distance is ``pi tau/|E'|``.
 
 Derived observables: pressure, energy, the energy-pressure shift
 ``e_res = energy - pressure/2`` at zero and finite temperature, its
@@ -239,6 +239,7 @@ _PANEL_N0 = 4 * _PANEL_NODES
 # Bernstein-ellipse radius from which a panel's plain Gauss rule integrates
 # the Lorentzian times a smooth density to rounding (error ~ rho^-32)
 _FAR_RHO = 1.2 * math.sqrt(10.0)
+_UPSAMPLE = 96  # Gauss-Legendre nodes of the rule for the moments at rho >= 1.24
 
 
 @functools.lru_cache(maxsize=1)
@@ -257,45 +258,42 @@ def _bernstein_rho(zeta: np.ndarray) -> np.ndarray:
     return np.abs(zeta + np.sqrt(zeta - 1.0) * np.sqrt(zeta + 1.0))
 
 
+@functools.lru_cache(maxsize=1)
+def _upsampled_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The ``_UPSAMPLE``-point rule's nodes ``t_q`` and ``w_q P_k(t_q)``, ``k < _PANEL_NODES``."""
+    t, w = _legendre_rule(_UPSAMPLE)
+    return t, np.polynomial.legendre.legvander(t, _PANEL_NODES - 1) * w[:, None]
+
+
 def _cauchy_moments(zeta: np.ndarray) -> np.ndarray:
     """``I_k(zeta) = integral_-1^1 P_k(t) / (t - zeta) dt`` for ``k <
     _PANEL_NODES``, ``Im zeta > 0`` and Bernstein radius ``rho <
-    _FAR_RHO``, one row per ``zeta``.
-
-    ``I_0 = log((1 - zeta)/(-1 - zeta))``, ``I_1 = 2 + zeta I_0`` and
-    ``(k+1) I_{k+1} = (2k+1) zeta I_k - k I_{k-1}``.  ``I_k = -2 Q_k(zeta)``
-    falls like ``rho^-k``, so the recurrence runs forward only where
-    ``rho^32 < 1e3``, which bounds the growth of rounding.  Elsewhere it
-    runs backward (Miller) from ``I_{N+1} = 0``, ``I_N = 1`` and is
-    normalized by ``I_0``; the start leaves a relative error of about
-    ``rho^-2(N-k)`` in ``I_k``, so ``N = 16 + ceil(20/ln rho)`` puts it
-    below ``e^-40`` (Helsing & Ojala, J. Comput. Phys. 227, 2899, 2008)."""
+    _FAR_RHO``, one row per ``zeta``.  ``I_k = -2 Q_k(zeta)`` falls like
+    ``rho^-k``, so ``(k+1) I_{k+1} = (2k+1) zeta I_k - k I_{k-1}`` runs
+    forward, from ``I_0 = log((1 - zeta)/(-1 - zeta))`` and ``I_1 = 2 +
+    zeta I_0``, only where ``rho^32 < 1e3`` (bounded growth of rounding).
+    Elsewhere ``I_k = sum_q w_q P_k(t_q) / (t_q - zeta)`` on the
+    ``_UPSAMPLE``-point rule is within ``~rho^-(2 * 96 - 15) < 1e-16`` of
+    ``I_0``, in row blocks of ``_BLOCK`` and in reals (a complex matrix
+    product raised the peak memory of a zero-T sweep by ~0.5 MiB)."""
     p = _PANEL_NODES
-    rho = _bernstein_rho(zeta)
     out = np.empty((zeta.size, p), dtype=complex)
-    i0 = np.log((1.0 - zeta) / (-1.0 - zeta))
-    fwd = rho ** (2 * p) < 1e3
+    fwd = _bernstein_rho(zeta) ** (2 * p) < 1e3
     z = zeta[fwd]
-    blk = out[fwd]
-    blk[:, 0] = i0[fwd]
+    blk = np.empty((z.size, p), dtype=complex)
+    blk[:, 0] = np.log((1.0 - z) / (-1.0 - z))
     blk[:, 1] = 2.0 + z * blk[:, 0]
     for k in range(1, p - 1):
         blk[:, k + 1] = ((2 * k + 1) * z * blk[:, k] - k * blk[:, k - 1]) / (k + 1)
     out[fwd] = blk
-    back = ~fwd
-    if np.any(back):
-        z = zeta[back]
-        y = np.empty((p, z.size), dtype=complex)
-        above, cur = np.zeros_like(z), np.ones_like(z)  # I_{k+1}, I_k from k = N
-        for k in range(p + math.ceil(20.0 / math.log(float(rho[back].min()))), 0, -1):
-            # k I_{k-1} = (2k+1) zeta I_k - (k+1) I_{k+1}
-            nxt = np.multiply(cur, z)
-            nxt *= (2 * k + 1) / k
-            nxt -= ((k + 1) / k) * above
-            above, cur = cur, nxt
-            if k <= p:
-                y[k - 1] = cur
-        out[back] = (y * (i0[back] / y[0])).T
+    back, rows = np.flatnonzero(~fwd), _BLOCK // _UPSAMPLE
+    t, table = _upsampled_legendre()
+    for i in range(0, back.size, rows):  # 1/(t - zeta) = (d + i Im zeta) r, in place
+        z = zeta[back[i:i + rows], None]
+        d = t - z.real
+        r = d * d
+        np.reciprocal(np.add(r, z.imag * z.imag, out=r), out=r)
+        out[back[i:i + rows]] = np.multiply(d, r, out=d) @ table + 1j * (z.imag * (r @ table))
     return out
 
 
@@ -643,8 +641,8 @@ class _Rung:
 class _TBAGrid(_Rung):
     """Interacting rung, ``0 < gamma < inf``.  On the nominal grids of the
     ``ll-finite-T`` benchmark the rungs are 64 -> 128 nodes at ``tau =
-    1e3`` and 64 -> 288-416 -> 384-448 at ``tau = 0.5``, where the second
-    rung's grading adds 7 panels per half-line at the Fermi point.
+    1e3`` and 64 -> 160-288 -> 256-384 at ``tau = 0.5``, where the second
+    rung's grading adds 3-5 panels per half-line at the Fermi point.
 
     Every solve goes through the Jacobian ``J = I - C diag(fermi)`` of
     ``F(E) = E - K^2 + mu + C softplus(E)``, where ``C`` is the folded,
@@ -721,15 +719,16 @@ class _IdealGrid(_Rung):
 
 
 def _fermi_points(sol: TBASolution) -> list[tuple[float, float]]:
-    """The Fermi points ``K_F > 0`` of a solved rung, in increasing order,
-    each with its Fermi width ``tau / |E'(K_F)|``: the zeros of ``E``,
-    located by linear interpolation between nodes."""
+    """The Fermi points ``K_F > 0`` of a solved rung, in increasing order
+    (zeros of ``E`` by linear interpolation between nodes), each with the
+    distance ``pi tau / |E'(K_F)|`` from the real axis of the singularities
+    of the Fermi factor and ``softplus(-E/tau)``, at ``E = +-i pi tau``."""
     pos = sol.grid > 0.0
     k, e = sol.grid[pos], sol.eps[pos]
     points = []
     for i in np.flatnonzero(np.signbit(e[:-1]) != np.signbit(e[1:])):
         slope = (e[i + 1] - e[i]) / (k[i + 1] - k[i])
-        points.append((k[i] - e[i] / slope, sol.tau / abs(slope)))
+        points.append((k[i] - e[i] / slope, math.pi * sol.tau / abs(slope)))
     return points
 
 
@@ -737,12 +736,14 @@ def _graded_edges(kmax: float, panels: int, features: list[tuple[float, float]])
     """Half-line panel edges of a rung: ``panels`` uniform panels of width
     ``h`` on ``[0, kmax]``, graded at each feature ``(centre, width)`` by
     edges at ``centre`` and ``centre +- h 2^-l`` for ``l = 1, 2, ...``
-    until the step reaches ``width``.  The features are the previous
-    rung's Fermi points with their Fermi widths (``_fermi_points``) and,
-    for the ideal Bose gas, its occupation peak ``~ tau / (K^2 - mu)`` at
-    ``K = 0`` with half-width ``sqrt(-mu)``.  Edges outside ``(0, kmax)``
-    are dropped, and so are edges closer than half the finest step to a
-    kept one."""
+    until the step reaches ``width``, the distance ``d`` of the feature's
+    nearest singularity from the real axis: a panel beside it, at most
+    ``d`` wide, sees it at a Bernstein radius of at least ``2 + sqrt(5)``
+    (error ``~ 4.2^-32 ~ 1e-20``).  The features are the previous rung's Fermi
+    points (``_fermi_points``), the ideal Bose peak at ``K = 0`` (pole
+    ``sqrt(-mu)`` off the axis) and the T = 0 support edge (``ell``).
+    Edges outside ``(0, kmax)`` are dropped, and so are edges closer than
+    half the finest step to a kept one."""
     h = kmax / panels
     cands = [h * i for i in range(1, panels)]
     gap = 0.5 * h
@@ -767,12 +768,13 @@ def _graded_edges(kmax: float, panels: int, features: list[tuple[float, float]])
 def _tba_rungs(gamma: float, tau: float, panels: int):
     """The rungs of the finite-T ladder from ``panels`` uniform panels per
     half-line, doubling, each graded at the previous rung's Fermi points
-    and seeded from its pseudo-energy and ``mu``.  A rung's grid reaches
-    ``kmax = sqrt(mu + ln(1e12) tau)`` with the previous rung's ``mu`` (at
-    least ``pi^2`` for the first rung), or with ``max(mu, pi^2)`` where the
-    dressing ``K_F^2 - mu`` at the outermost Fermi point takes more than a
-    quarter of the tail margin ``ln(1e12) tau`` (at unit density ``K_F <=
-    pi``); the rest is kept for the next rung's move of ``mu`` and ``K_F``."""
+    (the Bose peak at ``gamma = 0``) and seeded from its pseudo-energy and
+    ``mu``.  A rung's grid reaches ``kmax = sqrt(mu + ln(1e12) tau)`` with
+    the previous rung's ``mu`` (at least ``pi^2`` for the first rung), or
+    with ``max(mu, pi^2)`` where the dressing ``K_F^2 - mu`` at the
+    outermost Fermi point takes more than a quarter of the tail margin
+    ``ln(1e12) tau`` (at unit density ``K_F <= pi``); the rest is kept for
+    the next rung's move of ``mu`` and ``K_F``."""
     rung_type = _TBAGrid if 0.0 < gamma < math.inf else _IdealGrid
     mu = _boltzmann_mu(tau)
     top = max(math.pi**2, mu + 2.0 * tau)  # the mu the grid is sized for
@@ -792,7 +794,7 @@ def _tba_rungs(gamma: float, tau: float, panels: int):
         rung = None  # the next rung needs only sol: free this kernel and Jacobian
         _, energy = observables(sol)
         mu = top = sol.mu
-        fermi = _fermi_points(sol)
+        fermi = _fermi_points(sol) if gamma > 0.0 else []  # Bose occupations are smooth at E = 0
         if fermi and fermi[-1][0] ** 2 > mu + 0.25 * _TAIL_LOG * tau:
             top = max(mu, math.pi**2)
         panels *= 2
@@ -825,10 +827,11 @@ def solve_tba(
     At every ``gamma`` the grid is a composite rule, mirrored about 0, of
     panels with 16 Gauss-Legendre nodes.  The first rung has ``n0 // 32``
     uniform panels on each half-line; each later rung doubles them and
-    grades the panels at the previous rung's Fermi points, and the ideal
-    Bose gas also at its peak ``K = 0`` (``_graded_edges``).  For ``0 <
-    gamma < inf`` the kernel is product-integrated against each panel's
-    interpolant (``_panel_operator``).  The default ``n0 = 64`` (two
+    grades the panels at the previous rung's Fermi points, down to their
+    singularity distance ``pi tau / |E'(K_F)|``, or for the ideal Bose gas
+    at its peak ``K = 0`` (``_graded_edges``).  For ``0 < gamma < inf``
+    the kernel is product-integrated against each panel's interpolant
+    (``_panel_operator``).  The default ``n0 = 64`` (two
     panels per half-line) is the smallest first rung measured to stay
     accurate: from 32 the ladder stops too early at ``tau = 1e3`` (1e-7
     off at ``gamma = 0.01``), and 96-201 cost as much or more.  The
@@ -841,18 +844,15 @@ def solve_tba(
     stops when the energy per particle is stable to ``tol`` (relative).
     The product-integrated kernel's error does not depend on ``gamma``,
     so the energy stop alone ends every ladder (``_TBAGrid`` gives the
-    rungs on the benchmark grids).  Near the ideal-Bose edge, ``(gamma,
-    tau) = (0.001, 0.05)``,
-    ``(0.001, 0.1)`` and ``(0.005, 0.5)`` stop at 384 nodes within
-    1e-10 (absolute) of a ladder started two rungs deeper.  The energy
-    stop does not bound the shift ``E - P/2``, a difference of two
-    numbers of size ``tau/2``, so at high ``tau`` the shift's error
-    depends on where the ladder stops: at ``(1, 1e4)`` it is within
-    1e-12 (relative) from the default first rung and 2e-8 off from
-    ``n0 = 128``; a stop judged on the shift would bound it.  For
-    interacting states ``tau >= 2e4`` is outside the domain: the
-    ladder's energy criterion no longer bounds the error of the shift
-    there, and ``e_res_high_T`` gives the classical limit.
+    rungs on the benchmark grids); near the ideal-Bose edge ``(0.001,
+    0.05)`` and ``(0.001, 0.1)`` climb to 1024 nodes.  The energy stop
+    does not bound the shift ``E - P/2``, a difference of two numbers of
+    size ``tau/2``: at ``(0.001, 10)`` it is 3e-8 (relative) off a deeper
+    ladder, and at ``(1, 1e4)`` within 1e-12 from the default first rung
+    but 2e-8 off from ``n0 = 128``; a stop judged on the shift would bound
+    it.  For interacting states ``tau >= 2e4`` is outside the domain: the
+    energy criterion no longer bounds the shift's error there, and
+    ``e_res_high_T`` gives the classical limit.
     """
     gamma, tau = params.gamma, params.tau
     if tau < 1e-3:

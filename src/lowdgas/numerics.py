@@ -126,9 +126,10 @@ _GL_MAX_EVALS = 10
 _GL_STEP_TOL = 4.0 * np.finfo(float).eps
 
 
-# The library asks for two n: the 1d solvers' panels (n = 16, both
-# ladders) and the anyon panels (n = 32); the bound keeps a caller that
-# asks gauss_legendre for many distinct n from growing memory.
+# The library asks for three n: the 1d solvers' panels (n = 16, both
+# ladders), the anyon panels (n = 32) and the upsampled rule of the 1d
+# solvers' Cauchy moments (n = 96); the bound keeps a caller that asks
+# gauss_legendre for many distinct n from growing memory.
 @functools.lru_cache(maxsize=16)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on ``[-1, 1]``, ascending.

@@ -653,6 +653,52 @@ def test_panel_operator_is_exact_on_even_polynomials(gamma):
     assert _even_power_integrals(x, gamma, kmax)[7] == pytest.approx(float(quad), rel=1e-12)
 
 
+def _quad_moments(zeta):
+    """``I_k(zeta) = integral_-1^1 P_k(t) / (t - zeta) dt``, ``k < 16``, at 30
+    digits: ``P_k(zeta) log((1 - zeta)/(-1 - zeta))`` plus mpmath quadrature
+    of the polynomial ``(P_k(t) - P_k(zeta)) / (t - zeta)``."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(zeta.real, zeta.imag)
+
+        def legendre(x):
+            p = [mpmath.mpf(1), x]
+            for j in range(1, 15):
+                p.append(((2 * j + 1) * x * p[j] - j * p[j - 1]) / (j + 1))
+            return p
+
+        at_z, cache = legendre(z), {}
+
+        def regular(t):
+            if t not in cache:
+                cache[t] = [(a - b) / (t - z) for a, b in zip(legendre(t), at_z)]
+            return cache[t]
+
+        i0 = mpmath.log((1 - z) / (-1 - z))
+        return np.array([complex(at_z[k] * i0 + mpmath.quad(lambda t: regular(t)[k], [-1, 1]))
+                         for k in range(16)])
+
+
+@pytest.mark.parametrize("rho", [1.001, 1.1, 1.2, 1.25, 2.0, 3.7])
+def test_cauchy_moments_match_quadrature(rho):
+    # both branches: the forward recurrence below rho^32 = 1e3 (rho ~ 1.24),
+    # whose rounding grows to ~5e-15 |I_0| next to zeta = +-1, and the
+    # upsampled 96-node rule above it; Im zeta from 1e-6 to 1 on the
+    # ellipse of radius rho, on alternate sides of the panel's centre
+    assert rho < lieb_liniger._FAR_RHO
+    semi_minor = 0.5 * (rho - 1.0 / rho)
+    zetas = []
+    for side, im in enumerate(im for im in (1e-6, 1e-3, 1.0) if im < semi_minor):
+        theta = math.asin(im / semi_minor)
+        u = complex(math.cos(theta), math.sin(theta)) * (-1) ** side
+        zetas.append(complex(0.5 * (rho * u + 1.0 / (rho * u)).real, im))
+    zetas = np.array(zetas)
+    np.testing.assert_allclose(lieb_liniger._bernstein_rho(zetas), rho, rtol=1e-9)
+    bound = 2e-15 if rho**32 >= 1e3 else 1e-14
+    for zeta, got in zip(zetas, lieb_liniger._cauchy_moments(zetas)):
+        want = _quad_moments(zeta)
+        assert np.max(np.abs(got - want)) <= bound * abs(want[0])
+
+
 def test_both_grid_parities_agree_and_mirror_exactly():
     # --nodes reaches n0: every grid of both solvers is even (mirrored
     # 16-node panels, no middle node), from the default n0 = 64 as from
@@ -707,6 +753,17 @@ def test_ladder_stops_low_and_matches_a_deep_ladder():
         assert e_res_finite_T(LLParams(gamma, tau)) == pytest.approx(deep, rel=rel)
 
 
+def test_tba_rung_budget_on_the_benchmark_grid():
+    # the nominal ll-finite-T points: each Fermi point is graded down to
+    # its singularity distance pi tau/|E'(K_F)|, so the last rung at tau =
+    # 0.5 has at most 384 nodes (448 when graded down to the Fermi width
+    # tau/|E'|); tau = 1e3 has no Fermi point and stops on the ungraded 128
+    for gamma in np.geomspace(0.025, 100.0, 8):
+        assert solve_tba(LLParams(float(gamma), 0.5)).grid.size <= 384
+    for gamma in np.geomspace(0.01, 100.0, 9):
+        assert solve_tba(LLParams(float(gamma), 1e3)).grid.size == 128
+
+
 # (gamma, tau) -> shift of a deep ladder (started at 1615 nodes); the
 # moment-corrected kernel missed the first two by 3.3e-7 and 4.5e-7
 HIGH_T_SHIFT = {
@@ -730,6 +787,17 @@ def test_ideal_bose_edge_converges_by_the_energy_stop(gamma, tau):
     params = LLParams(gamma, tau)
     deeper = e_res_finite_T(params, n0=4 * lieb_liniger._PANEL_N0)
     assert e_res_finite_T(params) == pytest.approx(deeper, rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [0.001, 1.93e-3])
+def test_near_bose_edge_shift_matches_a_deep_ladder(gamma):
+    # panels graded at each Fermi point down to the Fermi width tau/|E'|
+    # stopped these ladders early, 9.5e-9 and 1.9e-9 (relative) off, with
+    # status ok; graded down to the singularity distance pi tau/|E'| they
+    # climb on and stop within 1e-10 of a ladder from n0 = 256 at tol = 1e-10
+    params = LLParams(gamma, 0.03)
+    deep = e_res_finite_T(params, n0=256, tol=1e-10)
+    assert e_res_finite_T(params) == pytest.approx(deep, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 100.0])
@@ -805,21 +873,24 @@ def test_ideal_branches_are_scale_invariant(tau):
     assert solve_tba(LLParams(0.0, tau)).mu < 0.0
 
 
-# (gamma, tau) -> (last rung's node count, pressure, energy)
+# (gamma, tau) -> (last rung's node count, pressure, energy); the node
+# counts are from panels graded at each Fermi point down to pi tau/|E'|
+# (gamma = inf) and at the Bose peak only (gamma = 0), and the states,
+# frozen from finer grids, hold there to 3e-10
 ENDPOINT_STATE = {
-    (0.0, 1e-3): (608, 2.281361249046e-05, 1.140680624520e-05),
-    (0.0, 1e-2): (512, 6.898650303596e-04, 3.449325151790e-04),
-    (0.0, 0.1): (416, 1.913361995976e-02, 9.566809979852e-03),
-    (0.0, 1.0): (224, 4.326954028799e-01, 2.163477014392e-01),
-    (0.0, 10.0): (224, 7.114845003698e+00, 3.557422501833e+00),
+    (0.0, 1e-3): (448, 2.281361249046e-05, 1.140680624520e-05),
+    (0.0, 1e-2): (384, 6.898650303596e-04, 3.449325151790e-04),
+    (0.0, 0.1): (256, 1.913361995976e-02, 9.566809979852e-03),
+    (0.0, 1.0): (192, 4.326954028799e-01, 2.163477014392e-01),
+    (0.0, 10.0): (160, 7.114845003698e+00, 3.557422501833e+00),
     (0.0, 1e3): (128, 9.617664110600e+02, 4.808832055273e+02),
     (0.0, 1e5): (128, 9.960510886236e+04, 4.980255443089e+04),
     (0.0, 1e7): (128, 9.996038118607e+06, 4.998019059274e+06),
-    (math.inf, 1e-3): (2560, 6.579736434066e+00, 3.289868216882e+00),
-    (math.inf, 1e-2): (704, 6.579752934093e+00, 3.289876467047e+00),
-    (math.inf, 0.1): (576, 6.581403272354e+00, 3.290701636177e+00),
-    (math.inf, 1.0): (448, 6.750651944829e+00, 3.375325972413e+00),
-    (math.inf, 10.0): (256, 1.607319160868e+01, 8.036595804306e+00),
+    (math.inf, 1e-3): (2432, 6.579736434066e+00, 3.289868216882e+00),
+    (math.inf, 1e-2): (640, 6.579752934093e+00, 3.289876467047e+00),
+    (math.inf, 0.1): (512, 6.581403272354e+00, 3.290701636177e+00),
+    (math.inf, 1.0): (320, 6.750651944829e+00, 3.375325972413e+00),
+    (math.inf, 10.0): (128, 1.607319160868e+01, 8.036595804306e+00),
     (math.inf, 1e3): (128, 1.041129209071e+03, 5.205646045322e+02),
     (math.inf, 1e5): (128, 1.003977839401e+05, 5.019889196974e+04),
     (math.inf, 1e7): (128, 1.000396477417e+07, 5.001982387053e+06),

@@ -163,12 +163,13 @@ def test_importing_the_package_builds_no_rule_and_pulls_in_no_extras():
         "extras = ('numpy.polynomial', 'mpmath', 'scipy', 'sympy', 'hypothesis')\n"
         "print([m for m in extras if m in sys.modules])\n"
         "print(numerics._legendre_rule.cache_info().currsize,"
-        " lieb_liniger._legendre_projection.cache_info().currsize)\n"
+        " lieb_liniger._legendre_projection.cache_info().currsize,"
+        " lieb_liniger._upsampled_legendre.cache_info().currsize)\n"
     )
     src = os.path.dirname(os.path.dirname(numerics.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines() == ["[]", "0 0"]
+    assert run.stdout.splitlines() == ["[]", "0 0 0"]
 
 
 def test_gauss_legendre_returns_fresh_arrays():
