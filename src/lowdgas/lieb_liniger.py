@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# grid edge: keep exp(-(Kmax^2 - mu)/tau) below 1e-12
+# grid edge: keep exp(-(Kmax^2 - max(mu, K_F^2))/tau) below 1e-12
 _TAIL_LOG = math.log(1e12)
 # node-count ceilings of the doubling ladders
 _GROUND_MAX_NODES = 1024
@@ -601,7 +601,11 @@ class _Rung:
         ``mu``, so each residual's sign tightens a bracket, and a step
         that leaves the bracket bisects it.  No step moves ``mu`` by more
         than ``pad``: on a grid too coarse for the Fermi edge ``dn/dmu``
-        can vanish while the bracket is still open."""
+        can vanish while the bracket is still open.  ``mu`` starts at the
+        rung below's, which for the first rung at ``tau <= _SEED_TAU`` is
+        the T = 0 state's (within ``O(tau^2)``, on panels graded at its
+        Fermi point): from the Boltzmann ``mu`` on ungraded panels the
+        residual stalls just above ``_NORM_TOL`` at ``(0.01, 3e-3)``."""
         pad = max(2.0 * self.tau, 2.0)
         lo, hi = -math.inf, self.mu_hi
         for _ in range(_MAX_MU_TRIALS):
@@ -765,24 +769,46 @@ def _graded_edges(kmax: float, panels: int, features: list[tuple[float, float]])
     return np.array(kept)
 
 
+# largest tau whose ladder starts from the T = 0 state (``_tba_rungs``)
+_SEED_TAU = 0.3
+
+
 def _tba_rungs(gamma: float, tau: float, panels: int):
     """The rungs of the finite-T ladder from ``panels`` uniform panels per
     half-line, doubling, each graded at the previous rung's Fermi points
     (the Bose peak at ``gamma = 0``) and seeded from its pseudo-energy and
-    ``mu``.  A rung's grid reaches ``kmax = sqrt(mu + ln(1e12) tau)`` with
-    the previous rung's ``mu`` (at least ``pi^2`` for the first rung), or
-    with ``max(mu, pi^2)`` where the dressing ``K_F^2 - mu`` at the
-    outermost Fermi point takes more than a quarter of the tail margin
-    ``ln(1e12) tau`` (at unit density ``K_F <= pi``); the rest is kept for
-    the next rung's move of ``mu`` and ``K_F``."""
+    ``mu``.  Every rung's grid reaches ``kmax^2 = max(mu, K_F^2) +
+    ln(1e12) tau``, with ``mu`` and the outermost Fermi point ``K_F`` of
+    the rung below (0 where it has none): a Fermi edge needs the tail
+    margin past ``K_F``, which the dressing puts above ``sqrt(mu)``.
+
+    The T = 0 state is the rung below the first one for ``gamma > 0`` and
+    ``tau <= _SEED_TAU``: ``mu = 3e - gamma e'`` and ``K_F = gamma/ell``
+    (``solve_ground_state`` at ``max(gamma, 1e-8)``; ``pi^2`` and ``pi``
+    at ``gamma = inf``), with ``K_F`` graded down to ``pi tau/(2 K_F)``.
+    Elsewhere the first rung starts from the Boltzmann ``mu`` (``-tau``
+    for Bose where that is ``>= 0``) with ``K_F = pi``, the unit-density
+    bound.  ``_SEED_TAU`` is measured (17 ``gamma`` in ``[1e-4, 1e4]``,
+    1 BLAS thread): from ``tau = 0.03`` to 2 a seeded ladder ends on
+    8-18% fewer nodes, but its T = 0 solve makes it slower from ``tau ~
+    0.2`` on (0.27 against 0.20 s at 0.3, 0.23 against 0.18 s at 0.5).
+    Up to 0.3 the seed also solves where the Boltzmann start fails, at
+    ``gamma <= 1e-6`` and at low ``tau`` (``(0.01, 3e-3)``, ``(0.001,
+    0.02)``), and 0.3 keeps the ``tau = 0.5`` points of the
+    ``ll-finite-T`` benchmark unseeded."""
     rung_type = _TBAGrid if 0.0 < gamma < math.inf else _IdealGrid
-    mu = _boltzmann_mu(tau)
-    top = max(math.pi**2, mu + 2.0 * tau)  # the mu the grid is sized for
-    if gamma == 0.0 and mu >= 0.0:  # the classical start is >= 0 for Bose at tau <= 4pi
+    mu, edge, fermi = _boltzmann_mu(tau), math.pi, []
+    if gamma > 0.0 and tau <= _SEED_TAU:
+        mu, edge = math.pi**2, math.pi  # free fermions at gamma = inf
+        if gamma < math.inf:
+            state = solve_ground_state(max(gamma, 1e-8))
+            mu, edge = 3.0 * state.energy - gamma * state.slope, gamma / state.ell
+        fermi = [(edge, 0.5 * math.pi * tau / edge)]
+    elif gamma == 0.0 and mu >= 0.0:  # the classical start is >= 0 for Bose at tau <= 4pi
         mu = -tau
-    sol, energy, fermi = None, math.nan, []
+    sol, energy = None, math.nan
     while True:
-        kmax = math.sqrt(max(top, 0.0) + _TAIL_LOG * tau)
+        kmax = math.sqrt(max(mu, edge * edge) + _TAIL_LOG * tau)
         peak = [(0.0, math.sqrt(-mu))] if gamma == 0.0 else []
         edges = _graded_edges(kmax, panels, fermi + peak)
         yield sol, energy, 2 * _PANEL_NODES * (edges.size - 1)
@@ -793,10 +819,9 @@ def _tba_rungs(gamma: float, tau: float, panels: int):
         sol = rung.result()
         rung = None  # the next rung needs only sol: free this kernel and Jacobian
         _, energy = observables(sol)
-        mu = top = sol.mu
+        mu = sol.mu
         fermi = _fermi_points(sol) if gamma > 0.0 else []  # Bose occupations are smooth at E = 0
-        if fermi and fermi[-1][0] ** 2 > mu + 0.25 * _TAIL_LOG * tau:
-            top = max(mu, math.pi**2)
+        edge = fermi[-1][0] if fermi else 0.0
         panels *= 2
 
 
@@ -813,8 +838,9 @@ def solve_tba(
     ``E(K) = K^2 - mu - tau * integral ker(K - K') log(1 + exp(-E'/tau)) dK'``
 
     with ``ker(q) = (gamma/pi) / (q^2 + gamma^2)`` is solved by Newton's
-    method on a grid symmetric about 0 and wide enough that
-    ``exp(-(Kmax^2 - mu)/tau) < 1e-12``; ``E`` is even, so the solve runs
+    method on a grid symmetric about 0 that reaches ``kmax^2 = max(mu,
+    K_F^2) + ln(1e12) tau``, from the ``mu`` and outermost Fermi point
+    ``K_F`` of the rung below (``_tba_rungs``); ``E`` is even, so the solve runs
     on the ``K >= 0`` half of that mirrored grid and the returned arrays
     are mirrored back.  The factorized Jacobian of each Newton step also
     yields the level density, which solves
@@ -829,7 +855,14 @@ def solve_tba(
     uniform panels on each half-line; each later rung doubles them and
     grades the panels at the previous rung's Fermi points, down to their
     singularity distance ``pi tau / |E'(K_F)|``, or for the ideal Bose gas
-    at its peak ``K = 0`` (``_graded_edges``).  For ``0 < gamma < inf``
+    at its peak ``K = 0`` (``_graded_edges``).  For ``gamma > 0`` and
+    ``tau <= _SEED_TAU = 0.3`` the T = 0 state is the rung below the first:
+    it gives the first ``mu`` and a Fermi point to grade at, so ``(inf,
+    1e-3)`` stops at 640 nodes (2432 from the Boltzmann start).  On 26
+    ``gamma`` by 22 ``tau`` every ``gamma`` in ``[1e-5, 1e8]`` solves at
+    every ``tau`` in ``[1e-3, 1e4]``, and at ``tau <= 0.3`` down to ``gamma
+    = 1e-14`` but for ``(1e-8, 1e-3)``, ``(1e-7, 1e-3)`` and ``(1e-7,
+    2.2e-3)``.  For ``0 < gamma < inf``
     the kernel is product-integrated against each panel's interpolant
     (``_panel_operator``).  The default ``n0 = 64`` (two
     panels per half-line) is the smallest first rung measured to stay

@@ -753,13 +753,18 @@ def test_ladder_stops_low_and_matches_a_deep_ladder():
         assert e_res_finite_T(LLParams(gamma, tau)) == pytest.approx(deep, rel=rel)
 
 
-def test_tba_rung_budget_on_the_benchmark_grid():
+def test_tba_rung_budget_on_the_benchmark_grid(monkeypatch):
     # the nominal ll-finite-T points: each Fermi point is graded down to
     # its singularity distance pi tau/|E'(K_F)|, so the last rung at tau =
     # 0.5 has at most 384 nodes (448 when graded down to the Fermi width
-    # tau/|E'|); tau = 1e3 has no Fermi point and stops on the ungraded 128
-    for gamma in np.geomspace(0.025, 100.0, 8):
-        assert solve_tba(LLParams(float(gamma), 0.5)).grid.size <= 384
+    # tau/|E'|); tau = 1e3 has no Fermi point and stops on the ungraded 128.
+    # Both temperatures are above _SEED_TAU: no ladder pays for a T = 0 solve
+    def no_ground_state(*args, **kwargs):
+        raise AssertionError("a ladder above _SEED_TAU solved the ground state")
+
+    monkeypatch.setattr(lieb_liniger, "solve_ground_state", no_ground_state)
+    sizes = [solve_tba(LLParams(float(gamma), 0.5)).grid.size for gamma in np.geomspace(0.025, 100.0, 8)]
+    assert sizes == [256, 256, 256, 320, 320, 288, 384, 384]
     for gamma in np.geomspace(0.01, 100.0, 9):
         assert solve_tba(LLParams(float(gamma), 1e3)).grid.size == 128
 
@@ -800,13 +805,24 @@ def test_near_bose_edge_shift_matches_a_deep_ladder(gamma):
     assert e_res_finite_T(params) == pytest.approx(deep, rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("gamma", [1.0, 100.0])
-def test_every_low_and_high_tau_point_solves(gamma):
+@pytest.mark.parametrize("points", [
+    pytest.param([(1.0, float(tau)) for tau in np.geomspace(1e-3, 1e4, 29)], id="1.0"),
+    pytest.param([(100.0, float(tau)) for tau in np.geomspace(1e-3, 1e4, 29)], id="100.0"),
+    pytest.param([(float(g), tau) for g in np.geomspace(1e-3, 1e4, 15)
+                  for tau in (1e-3, 3e-3, 1e-2, 3e-2)], id="low-tau-grid"),
+    pytest.param([(0.01, 3e-3), (0.001, 0.02), (10**-2.6, 0.03), (0.001, 10**-2.75)], id="mu-stall"),
+    pytest.param([(1e-10, 0.01), (1e-8, 0.1), (1e-6, 1e-3), (1e-14, 0.3)], id="tiny-gamma"),
+])
+def test_every_low_and_high_tau_point_solves(points):
     # at low tau the dressed Fermi sea reaches past the free-particle grid
     # edge sqrt(mu + ln(1e12) tau); a rung grid that stops short of it
-    # saturates integral(f) and the mu solve runs out of trials
-    for tau in np.geomspace(1e-3, 1e4, 29):
-        sol = solve_tba(LLParams(gamma, float(tau)))
+    # saturates integral(f) and the mu solve runs out of trials.  From the
+    # Boltzmann mu on an ungraded first rung the mu solve stalled at
+    # (0.01, 3e-3), (0.001, 0.02), (10^-2.6, 0.03) and (0.001, 10^-2.75),
+    # and the pseudo-energy Newton solve failed at the tiny gammas; the
+    # T = 0 state starts every ladder at tau <= 0.3
+    for gamma, tau in points:
+        sol = solve_tba(LLParams(gamma, tau))
         assert float(sol.weights @ sol.density) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -875,8 +891,10 @@ def test_ideal_branches_are_scale_invariant(tau):
 
 # (gamma, tau) -> (last rung's node count, pressure, energy); the node
 # counts are from panels graded at each Fermi point down to pi tau/|E'|
-# (gamma = inf) and at the Bose peak only (gamma = 0), and the states,
-# frozen from finer grids, hold there to 3e-10
+# (gamma = inf, whose ladder starts from K_F = pi and mu = pi^2 at tau <=
+# 0.3: from the Boltzmann mu it climbed to 2432, 640 and 512 nodes there)
+# and at the Bose peak only (gamma = 0), and the states, frozen from finer
+# grids, hold there to 3e-10
 ENDPOINT_STATE = {
     (0.0, 1e-3): (448, 2.281361249046e-05, 1.140680624520e-05),
     (0.0, 1e-2): (384, 6.898650303596e-04, 3.449325151790e-04),
@@ -886,9 +904,9 @@ ENDPOINT_STATE = {
     (0.0, 1e3): (128, 9.617664110600e+02, 4.808832055273e+02),
     (0.0, 1e5): (128, 9.960510886236e+04, 4.980255443089e+04),
     (0.0, 1e7): (128, 9.996038118607e+06, 4.998019059274e+06),
-    (math.inf, 1e-3): (2432, 6.579736434066e+00, 3.289868216882e+00),
-    (math.inf, 1e-2): (640, 6.579752934093e+00, 3.289876467047e+00),
-    (math.inf, 0.1): (512, 6.581403272354e+00, 3.290701636177e+00),
+    (math.inf, 1e-3): (640, 6.579736434066e+00, 3.289868216882e+00),
+    (math.inf, 1e-2): (544, 6.579752934093e+00, 3.289876467047e+00),
+    (math.inf, 0.1): (448, 6.581403272354e+00, 3.290701636177e+00),
     (math.inf, 1.0): (320, 6.750651944829e+00, 3.375325972413e+00),
     (math.inf, 10.0): (128, 1.607319160868e+01, 8.036595804306e+00),
     (math.inf, 1e3): (128, 1.041129209071e+03, 5.205646045322e+02),
