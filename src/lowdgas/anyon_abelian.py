@@ -144,7 +144,11 @@ def b2_hardcore(alpha: float) -> float:
     Runs from ``-1/4`` at the bosonic points to ``+1/4`` at the
     fermionic ones, period 2 and even about the integers.
     """
-    d = abs(StatisticsParameter(alpha).delta)
+    return _hardcore(abs(StatisticsParameter(alpha).delta))
+
+
+def _hardcore(d: float) -> float:
+    """``b2_hardcore`` at the reduced ``|delta| = d``."""
     return -0.25 + d - 0.5 * d * d
 
 
@@ -156,6 +160,16 @@ _NODES = 32
 _EXP_CUT = 45.0  # exp(-45) ~ 3e-20: where the integrand stops mattering
 _EXP_END = 60.0  # domain truncation; relative tail error ~ exp(-60)
 _LADDER = tuple(2.0**-k for k in range(13))  # the bulk ladder below min(1, u_star)
+# the factors 1 -+ w of the refinement edges centre * (1 -+ w), for
+# w = 1/2, 1/4, ..., 2^-40 (a refinement width is at least 1e-10)
+_REFINE = tuple(c for k in range(1, 41) for c in (1.0 - 2.0**-k, 1.0 + 2.0**-k))
+
+
+def _refined(centre: float, width: float) -> list[float]:
+    """Edges ``centre * (1 -+ w)`` for ``w = 1/2, 1/4, ...`` down to the
+    first ``w <= width``, which is ``2^-levels``."""
+    levels = 1 - math.frexp(width)[1]
+    return [centre * f for f in _REFINE[: 2 * levels]]
 
 
 def _panel_edges(a: float, sc: float, eps: float) -> np.ndarray:
@@ -173,24 +187,16 @@ def _panel_edges(a: float, sc: float, eps: float) -> np.ndarray:
     v = base
     while v < u_end:
         v *= 2.0
-        pts.append(min(v, u_end))
-
-    def refine(centre: float, width: float) -> None:
-        # edges centre * (1 -+ w) for w = 1/2, 1/4, ... down to the first w <= width
-        w = 1.0
-        while w > width:
-            w *= 0.5
-            pts.extend((centre * (1.0 - w), centre * (1.0 + w)))
-
+        pts.append(v)
     if sc < -0.5 and u_end > 1.0:
-        refine(1.0, max(min(math.sqrt(2.0 * (1.0 + sc)), a) / 16.0, 1e-10))
+        pts += _refined(1.0, max(min(math.sqrt(2.0 * (1.0 + sc)), a) / 16.0, 1e-10))
     if a < 0.5:
-        refine(u_star, max(a / 16.0, 1e-10))
+        pts += _refined(u_star, max(a / 16.0, 1e-10))
     # drop near-coincident edges: panels narrower than 1e-11 of their
     # position would alias the Gauss nodes onto each other in double; the
     # gap is relative at every scale, since at large eps the whole domain
     # [0, u_end] shrinks far below 1.  Every point is positive, and only
-    # refinement overshoots u_end
+    # refinement and the last doubling overshoot u_end
     pts.sort()
     edges = [0.0]
     last = 0.0
@@ -276,7 +282,7 @@ def b2_softcore(alpha: float, bc: SoftCoreBC) -> B2Value:
     that raises ``ValueError`` naming ``eps``.
     """
     a, sigma, eps = _reduced(alpha, bc)
-    hc = b2_hardcore(alpha)
+    hc = _hardcore(a)
     if math.isinf(eps):
         return B2Value(hc, (hc, 0.0, 0.0))
     bound = -2.0 * _exp_or_inf(eps) if sigma == -1 else 0.0

@@ -197,9 +197,8 @@ class ResultTable:
                 raise ValueError(
                     f"row {i} has {len(row)} cells, expected {len(cols)}"
                 )
-            has_nan = any(
-                isinstance(c, float) and math.isnan(c) for c in row
-            )
+            # a NaN is the one cell that differs from itself
+            has_nan = any(c != c for c in row)
             if has_nan and (status_at is None or row[status_at] == "ok"):
                 raise ValueError(f"row {i} holds NaN without a status flag")
 
@@ -557,6 +556,8 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None) -> ResultTable:
 
 
 def _format_cell(value) -> str:
+    if type(value) is float:
+        return _FLOAT_FMT % value
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
@@ -578,8 +579,7 @@ def render_csv(table: ResultTable) -> str:
     buf.write(f"# metadata: {meta}\n")
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow([_header_name(n, u) for n, u in table.columns])
-    for row in table.rows:
-        writer.writerow([_format_cell(c) for c in row])
+    writer.writerows([_format_cell(c) for c in row] for row in table.rows)
     return buf.getvalue()
 
 
@@ -643,7 +643,7 @@ def load_table(path: str) -> ResultTable:
         else:
             name, unit = cell, ""
         columns.append((name, unit))
-    rows = tuple(tuple(_parse_cell(c) for c in row) for row in reader if row)
+    rows = tuple(tuple(map(_parse_cell, row)) for row in reader if row)
     return ResultTable(columns=tuple(columns), rows=rows, metadata=metadata)
 
 

@@ -605,11 +605,22 @@ class _Rung:
         rung below's, which for the first rung at ``tau <= _SEED_TAU`` is
         the T = 0 state's (within ``O(tau^2)``, on panels graded at its
         Fermi point): from the Boltzmann ``mu`` on ungraded panels the
-        residual stalls just above ``_NORM_TOL`` at ``(0.01, 3e-3)``."""
+        residual stalls just above ``_NORM_TOL`` at ``(0.01, 3e-3)``.
+
+        A trial ``mu`` whose pseudo-energy solve fails counts as too high,
+        as ``mu_hi = 0`` is for the ideal Bose gas: near ``gamma = 0`` the
+        Boltzmann start at ``0.3 < tau <= 10`` is a ``mu > 0``, where the
+        near-Bose solve has no converging Newton iteration."""
         pad = max(2.0 * self.tau, 2.0)
         lo, hi = -math.inf, self.mu_hi
+        miss = math.nan
         for _ in range(_MAX_MU_TRIALS):
-            slope = self._newton(mu)
+            try:
+                slope = self._newton(mu)
+            except ConvergenceError:
+                hi = mu
+                mu = mu - pad if lo == -math.inf else 0.5 * (lo + hi)
+                continue
             miss = float(self.w @ self.density) - 1.0
             if abs(miss) <= _NORM_TOL:
                 return
@@ -624,7 +635,7 @@ class _Rung:
             mu = nxt
         raise ConvergenceError(
             f"density normalization not reached in {_MAX_MU_TRIALS} trials of mu",
-            best=self.result(),
+            best=None if self.density is None else self.result(),
             residual=abs(miss),
         )
 
@@ -860,9 +871,11 @@ def solve_tba(
     it gives the first ``mu`` and a Fermi point to grade at, so ``(inf,
     1e-3)`` stops at 640 nodes (2432 from the Boltzmann start).  On 26
     ``gamma`` by 22 ``tau`` every ``gamma`` in ``[1e-5, 1e8]`` solves at
-    every ``tau`` in ``[1e-3, 1e4]``, and at ``tau <= 0.3`` down to ``gamma
-    = 1e-14`` but for ``(1e-8, 1e-3)``, ``(1e-7, 1e-3)`` and ``(1e-7,
-    2.2e-3)``.  For ``0 < gamma < inf``
+    every ``tau`` in ``[1e-3, 1e4]``, and so does every ``gamma`` down to
+    ``1e-14`` but for ``(1e-8, 1e-3)``, ``(1e-7, 1e-3)`` and ``(1e-7,
+    2.2e-3)``; at ``0.3 < tau <= 10`` these tiny ``gamma`` need the ``mu``
+    solve's rule for a failed pseudo-energy solve (``_Rung.solve_mu``).
+    For ``0 < gamma < inf``
     the kernel is product-integrated against each panel's interpolant
     (``_panel_operator``).  The default ``n0 = 64`` (two
     panels per half-line) is the smallest first rung measured to stay

@@ -1,9 +1,10 @@
 """Shared numerical kernels for the gas-thermodynamics solvers.
 
 Everything in this module is dimensionless plumbing: Gauss-Legendre
-quadrature, Richardson-extrapolated finite differences, golden-section
-search, and the scaled complementary error function
-``exp(x**2) * erfc(x)`` which stays finite for large ``x``.  The damped
+quadrature, Richardson-extrapolated finite differences, a maximum search
+by Brent's method (golden-section steps with parabolic interpolation),
+and the scaled complementary error function ``exp(x**2) * erfc(x)``
+which stays finite for large ``x``.  The damped
 fixed point :func:`solve_fixed_point` and the bracketed root finder
 :func:`find_root` have no caller in the library, whose TBA and
 ground-state solvers close their equations by Newton's method; they
@@ -16,9 +17,10 @@ Sci. Comput. 36, A1008 (2014)).  That costs O(n^2) instead of the
 O(n^3) of the Golub-Welsch eigensolve in numpy's ``leggauss``, and the
 weights are more accurate: at n = 3231 the edge weight is within 2e-10
 (relative) of its 40-digit value, where the eigensolve is off by 3e-7.
-The one piece of state is a bounded, thread-safe cache of the
-``[-1, 1]`` reference rules, one per node count, whose arrays are
-read-only; every other routine is pure and safe to call concurrently.
+The one piece of state is a pair of bounded, thread-safe caches of the
+``[-1, 1]`` reference rules and of their panel form for
+:func:`composite_rule`, one per node count, whose arrays are read-only;
+every other routine is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,7 @@ class QuadratureRule:
 # 128, ..., 4096 nodes, need at most 4 steps plus the sweep at the
 # converged nodes that gives the weights.
 _GL_MAX_EVALS = 10
-_GL_STEP_TOL = 4.0 * np.finfo(float).eps
+_GL_STEP_TOL = 4.0 * _EPS
 
 
 # The library asks for three n: the 1d solvers' panels (n = 16, both
@@ -167,6 +170,17 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=16)
+def _panel_reference(n: int) -> np.ndarray:
+    """``[x + 1, w]`` of the ``n``-node ``[-1, 1]`` rule as a read-only
+    ``(2, 1, n)`` array: the panel ``[lo, lo + 2h]`` has the nodes
+    ``lo + h (x + 1)`` and the weights ``h w``."""
+    x, w = _legendre_rule(n)
+    ref = np.stack((x + 1.0, w))[:, None, :]
+    ref.flags.writeable = False
+    return ref
+
+
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> QuadratureRule:
     """Gauss-Legendre rule with ``n`` nodes mapped onto ``[a, b]``.
 
@@ -192,21 +206,29 @@ def composite_rule(edges: Sequence[float], n: int = 16) -> QuadratureRule:
     """Composite Gauss-Legendre rule: ``n`` nodes on each panel of ``edges``.
 
     Every panel maps the same ``[-1, 1]`` rule of :func:`gauss_legendre`,
-    which is built once per ``n`` in a process.
+    which is built once per ``n`` in a process.  The panel widths serve
+    both the check on ``edges`` and the map, and one product scales the
+    reference nodes and weights of every panel at once.
     """
     if n < 1:
         raise ValueError("need at least one node")
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.count_nonzero(edges[1:] <= edges[:-1]):
+    ok = edges.ndim == 1 and edges.size >= 2
+    if ok:
+        lo = edges[:-1]
+        half = edges[1:] - lo
+        # a difference of two floats is positive exactly where they
+        # increase, and not at a NaN
+        ok = np.count_nonzero(half > 0.0) == half.size
+    if not ok:
         raise ValueError("edges must be a strictly increasing sequence of at least two points")
-    x, w = _legendre_rule(operator.index(n))
-    lo = edges[:-1]
-    half = 0.5 * (edges[1:] - lo)
-    nodes = half[:, None] * (x + 1.0)
+    half *= 0.5
+    # (2, panels, n): row 0 becomes the nodes lo + half (x + 1), row 1
+    # the weights half w
+    scaled = _panel_reference(operator.index(n)) * half[:, None]
+    nodes = scaled[0]
     nodes += lo[:, None]
-    return QuadratureRule(
-        nodes.ravel(), (half[:, None] * w).ravel(), (float(edges[0]), float(edges[-1]))
-    )
+    return QuadratureRule(nodes.ravel(), scaled[1].ravel(), (float(edges[0]), float(edges[-1])))
 
 
 def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:
@@ -373,6 +395,9 @@ def derivative(
     return value, abs(value - fine) + 1e-300
 
 
+_CGOLD = 0.5 * (3.0 - math.sqrt(5.0))  # the golden-section fraction 1 - 1/phi
+
+
 def golden_section_max(
     f: Callable[[float], float],
     lo: float,
@@ -381,24 +406,72 @@ def golden_section_max(
 ) -> tuple[float, float]:
     """Locate the maximum of a unimodal ``f`` on ``[lo, hi]``.
 
-    Returns ``(argmax, max)``; plain golden-section, no derivative use.
+    Returns ``(argmax, max)``: the best point evaluated and its value.
+    Brent's method on ``-f`` (R. P. Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5): a parabola through the three best
+    points gives the next step where it lands inside the bracket and is
+    shorter than half the step before last; otherwise a golden-section
+    step into the larger part of the bracket keeps the convergence
+    guarantee of plain golden section.
+    No step is shorter than a quarter of the stop width
+    ``tol * max(1, |a| + |b|)`` of the bracket ``[a, b]`` around the best
+    point, and every point is evaluated strictly inside ``(lo, hi)``.  It
+    stops once both ends of the bracket lie within half the stop width of
+    the best point, so the bracket is no wider than the stop width.  A
+    ``tol`` below about ``1e-15`` stops at the float resolution of the
+    best point instead.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = float(f(c)), float(f(d))
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(f(c))
+    if not b > a:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    # x best so far, w second best, v the previous w; f values negated
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = -float(f(x))
+    d = e = 0.0  # the last step and the one before it
+    while True:
+        width = tol * max(1.0, abs(a) + abs(b))
+        # the shortest step; the eps term keeps x + step_min != x
+        step_min = max(0.25 * width, 4.0 * _EPS * abs(x))
+        if max(x - a, b - x) <= 2.0 * step_min:
+            return x, -fx
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > step_min:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            before_last, e = e, d
+            parabolic = abs(p) < abs(0.5 * q * before_last) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            d = p / q
+            if x + d - a < 2.0 * step_min or b - (x + d) < 2.0 * step_min:
+                d = step_min if x < mid else -step_min
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(f(d))
-    x = 0.5 * (a + b)
-    return x, float(f(x))
+            e = (b - x) if x < mid else (a - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= step_min else math.copysign(step_min, d))
+        fu = -float(f(u))
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 # ---------------------------------------------------------------------------

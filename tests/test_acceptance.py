@@ -59,7 +59,7 @@ def test_01_ground_state_energy_endpoints():
 
 def test_02_zero_temperature_shift_peak_location():
     """The T=0 energy-pressure shift per particle peaks at an
-    intermediate coupling in [4.5, 4.9], found by golden section."""
+    intermediate coupling in [4.5, 4.9], found by Brent's method."""
     t0 = time.perf_counter()
     gamma_star, _ = golden_section_max(e_res_zero_T, 1.0, 10.0, tol=1e-6)
     elapsed = time.perf_counter() - t0

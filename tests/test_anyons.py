@@ -188,6 +188,7 @@ def test_softcore_periodicity_and_evenness(alpha):
 def test_anyon_calls_build_one_reference_rule():
     # every scattering integral maps the same cached 32-node panel rule
     numerics._legendre_rule.cache_clear()
+    numerics._panel_reference.cache_clear()
     for alpha in (0.1, 0.35, 0.6, 0.85, 1.3):
         for sigma in (1, -1):
             for eps in (0.05, 0.7, 3.0, 20.0, 150.0):
@@ -284,6 +285,16 @@ def test_panel_edges_match_the_reference_layout():
     for ai, si, ei in zip(a.tolist(), sc.tolist(), eps.tolist()):
         got = anyon_abelian._panel_edges(ai, si, ei)
         assert np.array_equal(got, _reference_panel_edges(ai, si, ei)), (ai, si, ei)
+
+
+def test_integrate_on_an_anyon_rule_names_a_nonfinite_node():
+    # the panel rule of a scattering integral keeps the integrand check
+    a = 0.3
+    rule = numerics.composite_rule(anyon_abelian._panel_edges(a, math.cos(math.pi * a), 1.0), n=32)
+    bad = rule.nodes[len(rule) // 3]
+    with pytest.raises(numerics.EvaluationError, match=r"^integrand returned inf at node ") as exc:
+        numerics.integrate(lambda u: np.where(u == bad, math.inf, 1.0), rule)
+    assert exc.value.node == bad
 
 
 def test_shift_fermionic_point_closed_form():

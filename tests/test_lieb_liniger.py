@@ -826,6 +826,22 @@ def test_every_low_and_high_tau_point_solves(points):
         assert float(sol.weights @ sol.density) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("tau", [0.4, 1.0, 10.0])
+def test_near_bose_gas_solves_above_the_seeded_band(tau):
+    # at 0.3 < tau <= 10 the first rung's Boltzmann mu is above the one
+    # that normalizes a near-ideal Bose gas, where its pseudo-energy
+    # Newton solve fails; the mu solve counts that trial as too high
+    energy = lambda gamma: observables(solve_tba(LLParams(gamma, tau)))[1]
+    bose = energy(0.0)
+    assert energy(1e-14) == pytest.approx(bose, rel=1e-10)
+    # first order in gamma: the interaction energy per particle of the
+    # 2c delta coupling is gamma g2(0), and the ideal Bose gas has the
+    # thermal pair correlation g2(0) = 2
+    assert (energy(1e-6) - bose) / 2e-6 == pytest.approx(1.0, abs=2e-3)
+    sol = solve_tba(LLParams(1e-8, tau))
+    assert float(sol.weights @ sol.density) == pytest.approx(1.0, abs=1e-9)
+
+
 def _sound_velocity(gamma, h=1e-3):
     """``v_s = sqrt(2 (6e - 4 gamma e' + gamma^2 e''))`` at unit density
     (``hbar = 2m = 1``), with ``e''`` a central difference of the slope."""

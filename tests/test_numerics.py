@@ -151,6 +151,8 @@ def test_cached_reference_rule_is_read_only():
     with pytest.raises(ValueError):
         w[0] = 0.0
     assert numerics._legendre_rule(24)[0] is x
+    with pytest.raises(ValueError):
+        numerics._panel_reference(24)[0, 0, 0] = 0.0
 
 
 def test_importing_the_package_builds_no_rule_and_pulls_in_no_extras():
@@ -230,6 +232,25 @@ def test_quadrature_rule_accepts_the_edge_of_each_check():
 def test_composite_rule_rejects_edges_that_do_not_increase(edges):
     with pytest.raises(ValueError, match="strictly increasing sequence of at least two points"):
         composite_rule(edges, n=4)
+
+
+def test_composite_rule_rejects_a_nan_edge():
+    with pytest.raises(ValueError, match="strictly increasing sequence of at least two points"):
+        composite_rule([0.0, math.nan, 1.0], n=4)
+
+
+def test_composite_rule_rejects_a_panel_whose_nodes_alias():
+    # the middle panel is one ulp wide: its 32 mapped nodes round onto a
+    # few floats, which the node-order check of the rule catches
+    with pytest.raises(ValueError, match="quadrature nodes must be strictly increasing"):
+        composite_rule([0.0, 1.0, math.nextafter(1.0, 2.0), 2.0], n=32)
+
+
+def test_composite_rule_rejects_a_panel_whose_weights_underflow():
+    # a panel one subnormal wide has a half-width of 0: its weight
+    # underflows to 0 (with n = 1 the order check has nothing to catch)
+    with pytest.raises(ValueError, match="quadrature weights must be positive"):
+        composite_rule([-1.0, 0.0, 5e-324, 1.0], n=1)
 
 
 def test_integrate_rejects_nonfinite_values():
@@ -341,6 +362,70 @@ def test_golden_section_quadratic():
     x, fx = golden_section_max(lambda t: -(t - 1.3) ** 2 + 2.0, 0.0, 4.0, tol=1e-10)
     assert x == pytest.approx(1.3, abs=1e-7)
     assert fx == pytest.approx(2.0, abs=1e-12)
+
+
+def _recorded(f):
+    """``f`` with every argument and value it is called with recorded."""
+    calls = []
+
+    def g(x):
+        calls.append((x, f(x)))
+        return calls[-1][1]
+
+    return g, calls
+
+
+def _check_search(calls, result, lo, hi):
+    # every evaluation lies strictly inside the bracket, and the result is
+    # the best of them, returned without a further call
+    assert all(lo < x < hi for x, _ in calls)
+    assert result in calls
+    assert result[1] == max(v for _, v in calls)
+
+
+def test_brent_takes_parabolic_steps_on_a_quadratic():
+    f, calls = _recorded(lambda t: -(t - 1.3) ** 2 + 2.0)
+    result = golden_section_max(f, 0.0, 4.0, tol=1e-6)
+    _check_search(calls, result, 0.0, 4.0)
+    assert len(calls) <= 8  # plain golden section takes 33
+    assert abs(result[0] - 1.3) <= 2e-6  # half the stop width tol * (|a| + |b|)
+
+
+def test_brent_finds_the_zero_temperature_peak_in_few_evaluations():
+    from lowdgas.lieb_liniger import e_res_zero_T
+
+    f, calls = _recorded(e_res_zero_T)
+    result = golden_section_max(f, 1.0, 10.0, tol=1e-6)
+    _check_search(calls, result, 1.0, 10.0)
+    assert len(calls) <= 12  # plain golden section takes 32
+    # the maximum sits at gamma = 4.6573332 (a search to tol = 1e-11)
+    assert abs(result[0] - 4.6573332) <= 1e-5
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_brent_on_a_monotone_function_ends_at_the_bracket_end(sign):
+    f, calls = _recorded(lambda x: sign * x)
+    result = golden_section_max(f, 0.0, 1.0, tol=1e-8)
+    _check_search(calls, result, 0.0, 1.0)
+    end = 1.0 if sign > 0 else 0.0
+    assert abs(result[0] - end) <= 1e-8
+
+
+@pytest.mark.parametrize("f", [math.cos, lambda x: 1.0], ids=["cos", "constant"])
+def test_brent_on_a_function_flat_to_rounding_stays_inside(f):
+    # cos(x) rounds to 1 for |x| < 1.5e-8: no parabola resolves the top,
+    # and a tol far below that must still end inside the bracket
+    g, calls = _recorded(f)
+    result = golden_section_max(g, -1.0, 2.0, tol=1e-14)
+    _check_search(calls, result, -1.0, 2.0)
+    assert result[1] == 1.0
+    assert len(calls) < 200
+
+
+@pytest.mark.parametrize("lo, hi, tol", [(1.0, 1.0, 1e-8), (2.0, 1.0, 1e-8), (0.0, 1.0, 0.0)])
+def test_golden_section_max_rejects_an_empty_bracket_or_tol(lo, hi, tol):
+    with pytest.raises(ValueError):
+        golden_section_max(lambda x: x, lo, hi, tol=tol)
 
 
 # ---------------------------------------------------------------------------
