@@ -32,7 +32,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -82,21 +82,20 @@ EXIT_IO = 3
 
 _FLOAT_FMT = "%.17g"
 
-_FORMATS = ("csv", "json")
-
-
-def _format_name(value: str) -> str:
-    if value not in _FORMATS:
-        raise ValueError(value)
-    return value
-
-
-# The run options a config file may set, with the converter of each value.
-_RUN_OPTIONS = {"format": _format_name, "tol": float, "nodes": int}
-
 
 class SpecError(ValueError):
     """A sweep spec, command line, or config file could not be understood."""
+
+
+def _format(name: str) -> str:
+    """``name``, checked against the output formats of ``_RENDERERS``."""
+    if name not in _RENDERERS:
+        raise SpecError(f"format must be {' or '.join(_RENDERERS)}, got {name!r}")
+    return name
+
+
+# The run options a config file may set, with the converter of each value.
+_RUN_OPTIONS = {"format": _format, "tol": float, "nodes": int}
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +167,8 @@ class SweepSpec:
         for name in names:
             if name in fixed:
                 raise SpecError(f"{name} is both an axis and a fixed parameter")
-        if self.format not in (*_FORMATS, None):
-            raise SpecError(f"format must be csv or json, got {self.format!r}")
+        if self.format is not None:
+            _format(self.format)
 
 
 @dataclass(frozen=True)
@@ -239,6 +238,10 @@ def _as_int(value, name: str) -> int:
 # Parameters that take only integer values.  None of them can be swept,
 # so checking their fixed values once covers every point.
 _KINDS = {"sigma": _as_sigma, "k": _as_int, "d": _as_int}
+
+# Parameters fixed for a whole sweep: the integer kinds, and the NACS
+# isospin l, which sets the channel count.
+_FIXED_ONLY = {*_KINDS, "l"}
 
 
 def _ll_solver_kw(opts: Mapping) -> dict:
@@ -324,14 +327,7 @@ def _prepare_virial_model(fixed: Mapping) -> dict:
 
 def _eval_virial_thermo(p, opts, ctx):
     out = thermo_from_virial(ctx["model"], p["rho"], p["T"])
-    return (
-        out.pressure,
-        out.helmholtz,
-        out.gibbs,
-        out.entropy,
-        out.energy,
-        out.enthalpy,
-    )
+    return out.pressure, out.helmholtz, out.gibbs, out.entropy, out.energy, out.enthalpy
 
 
 def _prepare_classify(fixed: Mapping) -> dict:
@@ -360,7 +356,6 @@ class _Quantity:
     name split at its first dash (``ll-b2`` is ``lowdgas ll b2``).
     """
 
-    axis_ok: tuple[str, ...]
     required: tuple[str, ...]
     outputs: tuple[tuple[str, str], ...]
     evaluate: Callable[[Mapping, Mapping, Mapping], tuple]
@@ -369,41 +364,40 @@ class _Quantity:
     model_keys: tuple[str, ...] = ()
     command: str | None = None
 
+    @property
+    def axis_ok(self) -> tuple[str, ...]:
+        """The parameters an axis may sweep: every numeric one that is
+        not fixed for a whole sweep."""
+        return tuple(n for n in (*self.required, *self.defaults) if n not in _FIXED_ONLY)
+
 
 def _parameters(entry) -> tuple[str, ...]:
     """A quantity's (or table's) parameters, in flag and column order."""
     return (*entry.required, *entry.defaults, *entry.model_keys)
 
 
-_LL_AXES = ("gamma", "tau")
-
 REGISTRY: dict[str, _Quantity] = {
     "ll-ground": _Quantity(
-        axis_ok=("gamma",),
         required=("gamma",),
         outputs=(("energy", "hbar^2 rho^2/2m"), ("ell", "")),
         evaluate=_eval_ll_ground,
     ),
     "ll-tba": _Quantity(
-        axis_ok=_LL_AXES,
         required=("gamma", "tau"),
         outputs=(("mu", "k_B T_D"), ("pressure", "rho k_B T_D"), ("energy", "k_B T_D")),
         evaluate=_eval_ll_tba,
     ),
     "ll-shift": _Quantity(
-        axis_ok=_LL_AXES,
         required=("gamma", "tau"),
         outputs=(("e_res", "k_B T_D"),),
         evaluate=_eval_ll_shift,
     ),
     "ll-b2": _Quantity(
-        axis_ok=_LL_AXES,
         required=("gamma", "tau"),
         outputs=(("b2", "lambda_T"),),
         evaluate=_eval_ll_b2,
     ),
     "anyon-b2": _Quantity(
-        axis_ok=("alpha", "eps"),
         required=("alpha", "sigma", "eps"),
         outputs=(
             ("b2", "lambda_T^2"),
@@ -414,31 +408,26 @@ REGISTRY: dict[str, _Quantity] = {
         evaluate=_eval_anyon_b2,
     ),
     "anyon-shift": _Quantity(
-        axis_ok=("alpha", "eps", "x"),
         required=("alpha", "sigma", "eps", "x"),
         outputs=(("e_rel", ""),),
         evaluate=_eval_anyon_shift,
     ),
     "anyon-semion": _Quantity(
-        axis_ok=("eps", "x"),
         required=("sigma", "eps", "x"),
         outputs=(("e_rel", ""),),
         evaluate=_eval_anyon_semion,
     ),
     "nacs-b2": _Quantity(
-        axis_ok=("eps",),
         required=("k", "l", "eps", "sigma"),
         outputs=(("b2", "lambda_T^2"),),
         evaluate=_eval_nacs_b2,
     ),
     "nacs-shift": _Quantity(
-        axis_ok=("eps", "x"),
         required=("k", "l", "eps", "sigma", "x"),
         outputs=(("e_rel", ""),),
         evaluate=_eval_nacs_shift,
     ),
     "virial-thermo": _Quantity(
-        axis_ok=("rho", "T"),
         required=("rho", "T"),
         outputs=(
             ("pressure", "k_B T"),
@@ -453,7 +442,6 @@ REGISTRY: dict[str, _Quantity] = {
         model_keys=("model", "d", "alpha", "amps", "c"),
     ),
     "classify": _Quantity(
-        axis_ok=("sqrt_beta", "beta_log_beta", "beta"),
         required=("d",),
         defaults={"sqrt_beta": 0.0, "beta_log_beta": 0.0, "beta": 0.0},
         outputs=(("verdict", ""), ("limit", "energy volume")),
@@ -497,12 +485,10 @@ def _check_parameters(spec: SweepSpec, q: _Quantity) -> None:
                 f"{spec.quantity}: {name} cannot be swept "
                 f"(axes: {', '.join(q.axis_ok)})"
             )
-    known = {*_parameters(q), *q.axis_ok}
     for name in spec.fixed:
-        if name not in known:
+        if name not in _parameters(q):
             raise SpecError(f"{spec.quantity}: unknown parameter {name!r}")
-    have = set(axis_names) | set(spec.fixed) | set(q.defaults) | set(q.model_keys)
-    missing = [name for name in q.required if name not in have]
+    missing = [name for name in q.required if name not in (*axis_names, *spec.fixed)]
     if missing:
         raise SpecError(f"{spec.quantity}: missing parameter(s) {', '.join(missing)}")
     for name in _KINDS.keys() & spec.fixed.keys():
@@ -592,14 +578,13 @@ def render_json(table: ResultTable) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# The output formats by name: the one place that lists them.
+_RENDERERS = {"csv": render_csv, "json": render_json}
+
+
 def emit(table: ResultTable, format: str, destination: str | None = None) -> None:
     """Write the table (stdout when ``destination`` is None)."""
-    if format == "csv":
-        text = render_csv(table)
-    elif format == "json":
-        text = render_json(table)
-    else:
-        raise SpecError(f"format must be csv or json, got {format!r}")
+    text = _RENDERERS[_format(format)](table)
     if destination is None:
         sys.stdout.write(text)
     else:
@@ -690,6 +675,22 @@ def _parse_axis_line(value: str, where: str) -> Axis:
         raise SpecError(f"{where}: {err}") from err
 
 
+def _key_values(text: str, name: str) -> Iterator[tuple[str, str, str]]:
+    """``(where, key, value)`` for each ``key = value`` line of a spec or
+    config file, ``where`` being ``name:line``; blank and ``#`` lines are
+    skipped.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{name}:{lineno}"
+        if "=" not in line:
+            raise SpecError(f"{where}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        yield where, key.strip(), value.strip()
+
+
 def _coerce(value: str):
     try:
         return float(value)
@@ -715,15 +716,7 @@ def parse_specfile(text: str, name: str = "<spec>") -> SweepSpec:
     fixed: dict[str, object] = {}
     output = None
     fmt = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"{name}:{lineno}"
-        if "=" not in line:
-            raise SpecError(f"{where}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    for where, key, value in _key_values(text, name):
         if not value:
             raise SpecError(f"{where}: empty value for {key!r}")
         if key == "quantity":
@@ -749,23 +742,15 @@ def parse_specfile(text: str, name: str = "<spec>") -> SweepSpec:
 
 def _parse_config(text: str, name: str) -> dict:
     out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SpecError(f"{name}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    for where, key, value in _key_values(text, name):
         if key not in _RUN_OPTIONS:
             raise SpecError(
-                f"{name}:{lineno}: unknown config key {key!r} "
-                f"(one of: {', '.join(_RUN_OPTIONS)})"
+                f"{where}: unknown config key {key!r} (one of: {', '.join(_RUN_OPTIONS)})"
             )
         try:
             out[key] = _RUN_OPTIONS[key](value)
         except ValueError as err:
-            raise SpecError(f"{name}:{lineno}: bad value {value!r} for {key!r}") from err
+            raise SpecError(f"{where}: bad value {value!r} for {key!r}") from err
     return out
 
 
@@ -782,7 +767,7 @@ class _Parser(argparse.ArgumentParser):
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    common.add_argument("--format", choices=_FORMATS, default=None)
+    common.add_argument("--format", choices=tuple(_RENDERERS), default=None)
     common.add_argument("--tol", type=float, default=None, help="solver tolerance")
     common.add_argument("--nodes", type=int, default=None, help="initial grid size")
     common.add_argument("--config", metavar="PATH", help="key=value defaults file")
@@ -799,10 +784,10 @@ def _flag_values(ns: argparse.Namespace, names: Iterable[str]) -> dict:
     return {name: getattr(ns, name) for name in names if getattr(ns, name) is not None}
 
 
-def _channels_table(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
+def _channels_table(ns: argparse.Namespace) -> tuple:
     sys_ = NACSSystem.isotropic(_as_int(ns.k, "k"), ns.l, 1.0, +1)
     w = channel_weights(sys_)
-    rows = tuple(
+    rows = [
         (
             float(j),
             w.omega[j],
@@ -810,24 +795,14 @@ def _channels_table(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
             w.gamma[j],
             w.nu[j],
             "bosonic" if w.bosonic[j] else "fermionic",
-            "ok",
         )
         for j in range(sys_.channel_count)
-    )
-    columns = (
-        ("j", ""),
-        ("omega", ""),
-        ("delta", ""),
-        ("gamma", ""),
-        ("nu", ""),
-        ("kind", ""),
-        ("status", ""),
-    )
-    metadata = _metadata("nacs-channels", (), _flag_values(ns, ("k", "l")), opts)
-    return ResultTable(columns=columns, rows=rows, metadata=metadata)
+    ]
+    columns = ("j", "omega", "delta", "gamma", "nu", "kind")
+    return columns, rows, _flag_values(ns, ("k", "l"))
 
 
-def _scaling_table(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
+def _scaling_table(ns: argparse.Namespace) -> tuple:
     fixed = _flag_values(ns, REGISTRY["virial-thermo"].model_keys)
     model = _prepare_virial_model(fixed)["model"]
     try:
@@ -838,28 +813,27 @@ def _scaling_table(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
         report = check_scale_invariance(model, temps, rtol=ns.rtol)
     except ValueError as err:
         raise SpecError(str(err)) from err
-    rows = tuple(
+    rows = [
         (
             float(k + 1),
             report.relative_spread[k],
             "pass" if (k + 1) not in report.violations else "fail",
-            "ok",
         )
         for k in range(len(report.relative_spread))
-    )
-    columns = (("order_k", ""), ("relative_spread", ""), ("scaling", ""), ("status", ""))
+    ]
     fixed.update(temps=temps, rtol=ns.rtol)
-    metadata = _metadata("virial-check-scaling", (), fixed, opts)
-    return ResultTable(columns=columns, rows=rows, metadata=metadata)
+    return ("order_k", "relative_spread", "scaling"), rows, fixed
 
 
 @dataclass(frozen=True)
 class _Table:
     """A command that prints a table of its own, not one point of a
     quantity; its flags and name are declared as a quantity's are.
+    ``build`` gives the column names, the rows and the parameters to
+    echo in the metadata; every column is unitless.
     """
 
-    build: Callable[[argparse.Namespace, Mapping], ResultTable]
+    build: Callable[[argparse.Namespace], tuple]
     required: tuple[str, ...]
     defaults: Mapping[str, object] = field(default_factory=dict)
     model_keys: tuple[str, ...] = ()
@@ -946,23 +920,27 @@ def _parse_extra_terms(specs: Sequence[str]) -> tuple:
     return tuple(terms)
 
 
-def _dispatch(ns: argparse.Namespace, opts: Mapping) -> ResultTable:
+def _dispatch(ns: argparse.Namespace, opts: Mapping) -> tuple[ResultTable, str | None]:
+    """The command's table and where it goes (None: stdout).  The format
+    is the table's ``config`` metadata: a ``--format`` flag, else a
+    specfile's format line, else the config file's, else csv.
+    """
     if ns.quantity in _TABLES:
-        return _TABLES[ns.quantity].build(ns, opts)
+        columns, rows, fixed = _TABLES[ns.quantity].build(ns)
+        table = ResultTable(
+            columns=tuple((name, "") for name in (*columns, "status")),
+            rows=tuple((*row, "ok") for row in rows),
+            metadata=_metadata(ns.quantity, (), fixed, opts),
+        )
+        return table, ns.out
     if ns.quantity is None:
         with open(ns.specfile, "r", encoding="utf-8") as fh:
             spec = parse_specfile(fh.read(), name=ns.specfile)
-        spec = replace(
-            spec,
-            output=spec.output if ns.out is None else ns.out,
-            format=ns.format or spec.format or opts["format"],
-        )
+        spec = replace(spec, format=ns.format or spec.format)
     else:
         fixed = _flag_values(ns, _parameters(REGISTRY[ns.quantity]))
-        spec = SweepSpec(ns.quantity, (), fixed, ns.out, opts["format"])
-    ns.out = spec.output
-    opts["format"] = spec.format
-    return run_sweep(spec, opts)
+        spec = SweepSpec(ns.quantity, (), fixed, format=None)
+    return run_sweep(spec, opts), spec.output if ns.out is None else ns.out
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -973,14 +951,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(err.code or 0)
     try:
         opts = _effective_opts(ns)
-        table = _dispatch(ns, opts)
+        table, out = _dispatch(ns, opts)
     except (ValueError, FileNotFoundError) as err:
         # SpecError is a ValueError; a missing spec or config file is a
         # spec problem, not an I/O one
         print(f"lowdgas: error: {err}", file=sys.stderr)
         return EXIT_SPEC
-    out = getattr(ns, "out", None)
-    fmt = opts["format"]
+    fmt = table.metadata["config"]["format"]
     try:
         emit(table, fmt, out)
         if ns.gnuplot and fmt == "csv" and out:

@@ -168,12 +168,8 @@ def _softplus_e(eps: np.ndarray, tau: float) -> np.ndarray:
 def _fermi(eps: np.ndarray, tau: float) -> np.ndarray:
     """``1 / (1 + exp(eps/tau))`` without overflow."""
     x = eps / tau
-    out = np.empty_like(x)
-    pos = x > 0.0
     e = np.exp(-np.abs(x))
-    out[pos] = e[pos] / (1.0 + e[pos])
-    out[~pos] = 1.0 / (1.0 + e[~pos])
-    return out
+    return np.where(x > 0.0, e, 1.0) / (1.0 + e)
 
 
 def _log_expm1(x: np.ndarray) -> np.ndarray:

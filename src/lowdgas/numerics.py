@@ -106,15 +106,17 @@ class QuadratureRule:
         a, b = self.domain
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if np.count_nonzero(nodes[1:] <= nodes[:-1]):
+        # each check asks for what must hold, so a NaN, for which every
+        # comparison is False, fails it
+        if np.count_nonzero(nodes[1:] > nodes[:-1]) < nodes.size - 1:
             raise ValueError("quadrature nodes must be strictly increasing")
-        if nodes.size and (nodes[0] <= a or (math.isfinite(b) and nodes[-1] >= b)):
+        if nodes.size and not (nodes[0] > a and (nodes[-1] < b or not math.isfinite(b))):
             raise ValueError("quadrature nodes must lie strictly inside the domain")
-        if np.count_nonzero(weights <= 0.0):
+        if np.count_nonzero(weights > 0.0) < weights.size:
             raise ValueError("quadrature weights must be positive")
         if math.isfinite(b):
             length = b - a
-            if abs(float(weights.sum()) - length) > 1e-12 * max(abs(length), 1.0):
+            if not abs(float(weights.sum()) - length) <= 1e-12 * max(abs(length), 1.0):
                 raise ValueError("weights of a finite-domain rule must sum to the domain length")
 
     def __len__(self) -> int:

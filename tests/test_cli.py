@@ -225,10 +225,20 @@ def test_sweep_rejects_missing_parameter():
         run_sweep(spec)
 
 
-def test_sweep_rejects_unsweepable_axis():
-    spec = SweepSpec("anyon-b2", (Axis("sigma", -1.0, 1.0, 2),), {"alpha": 0.5, "eps": 1.0})
-    with pytest.raises(SpecError, match="cannot be swept"):
-        run_sweep(spec)
+@pytest.mark.parametrize(
+    "quantity,axis,fixed",
+    [
+        ("anyon-b2", Axis("sigma", -1.0, 1.0, 2), {"alpha": 0.5, "eps": 1.0}),
+        ("nacs-b2", Axis("k", 2.0, 3.0, 2), {"l": 0.5, "eps": 1.0, "sigma": 1.0}),
+        ("nacs-b2", Axis("l", 0.5, 1.0, 2), {"k": 3.0, "eps": 1.0, "sigma": 1.0}),
+        ("classify", Axis("d", 1.0, 2.0, 2), {}),
+    ],
+    ids=["sigma", "k", "l", "d"],
+)
+def test_sweep_rejects_unsweepable_axis(quantity, axis, fixed):
+    # every parameter fixed for a whole sweep is refused as an axis
+    with pytest.raises(SpecError, match=f"{axis.name} cannot be swept"):
+        run_sweep(SweepSpec(quantity, (axis,), fixed))
 
 
 def test_shift_sweep_uses_zero_temperature_solver():
@@ -477,6 +487,9 @@ def test_main_single_point_to_stdout(capsys):
         ("ll ground --gamma 1 --nodes 5000", "ConvergenceError"),
         ("ll shift --gamma 1 --tau 0 --nodes 5000", "ConvergenceError"),
         ("ll b2 --gamma 1 --tau -1", "ValueError"),
+        # l is fixed for a sweep but is no integer kind: a value that is
+        # not a half-integer fails its row, not the spec
+        ("nacs b2 --k 3 --l 0.3 --eps 1 --sigma 1", "ValueError"),
     ],
 )
 def test_main_single_point_failure_is_a_status_row(tmp_path, argv, error):

@@ -209,6 +209,16 @@ _GOOD = ([0.25, 0.5, 0.75], [1 / 3, 1 / 3, 1 / 3], (0.0, 1.0))
         (_GOOD[0], [0.75, -0.25, 0.5], (0.0, 1.0), "weights must be positive"),
         (_GOOD[0], [0.5, 0.5, 0.5], (0.0, 1.0), "sum to the domain length"),
         (_GOOD[0], [0.3, 0.3, 0.3], (0.0, 1.0), "sum to the domain length"),
+        # every comparison with a NaN is False, so a check written as a
+        # condition for failure would let these through
+        ([0.25, math.nan, 0.75], _GOOD[1], (0.0, 1.0), "strictly increasing"),
+        ([math.nan, 0.5, 0.75], _GOOD[1], (0.0, 1.0), "strictly increasing"),
+        ([1.0, math.nan], [1.0, 1.0], (0.0, math.inf), "strictly increasing"),
+        ([math.nan], [1.0], (0.0, 1.0), "strictly inside the domain"),
+        ([math.nan], [1.0], (0.0, math.inf), "strictly inside the domain"),
+        (_GOOD[0], [1 / 3, math.nan, 1 / 3], (0.0, 1.0), "weights must be positive"),
+        ([1.0, 2.0], [math.nan, 1.0], (0.0, math.inf), "weights must be positive"),
+        (_GOOD[0], [1 / 3, math.inf, 1 / 3], (0.0, 1.0), "sum to the domain length"),
     ],
 )
 def test_quadrature_rule_rejects_malformed_input(nodes, weights, domain, message):
