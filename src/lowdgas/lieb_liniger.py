@@ -937,18 +937,38 @@ def e_res_finite_T(params: LLParams, **solver_kw) -> float:
     return energy - 0.5 * pressure
 
 
+def _b2_closed_form(c: float, T: float) -> tuple[float, float, float, float]:
+    """The delta gas's second virial coefficient, its slope and its shift,
+    in closed form at repulsion ``c`` and temperature ``T > 0`` (units
+    ``hbar = 2m = k_B = 1``; at unit density ``c`` and ``T`` are ``gamma``
+    and ``tau``).
+
+    With ``x = c/sqrt(2T)``, ``delta = 1 - sqrt(pi) x erfcx(x)``
+    (``_erfcx_deficit``) and the thermal wavelength ``lambda_T =
+    2 sqrt(pi/T)``, returns ``(B_2/lambda_T, B_2, dB_2/dT, shift)``:
+    ``B_2/lambda_T = 1/(2 sqrt 2) - erfcx(x)/sqrt 2``, ``dB_2/dT =
+    -B_2/(2T) - c delta/T^2``, and ``shift = c delta``, the O(rho) virial
+    shift ``-T (T dB_2/dT + B_2/2)`` per unit density (Beth & Uhlenbeck,
+    Physica 4, 915 (1937)).  The slope goes through ``delta``, not the
+    direct ``erfcx'``, which cancels at large ``x``.
+    """
+    x = c / math.sqrt(2.0 * T)
+    b = 0.5 / _SQRT2 - erfcx(x) / _SQRT2
+    b2 = b * 2.0 * math.sqrt(math.pi / T)
+    shift = c * _erfcx_deficit(x)
+    return b, b2, -b2 / (2.0 * T) - shift / T / T, shift
+
+
 def b2_ll(params: LLParams) -> float:
     """Second virial coefficient in units of the thermal wavelength.
 
-    ``b2 = 1/(2 sqrt 2) - erfcx(x)/sqrt(2)`` with ``x = sqrt(gamma^2 / 2 tau)``:
+    ``b2 = 1/(2 sqrt 2) - erfcx(x)/sqrt(2)`` with ``x = gamma / sqrt(2 tau)``:
     ``-1/(2 sqrt 2)`` for the ideal Bose endpoint, crossing over to
     ``+1/(2 sqrt 2)`` (free-fermion value) as ``x -> inf``.
     """
-    gamma, tau = params.gamma, params.tau
-    if tau <= 0.0:
-        raise ValueError(f"b2 needs tau > 0, got {tau}")
-    x = math.sqrt(gamma * gamma / (2.0 * tau))
-    return 0.5 / _SQRT2 - erfcx(x) / _SQRT2
+    if params.tau <= 0.0:
+        raise ValueError(f"b2 needs tau > 0, got {params.tau}")
+    return _b2_closed_form(params.gamma, params.tau)[0]
 
 
 def e_res_high_T(params: LLParams) -> float:
@@ -957,7 +977,8 @@ def e_res_high_T(params: LLParams) -> float:
     ``gamma - sqrt(pi / 2 tau) * gamma^2 * erfcx(sqrt(gamma^2 / 2 tau))``,
     evaluated as ``gamma * (1 - sqrt(pi) * x * erfcx(x))`` with
     ``x = gamma / sqrt(2 tau)`` so that it keeps full precision for
-    ``gamma^2 >> tau``.
+    ``gamma^2 >> tau``.  It is the O(rho) virial shift of ``b2_ll``'s
+    coefficient.
 
     Interpolates between ``gamma`` (for ``gamma^2 << 2 tau``) and
     ``tau/gamma`` (for ``gamma^2 >> 2 tau``), which vanishes at the
@@ -978,4 +999,4 @@ def e_res_high_T(params: LLParams) -> float:
         )
     if math.isinf(gamma):
         return 0.0
-    return gamma * _erfcx_deficit(gamma / math.sqrt(2.0 * tau))
+    return _b2_closed_form(gamma, tau)[3]

@@ -4,11 +4,13 @@ Everything in this module is dimensionless plumbing: Gauss-Legendre
 quadrature, Richardson-extrapolated finite differences, a maximum search
 by Brent's method (golden-section steps with parabolic interpolation),
 and the scaled complementary error function ``exp(x**2) * erfc(x)``
-which stays finite for large ``x``.  The damped
-fixed point :func:`solve_fixed_point` and the bracketed root finder
-:func:`find_root` have no caller in the library, whose TBA and
-ground-state solvers close their equations by Newton's method; they
-stay public for now.
+which stays finite for large ``x``.  Three routines have no caller in
+the library: the finite difference :func:`derivative` (the delta gas's
+``dB_2/dT`` is a closed form), the damped fixed point
+:func:`solve_fixed_point` and the bracketed root finder
+:func:`find_root` (the TBA and ground-state solvers close their
+equations by Newton's method).  They stay only because the benchmark's
+tracer looks them up by name.
 
 :func:`gauss_legendre` builds its rule by Newton's method on the
 three-term Legendre recurrence, vectorised over the nodes (Hale &

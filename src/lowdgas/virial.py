@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import EvaluationError, derivative
+from .numerics import EvaluationError
 
 __all__ = [
     "VirialModel",
@@ -40,11 +40,36 @@ __all__ = [
     "shift_from_b2",
     "leading_exponent",
     "power_law_model",
-    "pair_with_numeric_derivative",
     "lieb_liniger_b2_model",
 ]
 
 CoefficientPair = tuple[Callable[[float], float], Callable[[float], float]]
+
+
+def _scaling(d, alpha_scaling=2.0) -> tuple[int, float]:
+    """``(d, alpha_scaling)`` as an integer and a float, checked: ``d`` a
+    positive integer and ``alpha_scaling`` positive (quadratic dispersion
+    by default)."""
+    if not (float(d) >= 1.0 and float(d).is_integer()):
+        raise ValueError(f"d must be a positive integer, got {d}")
+    if not (float(alpha_scaling) > 0.0):
+        raise ValueError(f"alpha_scaling must be positive, got {alpha_scaling}")
+    return int(d), float(alpha_scaling)
+
+
+def _finite(f: Callable, T, what: str):
+    """``f(T)``, checked finite: a value that is not, or that overflows,
+    raises ``EvaluationError`` naming ``what`` and ``T``."""
+    try:
+        v = f(T)
+    except OverflowError:
+        v = math.inf
+    try:
+        if math.isfinite(v):
+            return v
+    except TypeError:
+        return v  # symbolic passthrough: finiteness is the caller's business
+    raise EvaluationError(f"{what} is not finite at T={T}", node=float(T))
 
 
 @dataclass(frozen=True)
@@ -61,12 +86,9 @@ class VirialModel:
     coeffs: tuple[CoefficientPair, ...]
 
     def __post_init__(self):
-        if self.d != int(self.d) or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
-        if not (float(self.alpha_scaling) > 0.0):
-            raise ValueError(f"alpha_scaling must be positive, got {self.alpha_scaling}")
-        object.__setattr__(self, "alpha_scaling", float(self.alpha_scaling))
+        d, alpha_scaling = _scaling(self.d, self.alpha_scaling)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "alpha_scaling", alpha_scaling)
         pairs = tuple(tuple(pair) for pair in self.coeffs)
         if not pairs:
             raise ValueError("coeffs must hold at least the pair for B_2")
@@ -82,18 +104,9 @@ class VirialModel:
     def evaluate(self, T: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """``(B_{k+1}(T))_k`` and ``(dB_{k+1}/dT)_k``, checked finite."""
         values, slopes = [], []
-        for k, (b, db) in enumerate(self.coeffs, start=1):
-            for tag, f in (("B", b), ("dB/dT", db)):
-                v = f(T)
-                try:
-                    fv = float(v)
-                except TypeError:
-                    fv = None  # symbolic passthrough: finiteness is the caller's business
-                if fv is not None and not math.isfinite(fv):
-                    raise EvaluationError(
-                        f"{tag}_{k + 1}({T}) is not finite", node=float(T)
-                    )
-                (values if tag == "B" else slopes).append(v)
+        for k, (b, db) in enumerate(self.coeffs, start=2):
+            values.append(_finite(b, T, f"B_{k}"))
+            slopes.append(_finite(db, T, f"dB/dT_{k}"))
         return tuple(values), tuple(slopes)
 
 
@@ -115,11 +128,11 @@ class VirialThermo:
 def _validate_state_point(rho, T) -> None:
     # duck-typed so symbolic rho/T pass through untouched
     try:
-        ok = float(rho) > 0.0 and float(T) > 0.0
+        ok = 0.0 < float(rho) < math.inf and 0.0 < float(T) < math.inf
     except TypeError:
         return
     if not ok:
-        raise ValueError(f"need rho > 0 and T > 0, got rho={rho}, T={T}")
+        raise ValueError(f"need finite rho > 0 and T > 0, got rho={rho}, T={T}")
 
 
 def thermo_from_virial(model: VirialModel, rho, T) -> VirialThermo:
@@ -193,7 +206,9 @@ def check_scale_invariance(
     model: VirialModel, T_samples: Sequence[float], rtol: float = 1e-9
 ) -> ScaleInvarianceReport:
     """Probe each coefficient for the power-law temperature dependence
-    that scale invariance forces on it.
+    that scale invariance forces on it.  A coefficient or product that is
+    not finite at a sample raises ``EvaluationError``, as in
+    :meth:`VirialModel.evaluate`.
     """
     temps = [float(t) for t in T_samples]
     if len(temps) < 2:
@@ -201,15 +216,15 @@ def check_scale_invariance(
     if any(t <= 0 or not math.isfinite(t) for t in temps):
         raise ValueError("temperature samples must be positive and finite")
     exponent = model.d / model.alpha_scaling
-    products, spreads, violations = [], [], []
+    products, spreads = [], []
     for k, (b, _) in enumerate(model.coeffs, start=1):
-        row = tuple(float(b(t)) * t ** (exponent * k) for t in temps)
-        scale = max(abs(p) for p in row)
-        spread = (max(row) - min(row)) / scale if scale > 0.0 else 0.0
+        p = exponent * k
+        what = f"B_{k + 1}(T) * T**{p:g}"
+        row = tuple(_finite(lambda t: float(b(t)) * t**p, t, what) for t in temps)
+        scale = max(abs(v) for v in row)
         products.append(row)
-        spreads.append(spread)
-        if spread > rtol:
-            violations.append(k)
+        spreads.append((max(row) - min(row)) / scale if scale > 0.0 else 0.0)
+    violations = [k for k, spread in enumerate(spreads, start=1) if spread > rtol]
     return ScaleInvarianceReport(
         tuple(products), tuple(spreads), tuple(violations), float(rtol)
     )
@@ -226,9 +241,10 @@ def isoentropic_scale(
     lam = float(lambda_factor)
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lambda_factor must be positive and finite, got {lambda_factor}")
+    d, alpha_scaling = _scaling(d, alpha_scaling)
     e, t, v = (float(s) for s in state)
-    shrink = lam ** (-float(alpha_scaling))
-    return (e * shrink, t * shrink, v * lam ** int(d))
+    shrink = lam ** (-alpha_scaling)
+    return (e * shrink, t * shrink, v * lam**d)
 
 
 def hardcore_1d(P: float, L: float, a: float, rho: float) -> tuple[float, float]:
@@ -329,9 +345,7 @@ def classify_shift(shape: B2SmallBetaShape | None, d: int) -> ShiftClassificatio
     and blows up otherwise.  ``None`` (caller cannot assert a shape)
     gives the ``indeterminate`` verdict.
     """
-    if d != int(d) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    d = int(d)
+    d, _ = _scaling(d)
     if shape is None:
         return ShiftClassification("indeterminate")
     limit = 0.0
@@ -406,29 +420,24 @@ def power_law_model(
     return VirialModel(d=d, alpha_scaling=alpha_scaling, coeffs=pairs)
 
 
-def pair_with_numeric_derivative(
-    b: Callable[[float], float], scale: float = 1e-4
-) -> CoefficientPair:
-    """Coefficient pair for a ``B(T)`` with no closed-form derivative."""
-    return (b, lambda T: derivative(b, T, scale=scale)[0])
-
-
 def lieb_liniger_b2_model(c: float) -> VirialModel:
     """One-dimensional delta-gas model (repulsion strength ``c``, units
-    ``hbar = 2m = k_B = 1``): ``B_2(T)`` from the crossover form in
-    :mod:`.lieb_liniger` times the thermal wavelength
-    ``lambda_T = 2 sqrt(pi/T)``.
+    ``hbar = 2m = k_B = 1``): ``B_2(T)``, the crossover form of
+    :func:`.lieb_liniger.b2_ll` times the thermal wavelength
+    ``lambda_T = 2 sqrt(pi/T)``, with its closed-form slope
+    ``dB_2/dT = -B_2/(2T) - c delta(x)/T^2``, where ``x = c/sqrt(2T)``
+    and ``delta(x) = 1 - sqrt(pi) x erfcx(x)``.  No derivative is taken
+    numerically.  The O(rho) shift ``-T (T dB_2/dT + B_2/2)`` per unit
+    density is :func:`.lieb_liniger.e_res_high_T` at ``gamma = c``,
+    ``tau = T``.
 
     ``B_2`` depends on density and temperature only through ``c**2/T``,
     so the evaluators are valid at any density.
     """
-    from .lieb_liniger import LLParams, b2_ll
+    from .lieb_liniger import _b2_closed_form
 
     c = float(c)
     if not (c >= 0.0 and math.isfinite(c)):
         raise ValueError(f"repulsion strength must be finite and >= 0, got {c}")
-
-    def b2(T: float) -> float:
-        return b2_ll(LLParams(gamma=c, tau=T)) * 2.0 * math.sqrt(math.pi / T)
-
-    return VirialModel(d=1, alpha_scaling=2.0, coeffs=(pair_with_numeric_derivative(b2),))
+    pair = (lambda T: _b2_closed_form(c, T)[1], lambda T: _b2_closed_form(c, T)[2])
+    return VirialModel(d=1, alpha_scaling=2.0, coeffs=(pair,))

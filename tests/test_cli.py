@@ -635,6 +635,29 @@ def test_main_check_scaling_flags_violations(capsys):
     assert ",fail," in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "model, order",
+    [
+        (["--model", "delta-gas", "--c", "1"], "B_2(T) * T**0.5"),
+        (["--model", "power-law", "--d", "2", "--alpha", "2", "--amps", "0.5"], "B_2(T) * T**1"),
+    ],
+)
+def test_main_check_scaling_names_a_non_finite_product(model, order, capsys):
+    # B_2 overflows at T = 1e-320: lambda_T = 2 sqrt(pi/T) for the delta
+    # gas, 0.5/T for the power law; one error line, no table
+    assert main(["virial", "check-scaling", *model, "--temps", "1e-320,1"]) == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lowdgas: error: {order} is not finite at T=1e-320\n"
+
+
+def test_main_delta_gas_thermo_at_low_temperature(capsys):
+    rc = main(["virial", "thermo", "--model", "delta-gas", "--c", "1", "--rho", "0.1",
+               "--T", "5e-5"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.rstrip().endswith(",ok")
+
+
 def test_main_classify_reports_limit(capsys):
     rc = main(
         ["virial", "classify", "--d", "1", "--sqrt-beta", "-1.2533",

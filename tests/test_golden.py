@@ -4,7 +4,9 @@ Each case runs ``python -m lowdgas.cli`` in a fresh process and an empty
 directory, with BLAS pinned to one thread and ``SOURCE_DATE_EPOCH``
 unset, so the bytes depend only on the code.  Single points print to
 stdout; sweeps read a specfile written next to them.  A case that writes
-files (``--out``) is compared file by file and must print nothing.
+files (``--out``) is compared file by file and must print nothing.  The
+README's CLI examples (sweeps aside) must be ``POINTS`` commands, so
+their output is pinned too, and its library quickstart must run.
 """
 
 from __future__ import annotations
@@ -106,6 +108,24 @@ def first_difference(fname: str, got: bytes, want: bytes) -> str:
         if old != new:
             return f"{fname} line {i + 1} differs:\n  golden: {old!r}\n  now:    {new!r}"
     return f"{fname} differs"
+
+
+def readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block under ``heading`` in README.md."""
+    text = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_examples_are_golden_points():
+    lines = readme_block("## CLI", "sh").splitlines()
+    examples = [l.removeprefix("lowdgas ") for l in lines if l.startswith("lowdgas ")]
+    assert examples and set(examples) <= set(POINTS.values())
+
+
+def test_readme_quickstart_runs():
+    code = readme_block("## Library quickstart", "python")
+    exec(compile(code, "README.md quickstart", "exec"), {})
 
 
 @pytest.mark.parametrize("name", [*POINTS, *SWEEPS])

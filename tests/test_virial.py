@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import pytest
 import sympy as sp
 from hypothesis import given, settings
@@ -30,7 +31,6 @@ from lowdgas.virial import (
     isoentropic_scale,
     leading_exponent,
     lieb_liniger_b2_model,
-    pair_with_numeric_derivative,
     power_law_model,
     scale_invariance_residuals,
     shift_from_b2,
@@ -58,13 +58,17 @@ def test_model_validation():
         VirialModel(d=2, alpha_scaling=2.0, coeffs=())
     with pytest.raises(ValueError, match="pair"):
         VirialModel(d=2, alpha_scaling=2.0, coeffs=((lambda T: 0.0,),))
+    for d in (2.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive integer"):
+            VirialModel(d=d, alpha_scaling=2.0, coeffs=(pair,))
     assert VirialModel(d=3.0, alpha_scaling=2, coeffs=(pair,)).d == 3
     assert power_law_model(2, 2.0, (0.5, 0.1)).k_max == 2
 
 
 def test_state_point_validation():
     model = power_law_model(2, 2.0, (0.5,))
-    for rho, T in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)):
+    inf = float("inf")
+    for rho, T in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (inf, 1.0), (1.0, inf)):
         with pytest.raises(ValueError, match="rho > 0 and T > 0"):
             thermo_from_virial(model, rho, T)
         with pytest.raises(ValueError, match="rho > 0 and T > 0"):
@@ -87,6 +91,9 @@ def test_nonfinite_coefficient_reports_evaluation_error():
     )
     with pytest.raises(EvaluationError):
         scale_invariance_residuals(model, 0.1, 2.0)
+    model = VirialModel(d=1, alpha_scaling=2.0, coeffs=((lambda T: 0.0, lambda T: 1e-300**-2),))
+    with pytest.raises(EvaluationError, match=r"dB/dT_2 is not finite at T=2\.0"):
+        thermo_from_virial(model, 0.1, 2.0)  # an overflow names the order too
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +179,16 @@ def test_residual_order_zero_tracks_dispersion_exponent():
 
 
 def test_residual_nonzero_for_delta_gas():
-    res = scale_invariance_residuals(lieb_liniger_b2_model(1.0), 1.0, 100.0)
-    assert res[0] == 0.0
-    assert abs(res[1]) > 1e-3  # the coupling breaks scale invariance
+    # the order-one residual is the high-temperature shift per unit density:
+    # -T (T B_2' + B_2/2) = e_res_high_T, which the coupling makes nonzero
+    for c in (0.01, 0.1, 1.0, 10.0, 100.0):
+        model = lieb_liniger_b2_model(c)
+        for T in (1e-3, 0.1, 1.0, 10.0, 1e3, 1e5):
+            shift = e_res_high_T(LLParams(gamma=c, tau=T))
+            for rho in (0.01, 0.5):
+                res = scale_invariance_residuals(model, rho, T)
+                assert res[0] == 0.0
+                assert res[1] * T / rho == pytest.approx(shift, rel=1e-11)
 
 
 def test_symbolic_reduction_of_scaled_series():
@@ -222,6 +236,22 @@ def test_check_scale_invariance_flags_broken_order():
 def test_check_scale_invariance_flags_delta_gas():
     report = check_scale_invariance(lieb_liniger_b2_model(1.0), [50.0, 200.0], rtol=1e-6)
     assert report.violations == (1,)
+
+
+@pytest.mark.parametrize(
+    "model, temps, what",
+    [
+        # B_2 overflows: lambda_T = 2 sqrt(pi/T) for the delta gas, 0.5/T
+        (lieb_liniger_b2_model(1.0), [1e-320, 1.0], r"B_2\(T\) \* T\*\*0\.5"),
+        (power_law_model(2, 2.0, (0.5,)), [1e-320, 1.0], r"B_2\(T\) \* T\*\*1"),
+        # B_3 = 1/T**2 underflows to 0 and only T**2 overflows
+        (power_law_model(2, 2.0, (0.5, 1.0)), [1e200, 1.0], r"B_3\(T\) \* T\*\*2"),
+    ],
+)
+def test_check_scale_invariance_rejects_non_finite_product(model, temps, what):
+    with pytest.raises(EvaluationError, match=what) as err:
+        check_scale_invariance(model, temps)
+    assert err.value.node == temps[0]
 
 
 def test_check_scale_invariance_input_validation():
@@ -301,6 +331,12 @@ def test_isoentropic_rejects_bad_factor():
     for lam in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="lambda_factor"):
             isoentropic_scale((1.0, 1.0, 1.0), lam, 2, 2.0)
+    for d in (0, 2.5, float("nan")):
+        with pytest.raises(ValueError, match="positive integer"):
+            isoentropic_scale((1.0, 1.0, 1.0), 2.0, d, 2.0)
+    for alpha in (0.0, -2.0, float("nan")):
+        with pytest.raises(ValueError, match="alpha_scaling"):
+            isoentropic_scale((1.0, 1.0, 1.0), 2.0, 2, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +416,9 @@ def test_classifier_harmless_terms():
 def test_classifier_indeterminate_cases():
     assert classify_shift(None, 2).verdict == "indeterminate"
     assert classify_shift(B2SmallBetaShape(beta=float("nan")), 1).verdict == "indeterminate"
-    with pytest.raises(ValueError, match="positive integer"):
-        classify_shift(B2SmallBetaShape(beta=1.0), 0)
+    for d in (0, 1.5, float("inf")):
+        with pytest.raises(ValueError, match="positive integer"):
+            classify_shift(B2SmallBetaShape(beta=1.0), d)
 
 
 def test_classification_invariants():
@@ -473,12 +510,6 @@ def test_shape_validation_and_terms():
 # Coefficient factories
 
 
-def test_pair_with_numeric_derivative():
-    b, db = pair_with_numeric_derivative(lambda T: T**-2)
-    assert b(3.0) == pytest.approx(1.0 / 9.0, rel=1e-15)
-    assert db(3.0) == pytest.approx(-2.0 / 27.0, rel=1e-8)
-
-
 def test_delta_gas_model_wiring():
     model = lieb_liniger_b2_model(1.0)
     assert (model.d, model.alpha_scaling, model.k_max) == (1, 2.0, 1)
@@ -489,12 +520,28 @@ def test_delta_gas_model_wiring():
         lieb_liniger_b2_model(-1.0)
 
 
+@pytest.mark.parametrize("c", [0.0, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e4])
+def test_delta_gas_model_pair_matches_mpmath(c):
+    # B_2 = lambda_T (1/(2 sqrt 2) - erfcx(x)/sqrt 2), x = c/sqrt(2T), and
+    # its T-derivative by mpmath at 50 digits, down to T = 1e-6 (x = 7e6)
+    def b2_ref(T):
+        x = c / mp.sqrt(2 * T)
+        return 2 * mp.sqrt(mp.pi / T) * (1 / (2 * mp.sqrt(2)) - mp.exp(x * x) * mp.erfc(x) / mp.sqrt(2))
+
+    b2, slope = lieb_liniger_b2_model(c).coeffs[0]
+    for T in (1e-6, 5e-5, 1e-4, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5):
+        with mp.workdps(50):
+            ref, ref_slope = float(b2_ref(mp.mpf(T))), float(mp.diff(b2_ref, mp.mpf(T)))
+        assert b2(T) == pytest.approx(ref, rel=1e-13)
+        assert slope(T) == pytest.approx(ref_slope, rel=1e-13)
+
+
 @pytest.mark.parametrize("T", [50.0, 100.0, 200.0])
 def test_delta_gas_virial_shift_matches_closed_form(T):
     model = lieb_liniger_b2_model(1.0)
     out = thermo_from_virial(model, 1.0, T)
     e_res = (out.energy - 0.5 * out.pressure) * T
-    assert e_res == pytest.approx(e_res_high_T(LLParams(gamma=1.0, tau=T)), rel=1e-8)
+    assert e_res == pytest.approx(e_res_high_T(LLParams(gamma=1.0, tau=T)), rel=1e-13)
 
 
 def test_delta_gas_shift_linear_in_density():
