@@ -20,16 +20,20 @@ exponential cuts off, and the panel layout simply concentrates nodes at
 those two places.  At the integer points the peak and the vanishing
 ``sin(pi delta)`` prefactor cancel analytically, so those are served by
 their exact limits rather than by quadrature.
+
+Points are evaluated in batches: each lays out its own panel rule, and
+the rules are integrated in chunks, so a single call is a batch of one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import composite_rule, erfcx, integrate
+from .numerics import _attempt, _panel_reference, _rule_faults, _weighted_sum, erfcx
 
 __all__ = [
     "StatisticsParameter",
@@ -37,7 +41,9 @@ __all__ = [
     "B2Value",
     "b2_hardcore",
     "b2_softcore",
+    "b2_softcore_grid",
     "e_rel_abelian",
+    "e_rel_abelian_grid",
     "e_rel_semion",
     "y_dilute",
 ]
@@ -163,6 +169,7 @@ _LADDER = tuple(2.0**-k for k in range(13))  # the bulk ladder below min(1, u_st
 # the factors 1 -+ w of the refinement edges centre * (1 -+ w), for
 # w = 1/2, 1/4, ..., 2^-40 (a refinement width is at least 1e-10)
 _REFINE = tuple(c for k in range(1, 41) for c in (1.0 - 2.0**-k, 1.0 + 2.0**-k))
+_CHUNK_NODES = 4096  # nodes integrated at once (a rule has ~770): bounds a batch's memory
 
 
 def _refined(centre: float, width: float) -> list[float]:
@@ -209,65 +216,131 @@ def _panel_edges(a: float, sc: float, eps: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-def _scatter_integral(a: float, sigma: int, eps: float, moment: int) -> float:
-    """``integral exp(-eps t) t**(a - 1 + moment) / D(t) dt`` over
-    ``[0, inf)`` with ``D = 1 + 2 sigma cos(pi a) t**a + t**(2a)``,
-    reduced by ``u = t**a`` (the ``1/a`` Jacobian is included).
+def _scatter_parts(keys, moment: int) -> dict:
+    """The part ``(sigma/pi) sin(pi a) a I``, or the exception it raised, at
+    each distinct ``(a, sigma, eps)`` of ``keys``: ``I`` integrates
+    ``exp(-eps t) t**(a - 1 + moment) / (1 + 2 sigma cos(pi a) t**a + t**(2a))``
+    over ``[0, inf)``; ``moment = 0`` for ``B_2``, 1 for its ``-d/d(eps)``."""
+    parts: dict = {}
+    chunk, size = [], 0
+    for key in dict.fromkeys(keys):
+        a, sigma, eps = key
+        if a == 0.0 or a == 1.0:
+            # sin(pi a) kills the integral except against the sigma = +1
+            # fermionic-point pole, whose limit is exp(-eps)
+            parts[key] = math.exp(-eps) if (a == 1.0 and sigma == +1) else 0.0
+        elif eps == 0.0:
+            # exp factor gone; the moment-0 integral is theta / (a sin(theta))
+            # with theta = acos(sigma cos(pi a)), that is pi a or pi (1 - a), and
+            # sin(theta) = sin(pi a), so the part is sigma theta / pi.  Taken
+            # without acos, which loses theta where sigma cos(pi a) rounds to -+1
+            parts[key] = a if sigma == +1 else a - 1.0
+        elif math.isinf(eps):
+            parts[key] = 0.0
+        else:
+            try:
+                edges = _panel_edges(a, sigma * math.cos(math.pi * a), eps)
+            except Exception as err:  # this key's own failure
+                parts[key] = err
+                continue
+            nodes = _NODES * (edges.size - 1)
+            if chunk and size + nodes > _CHUNK_NODES:
+                _integrate_chunk(chunk, moment, parts)
+                chunk, size = [], 0
+            chunk.append((key, edges, nodes))
+            size += nodes
+    if chunk:
+        _integrate_chunk(chunk, moment, parts)
+    return parts
 
-    ``moment = 0`` is the ``B_2`` integrand, ``moment = 1`` its
-    ``-d/d(eps)`` appearing in the energy shift.
-    """
-    sc = sigma * math.cos(math.pi * a)
-    inv_a = 1.0 / a
-    # 1 + sc without cancellation (it reaches ~(pi*(1-a))^2/2 near the
-    # fermionic pole); the denominator is then (1-u)^2 + 2u(1+sc)
-    if sigma == +1:
-        one_plus_sc = 2.0 * math.cos(0.5 * math.pi * a) ** 2
+
+def _integrate_chunk(chunk: list, moment: int, parts: dict) -> None:
+    """Store in ``parts`` the scattering part of each ``(key, edges, nodes)``:
+    the ``u = t**a`` panel rules of :func:`~lowdgas.numerics.composite_rule`
+    laid end to end and checked at once, one pass of the integrand
+    ``exp(-eps * u**(1/a)) * u**(m/a) / ((1-u)**2 + 2u(1+sc))``, a sum per key."""
+    keys, edges, counts = zip(*chunk)
+    join = np.concatenate if len(edges) > 1 else lambda one: one[0]  # a single key's edges as they are
+    lo = join([e[:-1] for e in edges])
+    half = join([e[1:] for e in edges]) - lo
+    half *= 0.5
+    scaled = _panel_reference(_NODES) * half[:, None]  # nodes and weights, a row per panel
+    u = scaled[0]
+    u += lo[:, None]
+    nodes, weights = u.ravel(), scaled[1].ravel()
+    bounds = [0, *itertools.accumulate(counts)]
+    faults = _rule_faults(nodes, weights, bounds, [0.0] * len(edges), [float(e[-1]) for e in edges])
+    # per key 1/a, -eps, m/a and 2(1 + sc), 1 + sc free of cancellation near the
+    # fermionic pole: one value per panel row, or one key's scalars
+    table = [
+        (1.0 / a, -eps, moment * (1.0 / a), 4.0 * (math.cos if sigma == +1 else math.sin)(0.5 * math.pi * a) ** 2)
+        for a, sigma, eps in keys
+    ]
+    if len(table) == 1:
+        inv_a, neg_eps, log_scale, two_ops = table[0]
     else:
-        one_plus_sc = 2.0 * math.sin(0.5 * math.pi * a) ** 2
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        # u**(m/a) * exp(-eps * u**(1/a)) / ((1-u)**2 + 2u(1+sc)), built in
-        # place; at m = 0 the log term is a signed zero and is skipped
-        with np.errstate(over="ignore"):
-            f = np.power(u, inv_a)
-            f *= -eps
-            if moment:
-                log_w = np.log(u)
-                log_w *= moment * inv_a
-                f += log_w
-            np.exp(f, out=f)
-            # at eps -> 0 the domain reaches u ~ 1e176, where den = inf
-            # and f / den = 0, the integrand's limit
-            den = np.subtract(1.0, u)
-            np.square(den, out=den)
-            den += np.multiply(u, 2.0 * one_plus_sc)
+        inv_a, neg_eps, log_scale, two_ops = np.repeat(table, [e.size - 1 for e in edges], axis=0).T[:, :, None]
+    # a value beyond float range fails only its own key's sum; at eps -> 0
+    # the domain reaches u ~ 1e176, where f / inf = 0 is the integrand's limit
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = np.power(u, inv_a)
+        f *= neg_eps
+        if moment:  # at m = 0 the log term is a signed zero and is skipped
+            log_w = np.log(u)
+            log_w *= log_scale
+            f += log_w
+        np.exp(f, out=f)
+        den = np.subtract(1.0, u)
+        np.square(den, out=den)
+        den += np.multiply(u, two_ops)
         f /= den
-        return f
+    f = f.ravel()
+    for key, fault, start, stop in zip(keys, faults, bounds, bounds[1:]):
+        a, sigma, _ = key
+        try:
+            if fault:
+                raise ValueError(fault)
+            total = _weighted_sum(weights[start:stop], f[start:stop], nodes[start:stop])
+            parts[key] = (sigma / math.pi) * math.sin(math.pi * a) * (a * (total / a))
+        except ValueError as err:  # this key's own failure
+            parts[key] = err
 
-    rule = composite_rule(_panel_edges(a, sc, eps), n=_NODES)
-    return integrate(integrand, rule) / a
+
+def _evaluate(plans: list, moment: int) -> list:
+    """Each point's value or exception from its plan ``(keys, finish)``, the
+    parts it needs and ``finish(parts)``, or the exception its checks raised."""
+    parts = _scatter_parts([k for plan in plans if isinstance(plan, tuple) for k in plan[0]], moment)
+    return [_attempt(plan[1], parts) if isinstance(plan, tuple) else plan for plan in plans]
 
 
-def _scatter_part(a: float, sigma: int, eps: float, moment: int) -> float:
-    """``(sigma/pi) sin(pi a)`` times ``a`` times the scattering integral
-    of the given moment, shared by ``B_2`` and the energy shift."""
-    if a == 0.0 or a == 1.0:
-        # sin(pi a) kills the integral except against the sigma = +1
-        # fermionic-point pole, whose limit is exp(-eps)
-        return math.exp(-eps) if (a == 1.0 and sigma == +1) else 0.0
-    if eps == 0.0:
-        # exp factor gone; the moment-0 integral is theta / (a sin(theta))
-        # with theta = acos(sigma cos(pi a)), that is pi a or pi (1 - a), and
-        # sin(theta) = sin(pi a), so the part is sigma theta / pi.  Taken
-        # without acos, which loses theta where sigma cos(pi a) rounds to -+1
-        return a if sigma == +1 else a - 1.0
-    coeff = (sigma / math.pi) * math.sin(math.pi * a)
-    return coeff * (a * _scatter_integral(a, sigma, eps, moment))
+def _one(plan: tuple, moment: int):
+    return plan[1](_scatter_parts(plan[0], moment))  # a batch of one point
+
+
+def _scatter(parts: dict, key: tuple) -> float:
+    if isinstance(part := parts[key], Exception):
+        raise part
+    return part
 
 
 def _reduced(alpha: float, bc: SoftCoreBC) -> tuple[float, int, float]:
     return abs(StatisticsParameter(alpha).delta), bc.sigma, bc.eps
+
+
+def _b2_value(key: tuple, parts: dict) -> B2Value:
+    a, sigma, eps = key
+    hc = _hardcore(a)
+    if math.isinf(eps):
+        return B2Value(hc, (hc, 0.0, 0.0))
+    bound = -2.0 * _exp_or_inf(eps) if sigma == -1 else 0.0
+    scatter = _scatter(parts, key)
+    value = _in_range(hc + bound + (-2.0 * scatter), eps)
+    return B2Value(value, (hc, bound, -2.0 * scatter))
+
+
+def _b2_plan(alpha: float, bc: SoftCoreBC) -> tuple:
+    key = _reduced(alpha, bc)
+    return (key,), lambda parts: _b2_value(key, parts)
 
 
 def b2_softcore(alpha: float, bc: SoftCoreBC) -> B2Value:
@@ -281,14 +354,35 @@ def b2_softcore(alpha: float, bc: SoftCoreBC) -> B2Value:
     is below -1.8e308 there, so this is not a numerical artifact), and
     that raises ``ValueError`` naming ``eps``.
     """
-    a, sigma, eps = _reduced(alpha, bc)
-    hc = _hardcore(a)
-    if math.isinf(eps):
-        return B2Value(hc, (hc, 0.0, 0.0))
-    bound = -2.0 * _exp_or_inf(eps) if sigma == -1 else 0.0
-    scatter = _scatter_part(a, sigma, eps, moment=0)
-    value = _in_range(hc + bound + (-2.0 * scatter), eps)
-    return B2Value(value, (hc, bound, -2.0 * scatter))
+    key = _reduced(alpha, bc)
+    return _b2_value(key, _scatter_parts((key,), 0))
+
+
+def b2_softcore_grid(points) -> list:
+    """:func:`b2_softcore` at each ``(alpha, sigma, eps)`` of ``points``, or
+    the exception it raises, with the integrals of all points in chunks."""
+    return _evaluate([_attempt(lambda a, s, e: _b2_plan(a, SoftCoreBC(s, e)), *p) for p in points], 0)
+
+
+def _dilution(dilution: float) -> float:
+    x = float(dilution)
+    if not x >= 0.0 or math.isinf(x):
+        raise ValueError(f"dilution must be finite and >= 0, got {dilution}")
+    return x
+
+
+def _e_rel_value(x: float, key: tuple, parts: dict) -> float:
+    a, sigma, eps = key
+    if math.isinf(eps) or eps == 0.0:
+        return 0.0
+    bound = -_exp_or_inf(eps) if sigma == -1 else 0.0
+    return _in_range(2.0 * x * eps * (bound + _scatter(parts, key)), eps)
+
+
+def _e_rel_plan(alpha: float, bc: SoftCoreBC, dilution: float) -> tuple:
+    x = _dilution(dilution)
+    key = _reduced(alpha, bc)
+    return (key,), lambda parts: _e_rel_value(x, key, parts)
 
 
 def e_rel_abelian(alpha: float, bc: SoftCoreBC, dilution: float) -> float:
@@ -304,14 +398,15 @@ def e_rel_abelian(alpha: float, bc: SoftCoreBC, dilution: float) -> float:
     the attractive branch a shift beyond float range (from ``eps ~ 703``
     at ``dilution = 1``) raises ``ValueError`` naming ``eps``.
     """
-    x = float(dilution)
-    if not x >= 0.0 or math.isinf(x):
-        raise ValueError(f"dilution must be finite and >= 0, got {dilution}")
-    a, sigma, eps = _reduced(alpha, bc)
-    if math.isinf(eps) or eps == 0.0:
-        return 0.0
-    bound = -_exp_or_inf(eps) if sigma == -1 else 0.0
-    return _in_range(2.0 * x * eps * (bound + _scatter_part(a, sigma, eps, moment=1)), eps)
+    x = _dilution(dilution)
+    key = _reduced(alpha, bc)
+    return _e_rel_value(x, key, _scatter_parts((key,), 1))
+
+
+def e_rel_abelian_grid(points) -> list:
+    """:func:`e_rel_abelian` at each ``(alpha, sigma, eps, dilution)`` of
+    ``points``, or the exception it raises, like :func:`b2_softcore_grid`."""
+    return _evaluate([_attempt(lambda a, s, e, x: _e_rel_plan(a, SoftCoreBC(s, e), x), *p) for p in points], 1)
 
 
 def e_rel_semion(bc: SoftCoreBC, dilution: float) -> float:
@@ -324,9 +419,7 @@ def e_rel_semion(bc: SoftCoreBC, dilution: float) -> float:
     attractive one (asymptotically ``-2 eps exp(eps)``, which leaves
     float range from ``eps ~ 703`` on and raises ``ValueError`` there).
     """
-    x = float(dilution)
-    if not x >= 0.0 or math.isinf(x):
-        raise ValueError(f"dilution must be finite and >= 0, got {dilution}")
+    x = _dilution(dilution)
     eps = bc.eps
     if math.isinf(eps):
         return 0.0

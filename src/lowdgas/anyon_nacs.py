@@ -13,7 +13,8 @@ and the energy shift are therefore one channel sum of
 :mod:`.anyon_abelian` terms over ``(2l+1)**2`` channels, in units of the
 squared thermal wavelength.  Each Abelian term depends on the channel
 only through its reduced statistics ``|delta|`` and its ``eps``, so the
-sum evaluates it once per distinct reduced statistics and ``eps``.
+sum evaluates it once per distinct reduced statistics and ``eps``, and a
+grid function gathers these terms over all its points.
 
 ``l = 0`` collapses to a single bosonic channel with ``omega = 0``:
 ideal bosons, as it must.
@@ -27,12 +28,9 @@ from itertools import groupby
 from typing import Callable
 
 from .anyon_abelian import (
-    SoftCoreBC,
-    StatisticsParameter,
-    _in_range,
-    b2_softcore,
-    e_rel_abelian,
+    SoftCoreBC, StatisticsParameter, _b2_value, _dilution, _e_rel_value, _evaluate, _in_range, _one,
 )
+from .numerics import _attempt
 
 __all__ = [
     "NACSSystem",
@@ -40,7 +38,9 @@ __all__ = [
     "channel_weights",
     "b2_nacs_general",
     "b2_nacs_isotropic",
+    "b2_nacs_grid",
     "e_rel_nacs",
+    "e_rel_nacs_grid",
 ]
 
 
@@ -78,8 +78,8 @@ class NACSSystem:
         for j, row in enumerate(rows):
             if len(row) != 2 * j + 1:
                 raise ValueError(f"channel j={j} needs 2j+1 = {2*j+1} entries, got {len(row)}")
-            for e in row:
-                SoftCoreBC(self.sigma, e)  # validates sign, range, sentinel
+        for e in dict.fromkeys(e for row in rows for e in row):
+            SoftCoreBC(self.sigma, e)  # validates sign, range, sentinel, once per value
 
     @classmethod
     def isotropic(cls, k: int, l: float, eps: float, sigma: int) -> "NACSSystem":
@@ -144,42 +144,45 @@ def channel_weights(sys: NACSSystem) -> ChannelWeights:
     )
 
 
-def _channel_sum(sys: NACSSystem, term: Callable[[float, SoftCoreBC], float]) -> float:
-    """``(2l+1)**-2 sum term(stat_j, bc)`` over all ``(j, jz)``, with
-    ``stat_j = omega_j`` (bosonic) or ``omega_j + 1`` (fermionic), in fixed
-    ascending order so equal inputs give bit-equal results.  ``term`` is
-    evaluated once per distinct reduced statistics ``|delta_j|`` and
-    ``eps`` (keys compared bit-exactly), and a run of equal ``eps`` in a
-    row is weighted by its length.  A mean beyond float range raises the
-    ``ValueError`` of an attractive core too strong, naming the largest
+def _plan(sys: NACSSystem, term: Callable[[tuple, dict], float]) -> tuple:
+    """The plan of ``(2l+1)**-2 sum term(key_j, parts)`` over all ``(j, jz)``
+    in ascending order, so equal inputs give bit-equal results, ``key_j``
+    the reduced ``(|stat_j|, sigma, eps)`` of ``stat_j = omega_j`` (bosonic)
+    or ``omega_j + 1`` (fermionic).  A run of equal ``eps`` in a row is one
+    term weighted by its length, and each distinct key is integrated once;
+    a mean beyond float range raises the ``ValueError`` naming the largest
     ``eps``."""
     w = channel_weights(sys)
-    values: dict[tuple[float, float], float] = {}
-    terms = []
+    runs = []
     for j, row in enumerate(sys.eps):
         stat = w.omega[j] if w.bosonic[j] else w.omega[j] + 1.0
         reduced = abs(StatisticsParameter(stat).delta)
-        for eps, run in groupby(row):
-            key = (reduced, eps)
-            if key not in values:
-                values[key] = term(stat, SoftCoreBC(sys.sigma, eps))
-            terms.append((sum(1 for _ in run), values[key]))
-    norm = (2.0 * sys.l + 1.0) ** 2
-    total = 0.0
-    for count, value in terms:
-        total += count * value
-    mean = total / norm
-    if math.isinf(total):
-        # the running sum can pass 1.8e308 where the mean does not
-        mean = sum(count / norm * value for count, value in terms)
-    return _in_range(mean, max(map(max, sys.eps)))
+        runs += [(sum(1 for _ in run), (reduced, sys.sigma, eps)) for eps, run in groupby(row)]
+
+    def mean(parts: dict) -> float:
+        terms = [(count, term(key, parts)) for count, key in runs]
+        norm = (2.0 * sys.l + 1.0) ** 2
+        total = 0.0
+        for count, value in terms:
+            total += count * value
+        mean = total / norm
+        if math.isinf(total):
+            # the running sum can pass 1.8e308 where the mean does not
+            mean = sum(count / norm * value for count, value in terms)
+        return _in_range(mean, max(map(max, sys.eps)))
+
+    return [key for _, key in runs], mean
+
+
+def _b2_term(key: tuple, parts: dict) -> float:
+    return _b2_value(key, parts).value
 
 
 def b2_nacs_general(sys: NACSSystem) -> float:
     """``B_2 / lambda_T**2`` for an arbitrary soft-core parameter matrix:
     the ``(2l+1)**-2``-weighted sum of bosonic/fermionic Abelian
     coefficients over all ``(j, jz)`` channels."""
-    return _channel_sum(sys, lambda stat, bc: b2_softcore(stat, bc).value)
+    return _one(_plan(sys, _b2_term), 0)
 
 
 def b2_nacs_isotropic(sys: NACSSystem) -> float:
@@ -194,6 +197,12 @@ def b2_nacs_isotropic(sys: NACSSystem) -> float:
     return b2_nacs_general(sys)
 
 
+def b2_nacs_grid(points) -> list:
+    """:func:`b2_nacs_isotropic` at each ``(k, l, eps, sigma)`` of
+    ``points`` (or the exception it raises), all Abelian terms in chunks."""
+    return _evaluate([_attempt(lambda *p: _plan(NACSSystem.isotropic(*p), _b2_term), *p) for p in points], 0)
+
+
 def e_rel_nacs(sys: NACSSystem, dilution: float) -> float:
     """Relative internal-energy shift of the dilute NACS gas, to first
     order in ``dilution = rho * lambda_T**2``.
@@ -203,4 +212,16 @@ def e_rel_nacs(sys: NACSSystem, dilution: float) -> float:
     obeys the same sign law as the Abelian shift.  Channels with the
     hard-core sentinel contribute zero.
     """
-    return _channel_sum(sys, lambda stat, bc: e_rel_abelian(stat, bc, dilution))
+    x = _dilution(dilution)
+    return _one(_plan(sys, lambda key, parts: _e_rel_value(x, key, parts)), 1)
+
+
+def e_rel_nacs_grid(points) -> list:
+    """:func:`e_rel_nacs` at each ``(k, l, eps, sigma, dilution)`` of
+    ``points`` (or the exception it raises), all Abelian terms in chunks."""
+
+    def plan(k, l, eps, sigma, dilution):
+        sys, x = NACSSystem.isotropic(k, l, eps, sigma), _dilution(dilution)
+        return _plan(sys, lambda key, parts: _e_rel_value(x, key, parts))
+
+    return _evaluate([_attempt(plan, *p) for p in points], 1)

@@ -9,8 +9,9 @@ are written as CSV or JSON tables built for reproducibility: fixed column
 order, 17-significant-digit floats, LF line endings, metadata echoing
 the effective configuration, and no wall-clock timestamps (set
 ``SOURCE_DATE_EPOCH`` to embed one).  Identical inputs and tool version
-give byte-identical files for a fixed BLAS configuration; grid points
-are evaluated independently, in grid order.
+give byte-identical files for a fixed BLAS configuration.  A quantity
+gets its whole grid; the 2d ones evaluate it in chunks of quadrature
+nodes, and every row depends on its own point only.
 
 Exit codes: 0 success; 1 malformed spec, flags, or config, which
 includes a ``sigma`` that is not +1 or -1 and a non-integer ``k`` or
@@ -28,6 +29,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -37,8 +39,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .anyon_abelian import SoftCoreBC, b2_softcore, e_rel_abelian, e_rel_semion
-from .anyon_nacs import NACSSystem, b2_nacs_isotropic, channel_weights, e_rel_nacs
+from .anyon_abelian import SoftCoreBC, b2_softcore_grid, e_rel_abelian_grid, e_rel_semion
+from .anyon_nacs import NACSSystem, b2_nacs_grid, channel_weights, e_rel_nacs_grid
 from .lieb_liniger import (
     LLParams,
     b2_ll,
@@ -48,6 +50,7 @@ from .lieb_liniger import (
     solve_ground_state,
     solve_tba,
 )
+from .numerics import _attempt
 from .virial import (
     B2SmallBetaShape,
     check_scale_invariance,
@@ -196,9 +199,9 @@ class ResultTable:
                 raise ValueError(
                     f"row {i} has {len(row)} cells, expected {len(cols)}"
                 )
-            # a NaN is the one cell that differs from itself
-            has_nan = any(c != c for c in row)
-            if has_nan and (status_at is None or row[status_at] == "ok"):
+        # a NaN is the one cell that differs from itself
+        for i in sorted({i for i, row in enumerate(rows) for c in row if c != c}):
+            if status_at is None or rows[i][status_at] == "ok":
                 raise ValueError(f"row {i} holds NaN without a status flag")
 
     @property
@@ -253,6 +256,11 @@ def _ll_solver_kw(opts: Mapping) -> dict:
     return kw
 
 
+def _pointwise(evaluate: Callable[[Mapping, Mapping, Mapping], tuple]) -> Callable:
+    """The grid form of an evaluator of one point."""
+    return lambda points, opts, ctx: [_attempt(evaluate, p, opts, ctx) for p in points]
+
+
 def _eval_ll_ground(p, opts, ctx):
     gs = solve_ground_state(p["gamma"], **_ll_solver_kw(opts))
     return (gs.energy, gs.ell)
@@ -274,29 +282,17 @@ def _eval_ll_b2(p, opts, ctx):
     return (b2_ll(LLParams(gamma=p["gamma"], tau=p["tau"])),)
 
 
-def _eval_anyon_b2(p, opts, ctx):
-    out = b2_softcore(p["alpha"], SoftCoreBC(int(p["sigma"]), p["eps"]))
-    return (out.value,) + out.parts
-
-
-def _eval_anyon_shift(p, opts, ctx):
-    return (e_rel_abelian(p["alpha"], SoftCoreBC(int(p["sigma"]), p["eps"]), p["x"]),)
-
-
 def _eval_anyon_semion(p, opts, ctx):
     return (e_rel_semion(SoftCoreBC(int(p["sigma"]), p["eps"]), p["x"]),)
 
 
-def _nacs_system(p) -> NACSSystem:
-    return NACSSystem.isotropic(int(p["k"]), p["l"], p["eps"], int(p["sigma"]))
-
-
-def _eval_nacs_b2(p, opts, ctx):
-    return (b2_nacs_isotropic(_nacs_system(p)),)
-
-
-def _eval_nacs_shift(p, opts, ctx):
-    return (e_rel_nacs(_nacs_system(p), p["x"]),)
+def _on_grid(evaluate: Callable[[list], list], names: tuple[str, ...], outputs=lambda v: (v,)) -> Callable:
+    """The evaluator of a library grid function of each point's ``names``,
+    giving its value (as ``outputs(value)``) or exception."""
+    values = operator.itemgetter(*names)
+    return lambda points, opts, ctx: [
+        v if isinstance(v, Exception) else outputs(v) for v in evaluate([values(p) for p in points])
+    ]
 
 
 def _prepare_virial_model(fixed: Mapping) -> dict:
@@ -354,11 +350,13 @@ class _Quantity:
     """One quantity, declared once.  Its subcommand takes one flag per
     parameter and is named by ``command``, or else by the quantity's
     name split at its first dash (``ll-b2`` is ``lowdgas ll b2``).
+    ``evaluate(points, opts, ctx)`` maps the grid's parameter mappings to
+    each point's outputs or exception (see :func:`_pointwise`).
     """
 
     required: tuple[str, ...]
     outputs: tuple[tuple[str, str], ...]
-    evaluate: Callable[[Mapping, Mapping, Mapping], tuple]
+    evaluate: Callable[[Sequence[Mapping], Mapping, Mapping], list]
     defaults: Mapping[str, float] = field(default_factory=dict)
     prepare: Callable[[Mapping], dict] | None = None
     model_keys: tuple[str, ...] = ()
@@ -380,22 +378,22 @@ REGISTRY: dict[str, _Quantity] = {
     "ll-ground": _Quantity(
         required=("gamma",),
         outputs=(("energy", "hbar^2 rho^2/2m"), ("ell", "")),
-        evaluate=_eval_ll_ground,
+        evaluate=_pointwise(_eval_ll_ground),
     ),
     "ll-tba": _Quantity(
         required=("gamma", "tau"),
         outputs=(("mu", "k_B T_D"), ("pressure", "rho k_B T_D"), ("energy", "k_B T_D")),
-        evaluate=_eval_ll_tba,
+        evaluate=_pointwise(_eval_ll_tba),
     ),
     "ll-shift": _Quantity(
         required=("gamma", "tau"),
         outputs=(("e_res", "k_B T_D"),),
-        evaluate=_eval_ll_shift,
+        evaluate=_pointwise(_eval_ll_shift),
     ),
     "ll-b2": _Quantity(
         required=("gamma", "tau"),
         outputs=(("b2", "lambda_T"),),
-        evaluate=_eval_ll_b2,
+        evaluate=_pointwise(_eval_ll_b2),
     ),
     "anyon-b2": _Quantity(
         required=("alpha", "sigma", "eps"),
@@ -405,27 +403,27 @@ REGISTRY: dict[str, _Quantity] = {
             ("bound_state_part", "lambda_T^2"),
             ("scattering_part", "lambda_T^2"),
         ),
-        evaluate=_eval_anyon_b2,
+        evaluate=_on_grid(b2_softcore_grid, ("alpha", "sigma", "eps"), lambda b2: (b2.value, *b2.parts)),
     ),
     "anyon-shift": _Quantity(
         required=("alpha", "sigma", "eps", "x"),
         outputs=(("e_rel", ""),),
-        evaluate=_eval_anyon_shift,
+        evaluate=_on_grid(e_rel_abelian_grid, ("alpha", "sigma", "eps", "x")),
     ),
     "anyon-semion": _Quantity(
         required=("sigma", "eps", "x"),
         outputs=(("e_rel", ""),),
-        evaluate=_eval_anyon_semion,
+        evaluate=_pointwise(_eval_anyon_semion),
     ),
     "nacs-b2": _Quantity(
         required=("k", "l", "eps", "sigma"),
         outputs=(("b2", "lambda_T^2"),),
-        evaluate=_eval_nacs_b2,
+        evaluate=_on_grid(b2_nacs_grid, ("k", "l", "eps", "sigma")),
     ),
     "nacs-shift": _Quantity(
         required=("k", "l", "eps", "sigma", "x"),
         outputs=(("e_rel", ""),),
-        evaluate=_eval_nacs_shift,
+        evaluate=_on_grid(e_rel_nacs_grid, ("k", "l", "eps", "sigma", "x")),
     ),
     "virial-thermo": _Quantity(
         required=("rho", "T"),
@@ -437,7 +435,7 @@ REGISTRY: dict[str, _Quantity] = {
             ("energy", "k_B T"),
             ("enthalpy", "k_B T"),
         ),
-        evaluate=_eval_virial_thermo,
+        evaluate=_pointwise(_eval_virial_thermo),
         prepare=_prepare_virial_model,
         model_keys=("model", "d", "alpha", "amps", "c"),
     ),
@@ -445,7 +443,7 @@ REGISTRY: dict[str, _Quantity] = {
         required=("d",),
         defaults={"sqrt_beta": 0.0, "beta_log_beta": 0.0, "beta": 0.0},
         outputs=(("verdict", ""), ("limit", "energy volume")),
-        evaluate=_eval_classify,
+        evaluate=_pointwise(_eval_classify),
         prepare=_prepare_classify,
         model_keys=("extra",),
         command="virial classify",
@@ -513,23 +511,24 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None) -> ResultTable:
     points = list(itertools.product(*(axis.values() for axis in spec.axes)))
     axis_names = [a.name for a in spec.axes]
     lead = axis_names or [*q.required, *q.defaults]
+    grid = [base | dict(zip(axis_names, point)) for point in points]
+    # a row leads with its axis values, or the one point's parameters
+    heads = points if axis_names else [tuple(base[name] for name in lead)]
 
-    def evaluate(point: tuple) -> tuple:
-        params = dict(base)
-        params.update(zip(axis_names, point))
-        head = tuple(params[name] for name in lead)
-        try:
-            outs = tuple(q.evaluate(params, opts, context))
-            for (name, _), value in zip(q.outputs, outs):
+    def row(head: tuple, out) -> tuple:
+        if not isinstance(out, Exception):
+            for (name, _), value in zip(q.outputs, out):
                 if isinstance(value, float) and not math.isfinite(value):
-                    raise FloatingPointError(f"{name} is {value}")
-            return head + outs + ("ok",)
-        except Exception as err:  # recorded per row, the sweep must finish
-            blanks = ("",) * len(q.outputs)
-            note = f"{type(err).__name__}: {err}".replace("\n", "; ")
-            return head + blanks + (note,)
+                    out = FloatingPointError(f"{name} is {value}")
+                    break
+            else:
+                return head + tuple(out) + ("ok",)
+        # a failed point, recorded in its row: the sweep must finish
+        note = f"{type(out).__name__}: {out}".replace("\n", "; ")
+        return head + ("",) * len(q.outputs) + (note,)
 
-    rows = tuple(evaluate(pt) for pt in points)
+    outs = q.evaluate(grid, opts, context)
+    rows = tuple(row(head, out) for head, out in zip(heads, outs, strict=True))
 
     columns = tuple((name, "") for name in lead) + q.outputs + (("status", ""),)
     config = dict(opts, format=spec.format or opts.get("format"))
@@ -565,7 +564,7 @@ def render_csv(table: ResultTable) -> str:
     buf.write(f"# metadata: {meta}\n")
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow([_header_name(n, u) for n, u in table.columns])
-    writer.writerows([_format_cell(c) for c in row] for row in table.rows)
+    writer.writerows([_FLOAT_FMT % c if type(c) is float else _format_cell(c) for c in row] for row in table.rows)
     return buf.getvalue()
 
 

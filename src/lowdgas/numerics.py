@@ -4,13 +4,12 @@ Everything in this module is dimensionless plumbing: Gauss-Legendre
 quadrature, Richardson-extrapolated finite differences, a maximum search
 by Brent's method (golden-section steps with parabolic interpolation),
 and the scaled complementary error function ``exp(x**2) * erfc(x)``
-which stays finite for large ``x``.  Three routines have no caller in
-the library: the finite difference :func:`derivative` (the delta gas's
-``dB_2/dT`` is a closed form), the damped fixed point
-:func:`solve_fixed_point` and the bracketed root finder
-:func:`find_root` (the TBA and ground-state solvers close their
-equations by Newton's method).  They stay only because the benchmark's
-tracer looks them up by name.
+which stays finite for large ``x``.  Four routines have no caller in
+the library: :func:`derivative` (the delta gas's ``dB_2/dT`` is a
+closed form), :func:`solve_fixed_point` and :func:`find_root` (the 1d
+solvers use Newton's method) and :func:`integrate` (the anyon integrals
+are summed a chunk of rules at a time).  They stay only because the
+benchmark's tracer looks them up by name.
 
 :func:`gauss_legendre` builds its rule by Newton's method on the
 three-term Legendre recurrence, vectorised over the nodes (Hale &
@@ -108,21 +107,45 @@ class QuadratureRule:
         a, b = self.domain
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        # each check asks for what must hold, so a NaN, for which every
-        # comparison is False, fails it
-        if np.count_nonzero(nodes[1:] > nodes[:-1]) < nodes.size - 1:
-            raise ValueError("quadrature nodes must be strictly increasing")
-        if nodes.size and not (nodes[0] > a and (nodes[-1] < b or not math.isfinite(b))):
-            raise ValueError("quadrature nodes must lie strictly inside the domain")
-        if np.count_nonzero(weights > 0.0) < weights.size:
-            raise ValueError("quadrature weights must be positive")
-        if math.isfinite(b):
-            length = b - a
-            if not abs(float(weights.sum()) - length) <= 1e-12 * max(abs(length), 1.0):
-                raise ValueError("weights of a finite-domain rule must sum to the domain length")
+        (fault,) = _rule_faults(nodes, weights, [0, nodes.size], (a,), (b,))
+        if fault is not None:
+            raise ValueError(fault)
 
     def __len__(self) -> int:
         return self.nodes.size
+
+
+def _rule_faults(nodes: np.ndarray, weights: np.ndarray, bounds: list[int], lo, hi) -> list[str | None]:
+    """The checks of :class:`QuadratureRule` on rules laid end to end, rule
+    ``i`` holding the nodes and weights ``bounds[i]:bounds[i + 1]`` on the
+    domain ``(lo[i], hi[i])``: each rule's first failed check, or ``None``.
+    Each check asks for what must hold, so a NaN, for which every
+    comparison is False, fails it; a node-wise check is split by rule only
+    where it fails, and the weight sum is not checked on an infinite domain."""
+    starts = bounds[:-1]
+    rising = nodes[1:] > nodes[:-1]
+    if len(starts) > 1:
+        rising[[stop - 1 for stop in bounds[1:-1]]] = True  # the pairs that straddle two rules
+    ordered, positive = (
+        [True] * len(starts)
+        if np.count_nonzero(ok) == ok.size
+        else np.logical_and.reduceat(np.append(ok, True), starts).tolist()
+        for ok in (rising, weights > 0.0)
+    )
+    totals = np.add.reduceat(weights, starts).tolist() if weights.size else [0.0]
+    faults = []
+    for in_order, signed, start, stop, total, a, b in zip(ordered, positive, starts, bounds[1:], totals, lo, hi):
+        if not in_order:
+            faults.append("quadrature nodes must be strictly increasing")
+        elif not (start == stop or (nodes[start] > a and (nodes[stop - 1] < b or not math.isfinite(b)))):
+            faults.append("quadrature nodes must lie strictly inside the domain")
+        elif not signed:
+            faults.append("quadrature weights must be positive")
+        elif math.isfinite(b) and not abs(total - (b - a)) <= 1e-12 * max(abs(b - a), 1.0):
+            faults.append("weights of a finite-domain rule must sum to the domain length")
+        else:
+            faults.append(None)
+    return faults
 
 
 # Newton budget of the node builder, in recurrence sweeps.  From
@@ -235,13 +258,16 @@ def composite_rule(edges: Sequence[float], n: int = 16) -> QuadratureRule:
     return QuadratureRule(nodes.ravel(), scaled[1].ravel(), (float(edges[0]), float(edges[-1])))
 
 
-def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise EvaluationError(
-            f"integrand returned {float(values[i])} at node {float(nodes[i])}", float(nodes[i])
-        )
+def _weighted_sum(weights: np.ndarray, values: np.ndarray, nodes: np.ndarray) -> float:
+    """``sum(weights * values)``; a non-finite value raises
+    :class:`EvaluationError` naming its node."""
+    total = float(np.dot(weights, values))
+    # weights are positive, so a non-finite value makes the sum non-finite:
+    # a finite sum needs no per-node check
+    if not math.isfinite(total) and not np.all(np.isfinite(values)):
+        i = int(np.argmin(np.isfinite(values)))
+        raise EvaluationError(f"integrand returned {float(values[i])} at node {float(nodes[i])}", float(nodes[i]))
+    return total
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
@@ -251,13 +277,15 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> fl
     same shape; a non-finite value raises :class:`EvaluationError` naming
     the offending node.
     """
-    values = np.asarray(f(rule.nodes), dtype=float)
-    total = float(np.dot(rule.weights, values))
-    # weights are positive, so a non-finite value makes the sum non-finite:
-    # a finite sum needs no per-node check
-    if not math.isfinite(total):
-        _check_finite(values, rule.nodes)
-    return total
+    return _weighted_sum(rule.weights, np.asarray(f(rule.nodes), dtype=float), rule.nodes)
+
+
+def _attempt(fn: Callable, *args):
+    """``fn(*args)``, or the exception it raised: one point of a batch."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return err
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowdgas import anyon_nacs
+from lowdgas import anyon_abelian
 from lowdgas.anyon_abelian import SoftCoreBC, b2_softcore, e_rel_abelian
 from lowdgas.anyon_nacs import (
     ChannelWeights,
@@ -293,18 +293,19 @@ def test_anisotropic_matches_hand_assembled_channel_sum():
 
 
 def test_uniform_rows_cost_one_abelian_call_each(monkeypatch):
-    # an isotropic system pays one Abelian shift per distinct reduced
+    # an isotropic system pays one Abelian integral per distinct reduced
     # statistics |delta_j|, not one per (j, jz) entry or per row:
     # (4, 3/2) has 4 rows but |delta| in {7/8, 5/8}, (2, 1/2) has 2 rows
     # both at 1/4; under (3, 1) rows 0 and 2 reduce one ulp apart and stay
     # separate terms
     calls = []
+    chunked = anyon_abelian._integrate_chunk
 
-    def counting(alpha, bc, dilution):
-        calls.append(alpha)
-        return e_rel_abelian(alpha, bc, dilution)
+    def counting(chunk, moment, parts):
+        calls.extend(key for key, _, _ in chunk)
+        return chunked(chunk, moment, parts)
 
-    monkeypatch.setattr(anyon_nacs, "e_rel_abelian", counting)
+    monkeypatch.setattr(anyon_abelian, "_integrate_chunk", counting)
     for k, l, expected in [(4, 1.5, 2), (2, 0.5, 1), (3, 1.0, 3)]:
         calls.clear()
         e_rel_nacs(NACSSystem.isotropic(k, l, 1.0, +1), 0.1)

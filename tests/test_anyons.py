@@ -10,6 +10,7 @@ which is the same reason the implementation integrates in ``u = t**a``.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -447,6 +448,37 @@ def test_domain_edges_return_a_finite_float_or_the_range_error(sigma):
                 nacs = NACSSystem.isotropic(k, l, eps, sigma)
                 check(("b2_nacs_isotropic", k, l, eps), lambda: b2_nacs_isotropic(nacs))
                 check(("e_rel_nacs", k, l, eps), lambda: e_rel_nacs(nacs, 1.0))
+
+
+def test_a_moment_integral_beyond_float_range_fails_its_own_point():
+    # at (1e-9, -1, 1e-300) the moment-1 integrand passes 1.8e308 at one
+    # node: the call raises the EvaluationError that names that node, and
+    # nothing warns, so in a batch the points beside it keep their values
+    bad = (1e-9, -1, 1e-300, 1.0)
+    good = [(0.3, -1, 0.37, 1.0), (0.7, 1, 5.0, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(numerics.EvaluationError, match=r"^integrand returned inf at node ") as exc:
+            e_rel_abelian(1e-9, SoftCoreBC(-1, 1e-300), 1.0)
+        first, failed, last = anyon_abelian.e_rel_abelian_grid([good[0], bad, good[1]])
+    assert math.isfinite(exc.value.node) and exc.value.node > 0.0
+    assert isinstance(failed, numerics.EvaluationError) and str(failed) == str(exc.value)
+    assert [first, last] == [e_rel_abelian(a, SoftCoreBC(s, e), x) for a, s, e, x in good]
+
+
+def test_a_grid_chunk_stays_below_half_a_mebibyte():
+    # a 400-point anyon-b2 grid evaluates a chunk of ~4096 quadrature nodes
+    # at a time; larger chunks would raise the peak memory of every sweep
+    points = [(a, s, e) for a in np.linspace(0.05, 0.95, 10) for e in np.geomspace(0.01, 100.0, 20) for s in (1, -1)]
+    anyon_abelian.b2_softcore_grid(points[:4])  # caches built outside the trace
+    tracemalloc.start()
+    try:
+        out = anyon_abelian.b2_softcore_grid(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 400 and all(isinstance(v, B2Value) for v in out)
+    assert peak < 1 << 19, peak
 
 
 def test_shift_near_integer_continuity_and_jump():

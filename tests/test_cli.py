@@ -11,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lowdgas import cli
-from lowdgas.anyon_abelian import SoftCoreBC, b2_softcore, e_rel_semion
-from lowdgas.anyon_nacs import NACSSystem, b2_nacs_isotropic
+from lowdgas.anyon_abelian import SoftCoreBC, b2_softcore, e_rel_abelian, e_rel_semion
+from lowdgas.anyon_nacs import NACSSystem, b2_nacs_isotropic, e_rel_nacs
 from lowdgas.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -465,11 +465,71 @@ def test_a_non_finite_output_is_a_status_row(monkeypatch, capsys, value):
     # one backstop in run_sweep for every quantity: a float output that is
     # not finite fails its row, named by its column, and the command exits
     # 2; an inf input cell (gamma = inf) stays legitimate
-    entry = dataclasses.replace(cli.REGISTRY["ll-b2"], evaluate=lambda p, o, c: (value,))
+    entry = dataclasses.replace(cli.REGISTRY["ll-b2"], evaluate=cli._pointwise(lambda p, o, c: (value,)))
     monkeypatch.setitem(cli.REGISTRY, "ll-b2", entry)
     assert main(["ll", "b2", "--gamma", "inf", "--tau", "1"]) == EXIT_SOLVER
     row = capsys.readouterr().out.strip().splitlines()[-1]
     assert row == f"inf,1,,FloatingPointError: b2 is {value}"
+
+
+# the points of the grid-against-point test: every reduced-statistics
+# regime (boson, integer neighbour, semion, near-fermion, fermion, the
+# next period) on both branches, eps through 0, the attractive overflow
+# edge and the hard-core sentinel, and two eps that fail their checks
+GRID_EPS = [0.0, 1e-3, 0.37, 60.0, 700.0, 710.0, math.inf, math.nan, -1.0]
+
+
+def _point_outputs(quantity, points):
+    """Each point's outputs from the library's one-point functions, or
+    the exception they raise."""
+
+    def one(p):
+        if quantity == "anyon-b2":
+            out = b2_softcore(p["alpha"], SoftCoreBC(int(p["sigma"]), p["eps"]))
+            return (out.value,) + out.parts
+        if quantity == "anyon-shift":
+            return (e_rel_abelian(p["alpha"], SoftCoreBC(int(p["sigma"]), p["eps"]), p["x"]),)
+        system = NACSSystem.isotropic(int(p["k"]), p["l"], p["eps"], int(p["sigma"]))
+        if quantity == "nacs-b2":
+            return (b2_nacs_isotropic(system),)
+        return (e_rel_nacs(system, p["x"]),)
+
+    return cli._pointwise(lambda p, opts, ctx: one(p))(points, {}, {})
+
+
+def _as_cells(outs):
+    # bit patterns of the values, or the status text run_sweep writes
+    return [
+        f"{type(o).__name__}: {o}" if isinstance(o, Exception) else tuple(float(v).hex() for v in o)
+        for o in outs
+    ]
+
+
+@pytest.mark.parametrize(
+    "quantity, fixed",
+    [
+        ("anyon-b2", {}),
+        ("anyon-shift", {"x": 0.1}),
+        ("nacs-b2", {"k": 3, "l": 1.0}),
+        ("nacs-b2", {"k": 4, "l": 1.5}),
+        ("nacs-shift", {"k": 3, "l": 1.0, "x": 0.1}),
+        ("nacs-shift", {"k": 4, "l": 1.5, "x": 0.1}),
+    ],
+)
+def test_grid_evaluation_matches_point_evaluation(quantity, fixed):
+    # the 2d quantities evaluate their grids in chunks; each row, value
+    # bits and status text alike, is the one the point functions give, and
+    # a failing point between two good ones leaves their rows alone
+    alphas = [{"alpha": a} for a in (0.0, 0.03, 0.5, 0.999, 1.0, 2.001)] if quantity.startswith("anyon") else [{}]
+    points = [{**fixed, **a, "sigma": s, "eps": e} for a in alphas for s in (1.0, -1.0) for e in GRID_EPS]
+    grid = cli.REGISTRY[quantity].evaluate(points, {}, {})
+    assert _as_cells(grid) == _as_cells(_point_outputs(quantity, points))
+    good = [p for p, out in zip(points, grid) if not isinstance(out, Exception)]
+    bad = [p for p, out in zip(points, grid) if isinstance(out, Exception)]
+    assert good and bad
+    for a, b in zip(good, good[1:]):
+        pair = cli.REGISTRY[quantity].evaluate([a, bad[0], b], {}, {})
+        assert _as_cells(pair[::2]) == _as_cells(cli.REGISTRY[quantity].evaluate([a, b], {}, {}))
 
 
 def test_main_single_point_to_stdout(capsys):
