@@ -21,15 +21,16 @@ those two places.  At the integer points the peak and the vanishing
 ``sin(pi delta)`` prefactor cancel analytically, so those are served by
 their exact limits rather than by quadrature.
 
-Points are evaluated in batches: each lays out its own panel rule, and
-the rules are integrated in chunks, so a single call is a batch of one.
+Points are evaluated in batches, a few array passes each: the points are
+checked on arrays, the panel rules of all their distinct keys laid out
+together and integrated in chunks; a single call is a batch of one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -136,14 +137,6 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _in_range(value: float, eps: float) -> float:
-    """``value``, or the domain error of an attractive core whose
-    bound-state weight ``exp(eps)`` takes the result out of float range."""
-    if math.isfinite(value):
-        return value
-    raise ValueError(f"eps={eps!r}: the result exceeds float range (the bound-state weight is exp(eps))")
-
-
 def b2_hardcore(alpha: float) -> float:
     """Hard-core anyon ``B_2 / lambda_T**2 = -1/4 + |delta| - delta**2 / 2``.
 
@@ -165,182 +158,315 @@ def _hardcore(d: float) -> float:
 _NODES = 32
 _EXP_CUT = 45.0  # exp(-45) ~ 3e-20: where the integrand stops mattering
 _EXP_END = 60.0  # domain truncation; relative tail error ~ exp(-60)
-_LADDER = tuple(2.0**-k for k in range(13))  # the bulk ladder below min(1, u_star)
+_LADDER = 12  # halvings of the bulk ladder below min(1, u_star)
 # the factors 1 -+ w of the refinement edges centre * (1 -+ w), for
 # w = 1/2, 1/4, ..., 2^-40 (a refinement width is at least 1e-10)
-_REFINE = tuple(c for k in range(1, 41) for c in (1.0 - 2.0**-k, 1.0 + 2.0**-k))
-_CHUNK_NODES = 4096  # nodes integrated at once (a rule has ~770): bounds a batch's memory
+_REFINE = np.array([c for k in range(1, 41) for c in (1.0 - 2.0**-k, 1.0 + 2.0**-k)])
+# quadrature nodes integrated, and candidate panel edges sorted, at once (a
+# rule has ~770 nodes): this bounds a batch's memory
+_CHUNK = 4096
 
 
-def _refined(centre: float, width: float) -> list[float]:
-    """Edges ``centre * (1 -+ w)`` for ``w = 1/2, 1/4, ...`` down to the
-    first ``w <= width``, which is ``2^-levels``."""
-    levels = 1 - math.frexp(width)[1]
-    return [centre * f for f in _REFINE[: 2 * levels]]
+def _panel_blocks(a, sc, eps):
+    """Breakpoints for the transformed integrand
+    ``exp(-eps * u**(1/a)) * u**(m/a) / (1 + 2*sc*u + u**2)`` on
+    ``[0, u_end]`` at each key of the arrays: a geometric ladder through
+    the bulk plus dyadic refinement at the two sharp features (the
+    near-pole peak at ``u = 1`` when ``sc -> -1``, and the exponential
+    shoulder near ``u_star``, whose relative width is ``~ a``).  Yields
+    ``(keys, lo, hi, panels)`` per block of keys, which sorts their
+    candidate edges as the rows of one matrix of at most ``_CHUNK`` cells
+    (or one row): the ends of their panels, key after key, and each key's
+    panel count.
+    """
+    # the ends from math's pow, as numpy's may differ in the last bit
+    u_star = np.array(list(map(pow, (_EXP_CUT / eps).tolist(), a.tolist())))
+    u_end = np.array(list(map(pow, (_EXP_END / eps).tolist(), a.tolist())))
+    base = np.minimum(u_star, 1.0)
+    # doublings of base up to the first >= u_end: at most e(u_end) - e(base)
+    # + 1 in binary exponents e, or up to overflow where u_end is inf
+    top = np.frexp(u_end)[1]
+    top[np.isinf(u_end)] = 1025
+    width = [top - np.frexp(base)[1] + 1]
+    pole = np.maximum(np.minimum(np.sqrt(2.0 * (1.0 + sc)), a) / 16.0, 1e-10)
+    # the refinement levels 2^-k down to the first <= width (0 for none)
+    width += [
+        np.where((sc < -0.5) & (u_end > 1.0), 2 - 2 * np.frexp(pole)[1], 0),
+        np.where(a < 0.5, 2 - 2 * np.frexp(np.maximum(a / 16.0, 1e-10))[1], 0),
+    ]
+    # blocks in order of row width, each part as wide as in the block's widest row
+    order = np.argsort(sum(width), kind="stable")
+    while order.size:
+        rows = (_LADDER + 3) + sum(np.maximum.accumulate(w[order]) for w in width)
+        fits = max(1, np.count_nonzero(np.arange(1, order.size + 1) * rows <= _CHUNK))
+        keys, order = order[:fits], order[fits:]
+        doublings, *widths = (int(w[keys].max()) for w in width)
+        ladder = _LADDER + 1 + doublings
+        pts = np.empty((keys.size, ladder + 2 + sum(widths)))  # a 0 column, ladder, u_end, refinements
+        pts[:, 0] = 0.0
+        with np.errstate(over="ignore"):  # doublings past a domain end of inf
+            np.ldexp(base[keys, None], np.arange(-_LADDER, doublings + 1, dtype=np.intc), out=pts[:, 1 : ladder + 1])
+        pts[:, ladder + 1] = u_end[keys]
+        col = ladder + 2
+        for w, centre, n in zip(width[1:], (1.0, u_star[keys, None]), widths):
+            np.multiply(centre, _REFINE[:n], out=pts[:, col : col + n])
+            pts[:, col : col + n][np.arange(n) >= w[keys, None]] = math.nan  # sorted last
+            col += n
+        pts.sort(axis=1)
+        yield (keys, *_dedup(pts, u_end[keys]))
+
+
+def _dedup(pts, u_end):
+    """``(lo, hi, panels)`` from rows of sorted candidate edges after a 0:
+    drop near-coincident edges, since panels narrower than 1e-11 of their
+    position would alias the Gauss nodes onto each other in double; the
+    gap is relative at every scale, since at large eps the whole domain
+    [0, u_end] shrinks far below 1.  Every point is positive, and only
+    refinement and doublings overshoot u_end."""
+    edges = pts[:, 1:]
+    inside = edges <= u_end[:, None]
+    with np.errstate(invalid="ignore"):  # inf - inf at a domain end of inf
+        keep = edges - pts[:, :-1] > 1e-11 * edges
+    keep &= inside
+    # the gap is to the last edge kept, the left neighbour unless that was
+    # dropped: a row that drops two in a row is redone in order
+    dropped = inside > keep
+    for row in (dropped[:, 1:] & dropped[:, :-1]).any(axis=1).nonzero()[0].tolist():
+        last = 0.0
+        for i, p in enumerate(edges[row, : inside[row].sum()].tolist()):
+            keep[row, i] = p - last > 1e-11 * p
+            last = p if keep[row, i] else last
+    hi, panels = edges[keep], keep.sum(axis=1)
+    lo = np.concatenate(([0.0], hi[:-1]))
+    lo[panels.cumsum() - panels] = 0.0
+    return lo, hi, panels
 
 
 def _panel_edges(a: float, sc: float, eps: float) -> np.ndarray:
-    """Breakpoints for the transformed integrand
-    ``exp(-eps * u**(1/a)) * u**(m/a) / (1 + 2*sc*u + u**2)`` on
-    ``[0, u_end]``: a geometric ladder through the bulk plus dyadic
-    refinement at the two sharp features (the near-pole peak at
-    ``u = 1`` when ``sc -> -1``, and the exponential shoulder near
-    ``u_star``, whose relative width is ``~ a``)."""
-    u_star = (_EXP_CUT / eps) ** a
-    u_end = (_EXP_END / eps) ** a
-    base = min(1.0, u_star)
-    pts = [base * s for s in _LADDER]
-    pts.append(u_end)
-    v = base
-    while v < u_end:
-        v *= 2.0
-        pts.append(v)
-    if sc < -0.5 and u_end > 1.0:
-        pts += _refined(1.0, max(min(math.sqrt(2.0 * (1.0 + sc)), a) / 16.0, 1e-10))
-    if a < 0.5:
-        pts += _refined(u_star, max(a / 16.0, 1e-10))
-    # drop near-coincident edges: panels narrower than 1e-11 of their
-    # position would alias the Gauss nodes onto each other in double; the
-    # gap is relative at every scale, since at large eps the whole domain
-    # [0, u_end] shrinks far below 1.  Every point is positive, and only
-    # refinement and the last doubling overshoot u_end
-    pts.sort()
-    edges = [0.0]
-    last = 0.0
-    for p in pts:
-        if p > u_end:
-            break
-        if p - last > 1e-11 * p:
-            edges.append(p)
-            last = p
-    return np.asarray(edges)
+    """The panel edges of one key, from :func:`_panel_blocks`."""
+    ((_, _, hi, _),) = _panel_blocks(np.array([a]), np.array([sc]), np.array([eps]))
+    return np.concatenate(([0.0], hi))
 
 
-def _scatter_parts(keys, moment: int) -> dict:
-    """The part ``(sigma/pi) sin(pi a) a I``, or the exception it raised, at
-    each distinct ``(a, sigma, eps)`` of ``keys``: ``I`` integrates
-    ``exp(-eps t) t**(a - 1 + moment) / (1 + 2 sigma cos(pi a) t**a + t**(2a))``
-    over ``[0, inf)``; ``moment = 0`` for ``B_2``, 1 for its ``-d/d(eps)``."""
-    parts: dict = {}
-    chunk, size = [], 0
-    for key in dict.fromkeys(keys):
-        a, sigma, eps = key
-        if a == 0.0 or a == 1.0:
-            # sin(pi a) kills the integral except against the sigma = +1
-            # fermionic-point pole, whose limit is exp(-eps)
-            parts[key] = math.exp(-eps) if (a == 1.0 and sigma == +1) else 0.0
-        elif eps == 0.0:
-            # exp factor gone; the moment-0 integral is theta / (a sin(theta))
-            # with theta = acos(sigma cos(pi a)), that is pi a or pi (1 - a), and
-            # sin(theta) = sin(pi a), so the part is sigma theta / pi.  Taken
-            # without acos, which loses theta where sigma cos(pi a) rounds to -+1
-            parts[key] = a if sigma == +1 else a - 1.0
-        elif math.isinf(eps):
-            parts[key] = 0.0
-        else:
-            try:
-                edges = _panel_edges(a, sigma * math.cos(math.pi * a), eps)
-            except Exception as err:  # this key's own failure
-                parts[key] = err
-                continue
-            nodes = _NODES * (edges.size - 1)
-            if chunk and size + nodes > _CHUNK_NODES:
-                _integrate_chunk(chunk, moment, parts)
-                chunk, size = [], 0
-            chunk.append((key, edges, nodes))
-            size += nodes
-    if chunk:
-        _integrate_chunk(chunk, moment, parts)
-    return parts
-
-
-def _integrate_chunk(chunk: list, moment: int, parts: dict) -> None:
-    """Store in ``parts`` the scattering part of each ``(key, edges, nodes)``:
-    the ``u = t**a`` panel rules of :func:`~lowdgas.numerics.composite_rule`
-    laid end to end and checked at once, one pass of the integrand
-    ``exp(-eps * u**(1/a)) * u**(m/a) / ((1-u)**2 + 2u(1+sc))``, a sum per key."""
-    keys, edges, counts = zip(*chunk)
-    join = np.concatenate if len(edges) > 1 else lambda one: one[0]  # a single key's edges as they are
-    lo = join([e[:-1] for e in edges])
-    half = join([e[1:] for e in edges]) - lo
-    half *= 0.5
-    scaled = _panel_reference(_NODES) * half[:, None]  # nodes and weights, a row per panel
-    u = scaled[0]
-    u += lo[:, None]
-    nodes, weights = u.ravel(), scaled[1].ravel()
-    bounds = [0, *itertools.accumulate(counts)]
-    faults = _rule_faults(nodes, weights, bounds, [0.0] * len(edges), [float(e[-1]) for e in edges])
-    # per key 1/a, -eps, m/a and 2(1 + sc), 1 + sc free of cancellation near the
-    # fermionic pole: one value per panel row, or one key's scalars
-    table = [
-        (1.0 / a, -eps, moment * (1.0 / a), 4.0 * (math.cos if sigma == +1 else math.sin)(0.5 * math.pi * a) ** 2)
-        for a, sigma, eps in keys
-    ]
-    if len(table) == 1:
-        inv_a, neg_eps, log_scale, two_ops = table[0]
-    else:
-        inv_a, neg_eps, log_scale, two_ops = np.repeat(table, [e.size - 1 for e in edges], axis=0).T[:, :, None]
-    # a value beyond float range fails only its own key's sum; at eps -> 0
-    # the domain reaches u ~ 1e176, where f / inf = 0 is the integrand's limit
+def _integrate(a, sigma, eps, moment: int):
+    """``(totals, errors)``: the integral ``I`` of :func:`_scatter_parts` at
+    each key of the arrays (``0 < a < 1``, ``0 < eps < inf``), and the
+    exception of each key whose rule or integrand fails, by index."""
+    # math's scalar functions, as numpy's differ in the last bit on some
+    # hosts; 2(1 + sc) is taken free of cancellation near the fermionic pole
+    sc = sigma * np.array(list(map(math.cos, (math.pi * a).tolist())))
+    two_ops = [4.0 * (math.cos if s == +1 else math.sin)(h) ** 2 for h, s in zip((0.5 * math.pi * a).tolist(), sigma.tolist())]
+    table = np.array((1.0 / a, -eps, moment * (1.0 / a), two_ops)).T  # the integrand's parameters, a row per key
+    totals, errors = np.full(a.size, math.nan), {}
+    # a value beyond float range fails only its own key's sum; at eps -> 0 the
+    # domain reaches u ~ 1e176, where f / inf = 0 is the integrand's limit
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f = np.power(u, inv_a)
-        f *= neg_eps
-        if moment:  # at m = 0 the log term is a signed zero and is skipped
-            log_w = np.log(u)
-            log_w *= log_scale
-            f += log_w
-        np.exp(f, out=f)
-        den = np.subtract(1.0, u)
-        np.square(den, out=den)
-        den += np.multiply(u, two_ops)
-        f /= den
+        for keys, lo, hi, panels in _panel_blocks(a, sc, eps):
+            first = np.concatenate(([0], panels.cumsum()))
+            ends, offsets = hi[first[1:] - 1].tolist(), (_NODES * first).tolist()
+            half = (hi - lo) * 0.5
+            start = 0
+            while start < keys.size:  # as many keys as fit in _CHUNK nodes, at least one
+                stop = max(start + 1, int(first.searchsorted(first[start] + _CHUNK // _NODES, "right")) - 1)
+                p, bounds = slice(first[start], first[stop]), [n - offsets[start] for n in offsets[start : stop + 1]]
+                rows = table[keys[start:stop]].repeat(panels[start:stop], axis=0)  # a row per panel
+                _integrate_chunk(keys[start:stop], lo[p], half[p], rows, bounds, ends[start:stop], moment, totals, errors)
+                start = stop
+    return totals, errors
+
+
+def _integrate_chunk(keys, lo, half, rows, bounds, ends, moment: int, totals, errors) -> None:
+    """Store in ``totals``, or else in ``errors``, the integral at each key of
+    a chunk, over its panels ``(lo, lo + 2 half)`` with the integrand's
+    parameter ``rows``: key ``i`` holds the nodes ``bounds[i]:bounds[i + 1]``
+    of the rule on ``[0, ends[i]]`` that :func:`~lowdgas.numerics.composite_rule`
+    maps and checks, and a pass of the integrand
+    ``exp(-eps * u**(1/a)) * u**(m/a) / ((1-u)**2 + 2u(1+sc))`` gives a sum per key."""
+    # the reference nodes x + 1 and weights w of every panel, end to end, from
+    # a cached copy for a power of two of panels
+    x1, w = _panel_reference(_NODES, max(_CHUNK // _NODES, 1 << (half.size - 1).bit_length()))[:, 0, : bounds[-1]]
+    spread = half.repeat(_NODES)
+    nodes = spread * x1
+    nodes += lo.repeat(_NODES)
+    weights = np.multiply(spread, w, out=spread)
+    faults = _rule_faults(nodes, weights, bounds, [0.0] * keys.size, ends)
+    inv_a, neg_eps, log_scale, two_ops = rows.T[:, :, None]
+    u = nodes.reshape(-1, _NODES)
+    f = np.power(u, inv_a)
+    f *= neg_eps
+    if moment:  # at m = 0 the log term is a signed zero and is skipped
+        log_w = np.log(u)
+        log_w *= log_scale
+        f += log_w
+    np.exp(f, out=f)
+    den = np.subtract(1.0, u)
+    np.square(den, out=den)
+    den += np.multiply(u, two_ops)
+    f /= den
     f = f.ravel()
-    for key, fault, start, stop in zip(keys, faults, bounds, bounds[1:]):
-        a, sigma, _ = key
+    totals[keys] = sums = [np.dot(weights[i:j], f[i:j]) for i, j in zip(bounds, bounds[1:])]
+    if any(faults) or not all(map(math.isfinite, sums)):
+        for k in [k for k, total in enumerate(sums) if faults[k] or not math.isfinite(total)]:
+            i, j = bounds[k : k + 2]
+            try:  # a fault, or a non-finite value that names its node, fails this key
+                if faults[k]:
+                    raise ValueError(faults[k])
+                _weighted_sum(weights[i:j], f[i:j], nodes[i:j])
+            except ValueError as err:
+                errors[keys[k]] = err
+
+
+def _scatter_parts(a, sigma, eps, moment: int):
+    """``(parts, errors)``: the part ``(sigma/pi) sin(pi a) a I`` at each
+    ``(a, sigma, eps)`` of the arrays, and the exception of each entry whose
+    part failed, by index: ``I`` integrates
+    ``exp(-eps t) t**(a - 1 + moment) / (1 + 2 sigma cos(pi a) t**a + t**(2a))``
+    over ``[0, inf)``; ``moment = 0`` for ``B_2``, 1 for its ``-d/d(eps)``.
+    Each distinct key is integrated once."""
+    # sin(pi a) kills the integral at the integers except against the sigma =
+    # +1 fermionic-point pole, whose limit is exp(-eps).  At eps = 0 the exp
+    # factor is gone; the moment-0 integral is theta / (a sin(theta)) with
+    # theta = acos(sigma cos(pi a)), that is pi a or pi (1 - a), and sin(theta)
+    # = sin(pi a), so the part is sigma theta / pi, taken without acos, which
+    # loses theta where sigma cos(pi a) rounds to -+1.  At eps = inf it is 0
+    integer = (a == 0.0) | (a == 1.0)
+    parts = np.where(integer | (eps != 0.0), 0.0, np.where(sigma == +1, a, a - 1.0))
+    pole = ((a == 1.0) & (sigma == +1)).nonzero()[0]
+    parts[pole] = list(map(math.exp, (-eps[pole]).tolist()))
+    todo = (~integer & (eps > 0.0) & (eps < math.inf)).nonzero()[0]
+    errors = {}
+    if todo.size:
+        keys = np.array((a[todo], sigma[todo], eps[todo]))
+        order = np.lexsort(keys[::-1]) if todo.size > 1 else np.zeros(1, dtype=np.intp)
+        new = np.ones(todo.size, dtype=bool)  # the distinct keys, and each entry's among them
+        new[1:] = (keys[:, order[1:]] != keys[:, order[:-1]]).any(axis=0)
+        index = np.empty(todo.size, dtype=np.intp)
+        index[order] = new.cumsum() - 1
+        ka, ks, ke = keys[:, order[new]]
+        totals, failed = _integrate(ka, ks, ke, moment)
+        sin_pa = np.array(list(map(math.sin, (math.pi * ka).tolist())))
+        with np.errstate(over="ignore", invalid="ignore"):  # a failed key's total is nan
+            parts[todo] = ((ks / math.pi) * sin_pa * (ka * (totals / ka)))[index]
+        for key, err in failed.items():
+            errors.update(dict.fromkeys(todo[index == key].tolist(), err))
+    return parts, errors
+
+
+def _in_range(value: float, eps: float) -> float:
+    """``value``, or the domain error of an attractive core whose
+    bound-state weight ``exp(eps)`` takes the result out of float range."""
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"eps={eps!r}: the result exceeds float range (the bound-state weight is exp(eps))")
+
+
+def _out_of_range(value, eps, errors: dict) -> dict:
+    """``errors``, plus the :func:`_in_range` error of each other entry."""
+    for i in (~np.isfinite(value)).nonzero()[0].tolist():
+        errors.setdefault(i, _attempt(_in_range, value.item(i), eps.item(i)))
+    return errors
+
+
+def _b2_values(a, sigma, eps):
+    """``((value, hard_core, bound, scatter), errors)`` of :func:`b2_softcore`
+    at each checked ``(|delta|, sigma, eps)`` of the arrays."""
+    parts, errors = _scatter_parts(a, sigma, eps, 0)
+    hc, bound, scatter = _hardcore(a), np.zeros(a.size), -2.0 * parts
+    attractive = (sigma == -1).nonzero()[0]
+    bound[attractive] = [-2.0 * _exp_or_inf(e) for e in eps[attractive].tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = hc + bound + scatter
+    hard = np.isinf(eps)  # the hard-core value, with unsigned zero parts
+    scatter[hard], value[hard] = 0.0, hc[hard]
+    return (value, hc, bound, scatter), _out_of_range(value, eps, errors)
+
+
+def _e_rel_values(x, a, sigma, eps):
+    """``(value, errors)`` of :func:`e_rel_abelian` at each checked dilution
+    ``x`` and ``(|delta|, sigma, eps)`` of the arrays."""
+    parts, errors = _scatter_parts(a, sigma, eps, 1)
+    zero, bound = np.isinf(eps) | (eps == 0.0), np.zeros(a.size)  # no shift there
+    attractive = ((sigma == -1) & ~zero).nonzero()[0]
+    bound[attractive] = [-_exp_or_inf(e) for e in eps[attractive].tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 2.0 * x * eps * (bound + parts)
+    value[zero] = 0.0
+    return value, _out_of_range(value, eps, errors)
+
+
+def _one(columns, errors: dict) -> list:
+    """The values of a batch of one, or its exception."""
+    if errors:
+        raise errors[0]
+    return [c.item() for c in columns]
+
+
+# ---------------------------------------------------------------------------
+# points and grids
+# ---------------------------------------------------------------------------
+
+
+def _grid(points, checked: Callable, valid: Callable, blank: tuple):
+    """``(columns, errors)``: the points as float columns, and the exception
+    of each point that fails its checks, by index.  The checks run on the
+    columns (``valid`` marks the points that pass); a point that fails them,
+    or any point of a grid that is not all numbers, goes through the scalar
+    ``checked(*point)``, which raises the point's exception or returns its
+    checked values.  A failed point's columns hold ``blank``, which costs
+    nothing to evaluate."""
+    points = list(points)
+    try:
+        table = np.array(points)
+    except ValueError:  # points of different lengths
+        table = np.array(())
+    if table.dtype.kind in "biuf" and table.shape == (len(points), len(blank)):
+        columns = table.T.astype(float)
+        bad = (~valid(*columns)).nonzero()[0].tolist()
+    else:
+        columns, bad = np.repeat(np.array(blank)[:, None], len(points), axis=1), range(len(points))
+    errors = {}
+    for i in bad:
+        point = tuple(points[i])
         try:
-            if fault:
-                raise ValueError(fault)
-            total = _weighted_sum(weights[start:stop], f[start:stop], nodes[start:stop])
-            parts[key] = (sigma / math.pi) * math.sin(math.pi * a) * (a * (total / a))
-        except ValueError as err:  # this key's own failure
-            parts[key] = err
+            columns[:, i] = checked(*point)
+        except Exception as err:  # this point's own failure
+            errors[i], columns[:, i] = err, blank
+    return columns, errors
 
 
-def _evaluate(plans: list, moment: int) -> list:
-    """Each point's value or exception from its plan ``(keys, finish)``, the
-    parts it needs and ``finish(parts)``, or the exception its checks raised."""
-    parts = _scatter_parts([k for plan in plans if isinstance(plan, tuple) for k in plan[0]], moment)
-    return [_attempt(plan[1], parts) if isinstance(plan, tuple) else plan for plan in plans]
+def _rows(values, errors: dict) -> list:
+    """The value (or row of values) of each point, or its exception."""
+    rows = values.tolist()
+    for i, err in errors.items():
+        rows[i] = err
+    return rows
 
 
-def _one(plan: tuple, moment: int):
-    return plan[1](_scatter_parts(plan[0], moment))  # a batch of one point
-
-
-def _scatter(parts: dict, key: tuple) -> float:
-    if isinstance(part := parts[key], Exception):
-        raise part
-    return part
+def _bc_valid(sigma, eps):
+    """The points that :class:`SoftCoreBC` accepts."""
+    return ((sigma == 1.0) | (sigma == -1.0)) & (eps >= 0.0) & ~(np.isinf(eps) & (sigma == -1.0))
 
 
 def _reduced(alpha: float, bc: SoftCoreBC) -> tuple[float, int, float]:
     return abs(StatisticsParameter(alpha).delta), bc.sigma, bc.eps
 
 
-def _b2_value(key: tuple, parts: dict) -> B2Value:
-    a, sigma, eps = key
-    hc = _hardcore(a)
-    if math.isinf(eps):
-        return B2Value(hc, (hc, 0.0, 0.0))
-    bound = -2.0 * _exp_or_inf(eps) if sigma == -1 else 0.0
-    scatter = _scatter(parts, key)
-    value = _in_range(hc + bound + (-2.0 * scatter), eps)
-    return B2Value(value, (hc, bound, -2.0 * scatter))
+def _abelian_grid(points, dilution: bool):
+    """``(x, |delta|, sigma, eps)`` columns of ``(alpha, sigma, eps[,
+    dilution])`` points, checked as :class:`SoftCoreBC`, ``_dilution`` and
+    :class:`StatisticsParameter` check them, and each failed point's error."""
 
+    def checked(alpha, sigma, eps, *x):
+        bc = SoftCoreBC(sigma, eps)
+        x = tuple(map(_dilution, x))
+        return (StatisticsParameter(alpha).alpha, bc.sigma, bc.eps, *x)
 
-def _b2_plan(alpha: float, bc: SoftCoreBC) -> tuple:
-    key = _reduced(alpha, bc)
-    return (key,), lambda parts: _b2_value(key, parts)
+    def valid(alpha, sigma, eps, *x):
+        return _bc_valid(sigma, eps) & np.isfinite(alpha) & ((x[0] >= 0.0) & (x[0] < math.inf) if x else True)
+
+    (alpha, sigma, eps, *x), errors = _grid(points, checked, valid, (0.0, 1.0, math.inf, 0.0)[: 3 + dilution])
+    # |delta| of alpha = 2j + delta as StatisticsParameter reduces it
+    return (*x, np.abs(alpha - 2.0 * np.rint(alpha / 2.0)), sigma, eps), errors
 
 
 def b2_softcore(alpha: float, bc: SoftCoreBC) -> B2Value:
@@ -354,14 +480,22 @@ def b2_softcore(alpha: float, bc: SoftCoreBC) -> B2Value:
     is below -1.8e308 there, so this is not a numerical artifact), and
     that raises ``ValueError`` naming ``eps``.
     """
-    key = _reduced(alpha, bc)
-    return _b2_value(key, _scatter_parts((key,), 0))
+    value, *parts = _one(*_b2_values(*map(np.array, zip(_reduced(alpha, bc)))))
+    return B2Value(value, tuple(parts))
+
+
+def _b2_rows(points) -> list:
+    """Each point's ``[value, hard_core, bound, scatter]`` of
+    :func:`b2_softcore` at ``(alpha, sigma, eps)``, or its exception."""
+    keys, errors = _abelian_grid(points, False)
+    columns, failed = _b2_values(*keys)
+    return _rows(np.stack(columns, axis=1), {**failed, **errors})
 
 
 def b2_softcore_grid(points) -> list:
     """:func:`b2_softcore` at each ``(alpha, sigma, eps)`` of ``points``, or
     the exception it raises, with the integrals of all points in chunks."""
-    return _evaluate([_attempt(lambda a, s, e: _b2_plan(a, SoftCoreBC(s, e)), *p) for p in points], 0)
+    return [row if isinstance(row, Exception) else B2Value(row[0], tuple(row[1:])) for row in _b2_rows(points)]
 
 
 def _dilution(dilution: float) -> float:
@@ -369,20 +503,6 @@ def _dilution(dilution: float) -> float:
     if not x >= 0.0 or math.isinf(x):
         raise ValueError(f"dilution must be finite and >= 0, got {dilution}")
     return x
-
-
-def _e_rel_value(x: float, key: tuple, parts: dict) -> float:
-    a, sigma, eps = key
-    if math.isinf(eps) or eps == 0.0:
-        return 0.0
-    bound = -_exp_or_inf(eps) if sigma == -1 else 0.0
-    return _in_range(2.0 * x * eps * (bound + _scatter(parts, key)), eps)
-
-
-def _e_rel_plan(alpha: float, bc: SoftCoreBC, dilution: float) -> tuple:
-    x = _dilution(dilution)
-    key = _reduced(alpha, bc)
-    return (key,), lambda parts: _e_rel_value(x, key, parts)
 
 
 def e_rel_abelian(alpha: float, bc: SoftCoreBC, dilution: float) -> float:
@@ -399,14 +519,15 @@ def e_rel_abelian(alpha: float, bc: SoftCoreBC, dilution: float) -> float:
     at ``dilution = 1``) raises ``ValueError`` naming ``eps``.
     """
     x = _dilution(dilution)
-    key = _reduced(alpha, bc)
-    return _e_rel_value(x, key, _scatter_parts((key,), 1))
+    return _one(*_e_rel_values(*map(np.array, zip((x, *_reduced(alpha, bc))))))[0]
 
 
 def e_rel_abelian_grid(points) -> list:
     """:func:`e_rel_abelian` at each ``(alpha, sigma, eps, dilution)`` of
     ``points``, or the exception it raises, like :func:`b2_softcore_grid`."""
-    return _evaluate([_attempt(lambda a, s, e, x: _e_rel_plan(a, SoftCoreBC(s, e), x), *p) for p in points], 1)
+    keys, errors = _abelian_grid(points, True)
+    value, failed = _e_rel_values(*keys)
+    return _rows(value, {**failed, **errors})
 
 
 def e_rel_semion(bc: SoftCoreBC, dilution: float) -> float:

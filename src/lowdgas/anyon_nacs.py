@@ -27,10 +27,11 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable
 
+import numpy as np
+
 from .anyon_abelian import (
-    SoftCoreBC, StatisticsParameter, _b2_value, _dilution, _e_rel_value, _evaluate, _in_range, _one,
+    SoftCoreBC, StatisticsParameter, _b2_values, _bc_valid, _dilution, _e_rel_values, _grid, _one, _out_of_range, _rows,
 )
-from .numerics import _attempt
 
 __all__ = [
     "NACSSystem",
@@ -62,11 +63,15 @@ class NACSSystem:
     sigma: int
 
     def __post_init__(self):
-        if self.k != int(self.k) or self.k == 0:
+        try:
+            integer = self.k == int(self.k) and self.k != 0
+        except (OverflowError, ValueError):  # int() of inf or nan
+            integer = False
+        if not integer:
             raise ValueError(f"k must be a nonzero integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
         twice_l = 2.0 * float(self.l)
-        if twice_l < 0.0 or twice_l != round(twice_l):
+        if not (twice_l >= 0.0 and twice_l.is_integer()):
             raise ValueError(f"l must be a non-negative half-integer, got {self.l}")
         object.__setattr__(self, "l", float(self.l))
         rows = tuple(tuple(float(e) for e in row) for row in self.eps)
@@ -85,7 +90,7 @@ class NACSSystem:
     def isotropic(cls, k: int, l: float, eps: float, sigma: int) -> "NACSSystem":
         """System with every ``eps_{j,jz}`` equal to ``eps``."""
         twice_l = 2.0 * float(l)
-        if not (twice_l >= 0.0 and twice_l == round(twice_l)):
+        if not (twice_l >= 0.0 and twice_l.is_integer()):
             raise ValueError(f"l must be a non-negative half-integer, got {l}")
         rows = tuple((float(eps),) * (2 * j + 1) for j in range(int(twice_l) + 1))
         return cls(k, l, rows, sigma)
@@ -144,45 +149,62 @@ def channel_weights(sys: NACSSystem) -> ChannelWeights:
     )
 
 
-def _plan(sys: NACSSystem, term: Callable[[tuple, dict], float]) -> tuple:
-    """The plan of ``(2l+1)**-2 sum term(key_j, parts)`` over all ``(j, jz)``
-    in ascending order, so equal inputs give bit-equal results, ``key_j``
-    the reduced ``(|stat_j|, sigma, eps)`` of ``stat_j = omega_j`` (bosonic)
-    or ``omega_j + 1`` (fermionic).  A run of equal ``eps`` in a row is one
-    term weighted by its length, and each distinct key is integrated once;
-    a mean beyond float range raises the ``ValueError`` naming the largest
-    ``eps``."""
+def _runs(sys: NACSSystem) -> tuple[list, list, list]:
+    """``(counts, stats, eps)`` of the channel sum over all ``(j, jz)`` in
+    ascending order: a run of equal ``eps`` in row ``j`` is one term
+    weighted by its length, at the reduced ``|stat_j|`` of ``stat_j =
+    omega_j`` (bosonic) or ``omega_j + 1`` (fermionic)."""
     w = channel_weights(sys)
-    runs = []
+    counts, stats, eps = [], [], []
     for j, row in enumerate(sys.eps):
-        stat = w.omega[j] if w.bosonic[j] else w.omega[j] + 1.0
-        reduced = abs(StatisticsParameter(stat).delta)
-        runs += [(sum(1 for _ in run), (reduced, sys.sigma, eps)) for eps, run in groupby(row)]
-
-    def mean(parts: dict) -> float:
-        terms = [(count, term(key, parts)) for count, key in runs]
-        norm = (2.0 * sys.l + 1.0) ** 2
-        total = 0.0
-        for count, value in terms:
-            total += count * value
-        mean = total / norm
-        if math.isinf(total):
-            # the running sum can pass 1.8e308 where the mean does not
-            mean = sum(count / norm * value for count, value in terms)
-        return _in_range(mean, max(map(max, sys.eps)))
-
-    return [key for _, key in runs], mean
+        stat = abs(StatisticsParameter(w.omega[j] if w.bosonic[j] else w.omega[j] + 1.0).delta)
+        for e, run in groupby(row):
+            counts.append(sum(1 for _ in run))
+            stats.append(stat)
+            eps.append(e)
+    return counts, stats, eps
 
 
-def _b2_term(key: tuple, parts: dict) -> float:
-    return _b2_value(key, parts).value
+def _channel_mean(counts: list, values, errors: dict, norm: float, top) -> tuple:
+    """``(means, errors)``: each row's ``sum count * value / norm`` over the
+    runs (the columns of ``values``), so equal inputs give bit-equal
+    results, and each row's exception: that of its first failed term
+    (``errors`` holds those by flat index), else the ``ValueError`` of a
+    mean beyond float range, naming the row's largest eps ``top``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.zeros(values.shape[0])
+        for count, column in zip(counts, values.T):
+            total += count * column
+        means = total / norm
+        if np.isinf(total).any():  # the running sum can pass 1.8e308 where the mean does not
+            scaled = np.zeros(values.shape[0])
+            for count, column in zip(counts, values.T):
+                scaled += count / norm * column
+            means = np.where(np.isinf(total), scaled, means)
+    rows = {}
+    for i in sorted(errors):
+        rows.setdefault(i // len(counts), errors[i])
+    return means, _out_of_range(means, top, rows)
+
+
+def _system_mean(sys: NACSSystem, term: Callable, x: float = 0.0) -> float:
+    """A system's channel sum of ``term``, a batch of one."""
+    counts, stats, eps = _runs(sys)
+    n, top = len(counts), np.array([max(map(max, sys.eps))])
+    values, errors = term(np.full(n, x), np.array(stats), np.full(n, float(sys.sigma)), np.array(eps))
+    return _one(*_channel_mean(counts, values[None, :], errors, (2.0 * sys.l + 1.0) ** 2, top))[0]
+
+
+def _b2_term(x, a, sigma, eps) -> tuple:
+    (value, *_), errors = _b2_values(a, sigma, eps)
+    return value, errors
 
 
 def b2_nacs_general(sys: NACSSystem) -> float:
     """``B_2 / lambda_T**2`` for an arbitrary soft-core parameter matrix:
     the ``(2l+1)**-2``-weighted sum of bosonic/fermionic Abelian
     coefficients over all ``(j, jz)`` channels."""
-    return _one(_plan(sys, _b2_term), 0)
+    return _system_mean(sys, _b2_term)
 
 
 def b2_nacs_isotropic(sys: NACSSystem) -> float:
@@ -197,10 +219,39 @@ def b2_nacs_isotropic(sys: NACSSystem) -> float:
     return b2_nacs_general(sys)
 
 
+def _isotropic_grid(points, term: Callable, dilution: bool) -> list:
+    """The channel sum of ``term`` for each isotropic system ``(k, l, eps,
+    sigma[, dilution])`` of ``points``, or its exception: the channels of
+    each distinct ``(k, l, sigma)`` once, with one batch of Abelian terms."""
+
+    def checked(k, l, eps, sigma, *x):
+        sys = NACSSystem.isotropic(k, l, eps, sigma)
+        return (sys.k, sys.l, sys.eps[0][0], sys.sigma, *map(_dilution, x))
+
+    def valid(k, l, eps, sigma, *x):
+        ok = (k == np.trunc(k)) & (k != 0.0) & np.isfinite(k) & (2.0 * l == np.trunc(2.0 * l)) & (l >= 0.0)
+        return ok & np.isfinite(2.0 * l) & _bc_valid(sigma, eps) & ((x[0] >= 0.0) & (x[0] < math.inf) if x else True)
+
+    (k, l, eps, sigma, *x), errors = _grid(points, checked, valid, (1.0, 0.0, math.inf, 1.0, 0.0)[: 4 + dilution])
+    x, means, groups = x[0] if x else eps, np.zeros(eps.size), {}  # the B_2 term takes no dilution
+    for i, system in enumerate(zip(k.tolist(), l.tolist(), sigma.tolist())):
+        if i not in errors:
+            groups.setdefault(system, []).append(i)
+    for (gk, gl, gs), members in groups.items():
+        counts, stats, _ = _runs(NACSSystem.isotropic(gk, gl, 1.0, gs))
+        members = np.array(members)
+        entry = members.repeat(len(counts))
+        values, failed = term(x[entry], np.tile(stats, members.size), sigma[entry], eps[entry])
+        values = values.reshape(members.size, -1)
+        means[members], rows = _channel_mean(counts, values, failed, (2.0 * gl + 1.0) ** 2, eps[members])
+        errors.update((members[i].item(), err) for i, err in rows.items())
+    return _rows(means, errors)
+
+
 def b2_nacs_grid(points) -> list:
     """:func:`b2_nacs_isotropic` at each ``(k, l, eps, sigma)`` of
     ``points`` (or the exception it raises), all Abelian terms in chunks."""
-    return _evaluate([_attempt(lambda *p: _plan(NACSSystem.isotropic(*p), _b2_term), *p) for p in points], 0)
+    return _isotropic_grid(points, _b2_term, False)
 
 
 def e_rel_nacs(sys: NACSSystem, dilution: float) -> float:
@@ -212,16 +263,10 @@ def e_rel_nacs(sys: NACSSystem, dilution: float) -> float:
     obeys the same sign law as the Abelian shift.  Channels with the
     hard-core sentinel contribute zero.
     """
-    x = _dilution(dilution)
-    return _one(_plan(sys, lambda key, parts: _e_rel_value(x, key, parts)), 1)
+    return _system_mean(sys, _e_rel_values, _dilution(dilution))
 
 
 def e_rel_nacs_grid(points) -> list:
     """:func:`e_rel_nacs` at each ``(k, l, eps, sigma, dilution)`` of
     ``points`` (or the exception it raises), all Abelian terms in chunks."""
-
-    def plan(k, l, eps, sigma, dilution):
-        sys, x = NACSSystem.isotropic(k, l, eps, sigma), _dilution(dilution)
-        return _plan(sys, lambda key, parts: _e_rel_value(x, key, parts))
-
-    return _evaluate([_attempt(plan, *p) for p in points], 1)
+    return _isotropic_grid(points, _e_rel_values, True)

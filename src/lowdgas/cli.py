@@ -23,6 +23,7 @@ column); 3 output could not be written.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import io
@@ -39,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .anyon_abelian import SoftCoreBC, b2_softcore_grid, e_rel_abelian_grid, e_rel_semion
+from .anyon_abelian import SoftCoreBC, _b2_rows, e_rel_abelian_grid, e_rel_semion
 from .anyon_nacs import NACSSystem, b2_nacs_grid, channel_weights, e_rel_nacs_grid
 from .lieb_liniger import (
     LLParams,
@@ -286,13 +287,16 @@ def _eval_anyon_semion(p, opts, ctx):
     return (e_rel_semion(SoftCoreBC(int(p["sigma"]), p["eps"]), p["x"]),)
 
 
-def _on_grid(evaluate: Callable[[list], list], names: tuple[str, ...], outputs=lambda v: (v,)) -> Callable:
+def _on_grid(evaluate: Callable[[list], list], names: tuple[str, ...], rows: bool = False) -> Callable:
     """The evaluator of a library grid function of each point's ``names``,
-    giving its value (as ``outputs(value)``) or exception."""
+    giving its value (or its row of values, with ``rows``) or exception."""
     values = operator.itemgetter(*names)
-    return lambda points, opts, ctx: [
-        v if isinstance(v, Exception) else outputs(v) for v in evaluate([values(p) for p in points])
-    ]
+
+    def grid(points, opts, ctx):
+        outs = evaluate(list(map(values, points)))
+        return outs if rows else [v if isinstance(v, Exception) else (v,) for v in outs]
+
+    return grid
 
 
 def _prepare_virial_model(fixed: Mapping) -> dict:
@@ -403,7 +407,7 @@ REGISTRY: dict[str, _Quantity] = {
             ("bound_state_part", "lambda_T^2"),
             ("scattering_part", "lambda_T^2"),
         ),
-        evaluate=_on_grid(b2_softcore_grid, ("alpha", "sigma", "eps"), lambda b2: (b2.value, *b2.parts)),
+        evaluate=_on_grid(_b2_rows, ("alpha", "sigma", "eps"), rows=True),
     ),
     "anyon-shift": _Quantity(
         required=("alpha", "sigma", "eps", "x"),
@@ -511,12 +515,19 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None) -> ResultTable:
     points = list(itertools.product(*(axis.values() for axis in spec.axes)))
     axis_names = [a.name for a in spec.axes]
     lead = axis_names or [*q.required, *q.defaults]
-    grid = [base | dict(zip(axis_names, point)) for point in points]
+    # each point's mapping, its axis values after (and over) the fixed ones
+    names, values = (*base, *axis_names), tuple(base.values())
+    grid = [dict(zip(names, values + point)) for point in points]
     # a row leads with its axis values, or the one point's parameters
     heads = points if axis_names else [tuple(base[name] for name in lead)]
 
     def row(head: tuple, out) -> tuple:
         if not isinstance(out, Exception):
+            try:  # a float output that is not finite makes the sum not finite
+                if math.isfinite(sum(out)):
+                    return head + tuple(out) + ("ok",)
+            except TypeError:  # a text output
+                pass
             for (name, _), value in zip(q.outputs, out):
                 if isinstance(value, float) and not math.isfinite(value):
                     out = FloatingPointError(f"{name} is {value}")
@@ -528,7 +539,7 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None) -> ResultTable:
         return head + ("",) * len(q.outputs) + (note,)
 
     outs = q.evaluate(grid, opts, context)
-    rows = tuple(row(head, out) for head, out in zip(heads, outs, strict=True))
+    rows = tuple(itertools.starmap(row, zip(heads, outs, strict=True)))
 
     columns = tuple((name, "") for name in lead) + q.outputs + (("status", ""),)
     config = dict(opts, format=spec.format or opts.get("format"))
@@ -564,7 +575,17 @@ def render_csv(table: ResultTable) -> str:
     buf.write(f"# metadata: {meta}\n")
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow([_header_name(n, u) for n, u in table.columns])
-    writer.writerows([_FLOAT_FMT % c if type(c) is float else _format_cell(c) for c in row] for row in table.rows)
+    # rows of floats and the status "ok" need no quoting: when every such
+    # row holds no other text, one format string writes each of them
+    plain = ",".join([_FLOAT_FMT] * (len(table.columns) - 1) + ["%s\n"])
+    ok = [row for row in table.rows if row[-1] == "ok"] if table.columns else []
+    cells = collections.Counter(map(type, itertools.chain.from_iterable(ok)))
+    bulk = cells.keys() <= {float, str} and cells[str] == len(ok)
+    for row in table.rows:
+        if bulk and row[-1] == "ok":
+            buf.write(plain % row)
+        else:
+            writer.writerow([_format_cell(c) for c in row])
     return buf.getvalue()
 
 
@@ -600,6 +621,17 @@ def _parse_cell(text: str):
         return text
 
 
+def _parse_line(line: str) -> tuple:
+    """The cells of an unquoted CSV line, as :func:`_parse_cell` reads them:
+    a row of numbers and the status ``ok`` in bulk."""
+    if line.endswith(",ok"):
+        try:
+            return (*map(float, line[:-3].split(",")), "ok")
+        except ValueError:  # a cell that is not a number
+            pass
+    return tuple(map(_parse_cell, line.split(",")))
+
+
 def load_table(path: str) -> ResultTable:
     """Parse back an emitted file (format detected from the content)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -627,7 +659,10 @@ def load_table(path: str) -> ResultTable:
         else:
             name, unit = cell, ""
         columns.append((name, unit))
-    rows = tuple(tuple(map(_parse_cell, row)) for row in reader if row)
+    if any('"' in line or "\0" in line for line in lines):
+        rows = tuple(tuple(map(_parse_cell, row)) for row in reader if row)
+    else:  # with nothing quoted each line is one row, its cells split at commas
+        rows = tuple(map(_parse_line, filter(None, lines[1:])))
     return ResultTable(columns=tuple(columns), rows=rows, metadata=metadata)
 
 

@@ -198,12 +198,13 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def _panel_reference(n: int) -> np.ndarray:
-    """``[x + 1, w]`` of the ``n``-node ``[-1, 1]`` rule as a read-only
-    ``(2, 1, n)`` array: the panel ``[lo, lo + 2h]`` has the nodes
-    ``lo + h (x + 1)`` and the weights ``h w``."""
+def _panel_reference(n: int, panels: int = 1) -> np.ndarray:
+    """``[x + 1, w]`` of the ``n``-node ``[-1, 1]`` rule, repeated for
+    ``panels`` panels, as a read-only ``(2, 1, n * panels)`` array: the
+    panel ``[lo, lo + 2h]`` has the nodes ``lo + h (x + 1)`` and the
+    weights ``h w``."""
     x, w = _legendre_rule(n)
-    ref = np.stack((x + 1.0, w))[:, None, :]
+    ref = np.tile(np.stack((x + 1.0, w)), panels)[:, None, :]
     ref.flags.writeable = False
     return ref
 

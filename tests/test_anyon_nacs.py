@@ -75,6 +75,25 @@ def test_rejects_bad_isospin():
             NACSSystem.isotropic(3, bad, 1.0, +1)
 
 
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_level_is_the_level_error(k):
+    # int(inf) raises OverflowError and int(nan) a ValueError of its own:
+    # both are the domain error that names k, from either constructor
+    with pytest.raises(ValueError, match=r"^k must be a nonzero integer, got "):
+        NACSSystem.isotropic(k, 1.0, 1.0, +1)
+    with pytest.raises(ValueError, match=r"^k must be a nonzero integer, got "):
+        NACSSystem(k, 0.0, ((1.0,),), +1)
+
+
+@pytest.mark.parametrize("l", [math.inf, math.nan])
+def test_a_non_finite_isospin_is_the_isospin_error(l):
+    # round(inf) raises OverflowError: a non-finite l is no half-integer
+    with pytest.raises(ValueError, match=r"^l must be a non-negative half-integer, got "):
+        NACSSystem.isotropic(3, l, 1.0, +1)
+    with pytest.raises(ValueError, match=r"^l must be a non-negative half-integer, got "):
+        NACSSystem(3, l, ((1.0,),), +1)
+
+
 def test_rejects_misshapen_matrix():
     with pytest.raises(ValueError, match="one row per channel"):
         NACSSystem(3, 0.5, ((1.0,),), +1)
@@ -301,9 +320,9 @@ def test_uniform_rows_cost_one_abelian_call_each(monkeypatch):
     calls = []
     chunked = anyon_abelian._integrate_chunk
 
-    def counting(chunk, moment, parts):
-        calls.extend(key for key, _, _ in chunk)
-        return chunked(chunk, moment, parts)
+    def counting(keys, *chunk):
+        calls.extend(keys.tolist())
+        return chunked(keys, *chunk)
 
     monkeypatch.setattr(anyon_abelian, "_integrate_chunk", counting)
     for k, l, expected in [(4, 1.5, 2), (2, 0.5, 1), (3, 1.0, 3)]:

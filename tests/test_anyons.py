@@ -288,6 +288,65 @@ def test_panel_edges_match_the_reference_layout():
         assert np.array_equal(got, _reference_panel_edges(ai, si, ei)), (ai, si, ei)
 
 
+def _near_coincident_keys():
+    # sigma = -1 keys whose pole refinement edge c = 1 + 2^-k1, shoulder
+    # refinement edge u_star (1 + 2^-4) = c (1 + d1) and domain end u_end =
+    # u_star (4/3)^a = c (1 + d2) lie within a few 1e-11 of each other, with
+    # d1 and d2 - d1 on both sides of the 1e-11 gap; a, eps from d1, d2.
+    # Above 1 the reference's gap 1e-11 max(p, 1) is the layout's 1e-11 p
+    # (c = 1 + 2^-4 would centre both refinements on 1)
+    keys = []
+    for c in (1.5, 1.25, 1.125, 1.03125):
+        for d1 in (0.0, 3e-12, 6e-12, 9.5e-12, 1.05e-11, 2e-11):
+            for step in (0.0, 4e-12, 8e-12, 1.05e-11, 1.6e-11):
+                a = math.log(1.0625 * (1.0 + d1 + step) / (1.0 + d1)) / math.log(4.0 / 3.0)
+                u_star = c * (1.0 + d1) / 1.0625
+                keys.append((a, -math.cos(math.pi * a), anyon_abelian._EXP_CUT / u_star ** (1.0 / a)))
+    return keys
+
+
+def test_one_layout_pass_matches_the_reference_layout():
+    # the keys of test_panel_edges_match_the_reference_layout laid out as one
+    # grid, plus keys at the 1e-10 refinement floor and keys whose edges
+    # nearly coincide, in every block and key order the layout picks
+    rng = np.random.default_rng(20141)
+    a = np.concatenate([rng.uniform(1e-4, 1.0, 5000), rng.uniform(0.9, 1.0, 1000), [1e-6, 0.5, 1.0]])
+    sigma = rng.choice([-1.0, 1.0], a.size)
+    sc = np.where(rng.uniform(size=a.size) < 0.8, sigma * np.cos(np.pi * a), rng.uniform(-1.0, -0.5, a.size))
+    eps = 10.0 ** rng.uniform(-3.0, np.log10(700.0), a.size)
+    keys = list(zip(a.tolist(), sc.tolist(), eps.tolist()))
+    # the floor: pole width sqrt(2 (1 + sc)) = 0, shoulder width a / 16 <
+    # 1e-10 (at an eps that keeps u_star = (45/eps)^a off 1, where both
+    # refinements would meet below 1)
+    keys += [(x, -1.0, e) for x in (0.1, 0.3) for e in (1e-3, 1.0, 59.0)]
+    keys += [(x, s, e) for x in (1e-12, 1e-9) for s in (-1.0, -0.75) for e in (1e-300, 1e-200)]
+    near = _near_coincident_keys()
+    keys += near
+    a, sc, eps = map(np.array, zip(*keys))
+    seen = np.zeros(a.size, dtype=bool)
+    for block, lo, hi, panels in anyon_abelian._panel_blocks(a, sc, eps):
+        wants = [_reference_panel_edges(*keys[key]) for key in block.tolist()]
+        for key, top, want in zip(block.tolist(), np.split(hi, panels.cumsum()[:-1]), wants):
+            assert np.array_equal(np.concatenate(([0.0], top)), want), keys[key]
+        assert np.array_equal(lo, np.concatenate([want[:-1] for want in wants]))
+        seen[block] = True
+    assert seen.all()
+    # where the shoulder edge is within 1e-11 of the pole edge and the domain
+    # end within 1e-11 of the shoulder edge but not of the pole edge, the end
+    # is kept: a gap to the previous candidate, not the last edge kept, would
+    # drop it
+    tight = 0
+    for x, s, e in near:
+        u_end = (anyon_abelian._EXP_END / e) ** x
+        shoulder = (anyon_abelian._EXP_CUT / e) ** x * 1.0625
+        pole = min(anyon_abelian._REFINE, key=lambda f: abs(f - shoulder))
+        if pole < shoulder < u_end and shoulder - pole <= 1e-11 * shoulder and u_end - shoulder <= 1e-11 * u_end < u_end - pole:
+            edges = _reference_panel_edges(x, s, e)
+            assert shoulder not in edges and edges[-1] == u_end
+            tight += 1
+    assert tight >= 3
+
+
 def test_integrate_on_an_anyon_rule_names_a_nonfinite_node():
     # the panel rule of a scattering integral keeps the integrand check
     a = 0.3

@@ -283,6 +283,20 @@ def test_nacs_sweep_matches_library():
         assert status == "ok" and value == expected
 
 
+def test_a_non_finite_isospin_fails_each_row_with_its_domain_error():
+    # l is fixed for a sweep but is no integer kind, so an infinite l reaches
+    # the points: each row names l, not a bare OverflowError
+    spec = SweepSpec("nacs-b2", (Axis("eps", 0.1, 10.0, 2, "log"),), {"k": 3.0, "l": math.inf, "sigma": 1.0})
+    table = run_sweep(spec)
+    assert table.failures == 2
+    for _, value, status in table.rows:
+        assert value == "" and status == "ValueError: l must be a non-negative half-integer, got inf"
+    # an infinite k is a spec error on the command line; a library grid
+    # gives each such point the level's domain error
+    (out,) = cli.REGISTRY["nacs-b2"].evaluate([{"k": math.inf, "l": 1.0, "eps": 1.0, "sigma": 1.0}], {}, {})
+    assert f"{type(out).__name__}: {out}" == "ValueError: k must be a nonzero integer, got inf"
+
+
 def test_metadata_echoes_run_configuration():
     spec = SweepSpec("ll-b2", (_axis(),), {"tau": 1.0})
     table = run_sweep(spec, opts={"tol": 1e-9, "nodes": 101, "format": "csv"})
@@ -362,6 +376,65 @@ def test_emit_load_round_trip_is_bit_exact(tmp_path, fmt):
     assert loaded.columns == table.columns
     assert loaded.rows == table.rows  # float cells must survive exactly
     assert loaded.metadata["quantity"] == "ll-b2"
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, math.inf, -math.inf])
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False),
+    _EDGE_FLOATS,
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([10**17 + 1, -(10**19), 2**63 - 1]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+)
+# cells and statuses that a CSV writes as they are, and ones it must quote
+_CLEAN = st.one_of(_NUMBER, st.sampled_from(["", "ok", "x:y"]))
+_QUOTED = st.sampled_from(["1,2", 'say "hi"', "two\nlines"])
+_STATUSES = st.sampled_from(["ok", "ok", "ok", "", "ValueError: at 1.5", "EvaluationError: eps=2.0"])
+
+
+@st.composite
+def _tables(draw):
+    # columns of floats only (the rows that go in bulk) or of mixed cells;
+    # a table either writes every cell unquoted or has some to quote
+    kinds = draw(st.lists(st.sampled_from(["float", "mixed"]), max_size=4))
+    quoted = draw(st.booleans())
+    mixed = st.one_of(_CLEAN, _QUOTED) if quoted else _CLEAN
+    status = st.one_of(_STATUSES, _QUOTED, st.text(alphabet='ab,":\n1.e+ok', max_size=12)) if quoted else _STATUSES
+    cells = [st.one_of(st.floats(allow_nan=False), _EDGE_FLOATS) if k == "float" else mixed for k in kinds]
+    rows = draw(st.lists(st.tuples(*cells, status), max_size=6))
+    columns = [(f"c{i}", "u" if i % 2 else "") for i in range(len(kinds))] + [("status", "")]
+    return ResultTable(columns=tuple(columns), rows=tuple(rows), metadata={"quantity": "q"})
+
+
+def _plain_csv(table) -> str:
+    # every row through csv.writer, one cell at a time
+    import csv
+    import io
+
+    buf = io.StringIO()
+    meta = json.dumps(table.metadata, sort_keys=True, separators=(",", ":"))
+    buf.write(f"# lowdgas {cli.__version__}\n# metadata: {meta}\n")
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerow([cli._header_name(n, u) for n, u in table.columns])
+    writer.writerows([cli._format_cell(c) for c in row] for row in table.rows)
+    return buf.getvalue()
+
+
+@given(_tables())
+def test_bulk_rows_render_and_parse_as_the_plain_paths(tmp_path_factory, table):
+    # render_csv writes a row of floats and "ok" with one format string and
+    # load_table reads unquoted rows in bulk: bytes and parsed cells (with
+    # the sign of a zero) are those of csv.writer and _parse_cell
+    import csv
+
+    text = render_csv(table)
+    assert text == _plain_csv(table)
+    path = tmp_path_factory.mktemp("bulk") / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    plain = [tuple(map(cli._parse_cell, row)) for row in list(csv.reader(lines))[1:] if row]
+    assert [tuple(map(repr, row)) for row in load_table(str(path)).rows] == [tuple(map(repr, row)) for row in plain]
 
 
 def test_emit_writes_stdout_when_no_destination(capsys):
@@ -530,6 +603,45 @@ def test_grid_evaluation_matches_point_evaluation(quantity, fixed):
     for a, b in zip(good, good[1:]):
         pair = cli.REGISTRY[quantity].evaluate([a, bad[0], b], {}, {})
         assert _as_cells(pair[::2]) == _as_cells(cli.REGISTRY[quantity].evaluate([a, b], {}, {}))
+
+
+def _checked_point(quantity, p):
+    # the library's one-point functions on the point's values as given
+    # (no int() of sigma), or the exception they raise
+    try:
+        if quantity.startswith("anyon"):
+            bc = SoftCoreBC(p["sigma"], p["eps"])
+            if quantity == "anyon-b2":
+                out = b2_softcore(p["alpha"], bc)
+                return (out.value,) + out.parts
+            return (e_rel_abelian(p["alpha"], bc, p["x"]),)
+        system = NACSSystem.isotropic(p["k"], p["l"], p["eps"], p["sigma"])
+        return (b2_nacs_isotropic(system),) if quantity == "nacs-b2" else (e_rel_nacs(system, p["x"]),)
+    except Exception as err:
+        return err
+
+
+@pytest.mark.parametrize("quantity", ["anyon-b2", "anyon-shift", "nacs-b2", "nacs-shift"])
+def test_points_that_fail_their_checks_between_good_ones(quantity):
+    # the grid checks its points on arrays and re-runs the scalar checks on
+    # the ones that fail: each gets the scalar exception and text, and the
+    # bits of the points around it do not move
+    base = {"alpha": 0.3, "x": 0.1} if quantity.startswith("anyon") else {"k": 3.0, "l": 1.0, "x": 0.1}
+    good = [{**base, "alpha": a, "sigma": s, "eps": e} for a in (0.3, 0.77) for s in (1.0, -1.0) for e in (0.37, 5.0)]
+    if quantity.startswith("nacs"):
+        good = [{key: v for key, v in p.items() if key != "alpha"} for p in good[:4]]
+    bad = [{"sigma": s} for s in (0.0, 2.0, 1.0000001)] + [{"eps": e} for e in (math.nan, -1.0)]
+    bad += [{"sigma": -1.0, "eps": math.inf}]
+    if quantity.startswith("anyon"):
+        bad += [{"alpha": a} for a in (math.nan, math.inf)]
+    if quantity.endswith("shift"):
+        bad += [{"x": x} for x in (math.nan, -0.1)]
+    bad = [{**good[i % len(good)], **change} for i, change in enumerate(bad)]
+    mixed = [p for pair in zip(good * 3, bad) for p in pair] + good[:1]
+    grid = cli.REGISTRY[quantity].evaluate(mixed, {}, {})
+    assert _as_cells(grid) == _as_cells([_checked_point(quantity, p) for p in mixed])
+    assert all(isinstance(out, Exception) for out in grid[1::2])
+    assert _as_cells(grid[::2]) == _as_cells(cli.REGISTRY[quantity].evaluate(mixed[::2], {}, {}))
 
 
 def test_main_single_point_to_stdout(capsys):
