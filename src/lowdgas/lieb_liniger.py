@@ -45,7 +45,6 @@ import numpy as np
 
 from .numerics import (
     ConvergenceError,
-    QuadratureRule,
     _erfcx_deficit,
     _legendre_rule,
     composite_rule,
@@ -165,9 +164,8 @@ def _softplus_e(eps: np.ndarray, tau: float) -> np.ndarray:
     return tau * np.logaddexp(0.0, -eps / tau)
 
 
-def _fermi(eps: np.ndarray, tau: float) -> np.ndarray:
-    """``1 / (1 + exp(eps/tau))`` without overflow."""
-    x = eps / tau
+def _fermi(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(x))`` without overflow."""
     e = np.exp(-np.abs(x))
     return np.where(x > 0.0, e, 1.0) / (1.0 + e)
 
@@ -182,25 +180,20 @@ def _log_expm1(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mirrored_rule(edges: np.ndarray) -> tuple[QuadratureRule, np.ndarray, np.ndarray]:
-    """The composite rule with ``_PANEL_NODES`` Gauss-Legendre nodes on
-    each panel of the half-line ``edges`` (from 0) and on their mirror
-    images, and its ``x > 0`` half, where every even function lives: the
-    half nodes and their column weights ``cw`` (integration weights
-    ``2 cw``)."""
-    half = composite_rule(edges, _PANEL_NODES)
-    kmax = float(edges[-1])
-    rule = QuadratureRule(
-        np.concatenate((-half.nodes[::-1], half.nodes)),
-        np.concatenate((half.weights[::-1], half.weights)),
-        (-kmax, kmax),
-    )
-    return rule, half.nodes, half.weights
-
-
 def _mirror(values: np.ndarray) -> np.ndarray:
     """An even function's half-rule values on the whole mirrored rule."""
     return np.concatenate((values[::-1], values))
+
+
+def _mirrored_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes and weights of the composite rule with ``_PANEL_NODES``
+    Gauss-Legendre nodes on each panel of the half-line ``edges`` (from 0)
+    and on their mirror images, and of its ``x > 0`` half, where every even
+    function lives: the half nodes and their column weights ``cw``
+    (integration weights ``2 cw``).  Only the half rule is checked (by
+    ``composite_rule``); its mirror image is one by construction."""
+    half = composite_rule(edges, _PANEL_NODES)
+    return np.concatenate((-half.nodes[::-1], half.nodes)), _mirror(half.weights), half.nodes, half.weights
 
 
 _BLOCK = 1 << 14  # entries per row block of the row-blocked kernel passes
@@ -217,13 +210,13 @@ def _folded_blocks(half: np.ndarray, gamma: float):
     buf = np.empty((2, min(rows, half.size), half.size))
     for i0 in range(0, half.size, rows):
         rs = slice(i0, i0 + rows)
-        minus, plus = buf[:, :half[rs].size]
+        k = buf[:, :half[rs].size]
+        minus, plus = k
         np.subtract(half[rs, None], half, out=minus)
         np.add(half[rs, None], half, out=plus)
-        for k in (minus, plus):
-            k *= k
-            k += g2
-            np.divide(amp, k, out=k)
+        k *= k
+        k += g2
+        np.divide(amp, k, out=k)
         np.einsum("ii->i", minus[:, rs])[:] = 0.0
         yield rs, minus, plus
 
@@ -275,21 +268,30 @@ def _cauchy_moments(zeta: np.ndarray) -> np.ndarray:
     p = _PANEL_NODES
     out = np.empty((zeta.size, p), dtype=complex)
     fwd = _bernstein_rho(zeta) ** (2 * p) < 1e3
-    z = zeta[fwd]
-    blk = np.empty((z.size, p), dtype=complex)
-    blk[:, 0] = np.log((1.0 - z) / (-1.0 - z))
-    blk[:, 1] = 2.0 + z * blk[:, 0]
-    for k in range(1, p - 1):
-        blk[:, k + 1] = ((2 * k + 1) * z * blk[:, k] - k * blk[:, k - 1]) / (k + 1)
-    out[fwd] = blk
-    back, rows = np.flatnonzero(~fwd), _BLOCK // _UPSAMPLE
+    back = np.flatnonzero(~fwd)
+    if back.size < zeta.size:
+        z = zeta[fwd]
+        blk = np.empty((p, z.size), dtype=complex)  # row k holds I_k
+        np.log((1.0 - z) / (-1.0 - z), out=blk[0])
+        np.add(2.0, z * blk[0], out=blk[1])
+        for k in range(1, p - 1):
+            nxt = np.multiply((2 * k + 1) * z, blk[k], out=blk[k + 1])
+            nxt -= k * blk[k - 1]
+            nxt /= k + 1
+        out[fwd] = blk.T
+        if back.size == 0:
+            return out
+    parts = out.view(float)  # Re I_k in column 2k, Im I_k in column 2k + 1
     t, table = _upsampled_legendre()
+    rows = _BLOCK // _UPSAMPLE
     for i in range(0, back.size, rows):  # 1/(t - zeta) = (d + i Im zeta) r, in place
-        z = zeta[back[i:i + rows], None]
+        sel = back[i:i + rows]
+        z = zeta[sel, None]
         d = t - z.real
         r = d * d
         np.reciprocal(np.add(r, z.imag * z.imag, out=r), out=r)
-        out[back[i:i + rows]] = np.multiply(d, r, out=d) @ table + 1j * (z.imag * (r @ table))
+        parts[sel, 0::2] = np.multiply(d, r, out=d) @ table
+        parts[sel, 1::2] = z.imag * (r @ table)
     return out
 
 
@@ -306,35 +308,43 @@ def _near_pairs(half: np.ndarray, edges: np.ndarray, gamma: float):
     beta = gamma / h
     if beta.min() >= 0.5 * (_FAR_RHO - 1.0 / _FAR_RHO):
         return None
-    targets = (half, -half)  # the direct and the mirror term
-    near = [_bernstein_rho((t[:, None] - c) / h + 1j * beta) < _FAR_RHO for t in targets]
+    # Re zeta of every (term, target, panel), the direct term's targets
+    # first; the ellipse lies in |Re zeta| < (rho + 1/rho)/2, its semi-major
+    # axis, so rho is taken only there (the margin is far above rounding)
+    re = (np.concatenate((half, -half))[:, None] - c) / h
+    cand = np.nonzero(np.abs(re) < 0.5 * (_FAR_RHO + 1.0 / _FAR_RHO) + 1e-6)
+    zeta = re[cand] + 1j * beta[cand[1]]
+    inside = _bernstein_rho(zeta) < _FAR_RHO
+    near = np.zeros((2, half.size, c.size), dtype=bool)
+    near.reshape(-1, c.size)[cand[0][inside], cand[1][inside]] = True
     rows, panels = np.nonzero(near[0] | near[1])
-    on = [close[rows, panels] for close in near]
-    zeta = np.concatenate([(t[rows[o]] - c[panels[o]]) / h[panels[o]] + 1j * beta[panels[o]]
-                           for t, o in zip(targets, on)])
+    on = near[:, rows, panels]
+    zeta = zeta[inside]
     return rows, panels, on, zeta, _cauchy_moments(zeta)  # a pair near in both terms has both
 
 
-def _operator_blocks(half: np.ndarray, cw: np.ndarray, gamma: float, near, far, diag, weight):
+def _operator_blocks(half: np.ndarray, cw: np.ndarray, gamma: float, near, far, diag, weight, out=None):
     """Row blocks ``(rs, block)`` of a folded operator on the half nodes
-    ``x > 0``, in the buffers of ``_folded_blocks``: ``cw_j far(ker)`` for
-    a far pair (``far`` may map in place), ``diag`` on a far diagonal, and
-    per term of a pair of ``near`` (``_near_pairs``) the product weight
-    ``sum_k weight(zeta, moments)[k] A[k, j] / pi`` (``A`` from
-    ``_legendre_projection``) where it is near, the far entry where not."""
+    ``x > 0``, in the buffers of ``_folded_blocks`` or, given ``out``, in
+    its rows ``rs``: ``cw_j far(ker)`` for a far pair (``far`` may map in
+    place), ``diag`` on a far diagonal, and per term of a pair of ``near``
+    (``_near_pairs``) the product weight ``sum_k weight(zeta, moments)[k]
+    A[k, j] / pi`` (``A`` from ``_legendre_projection``) where it is near,
+    the far entry where not."""
     if near is not None:
         rows, panels, on, zeta, moments = near
         cols = panels[:, None] * _PANEL_NODES + np.arange(_PANEL_NODES)
-        vals = np.zeros(cols.shape)
-        for t, o in zip((half, -half), on):
-            d = t[rows[~o], None] - half[cols[~o]]
-            vals[~o] += cw[cols[~o]] * far((gamma / math.pi) / (d * d + gamma * gamma))
-        prod = weight(zeta[:, None], moments) @ (_legendre_projection() / math.pi)
-        split = np.count_nonzero(on[0])
-        vals[on[0]] += prod[:split]
-        vals[on[1]] += prod[split:]
+        # both terms of every pair as far entries, then the near ones replaced
+        t = half[rows]
+        d = np.stack((t, -t))[:, :, None] - half[cols]
+        d *= d
+        d += gamma * gamma
+        terms = np.divide(gamma / math.pi, d, out=d)
+        terms = np.multiply(cw[cols], far(terms), out=terms)
+        terms[on] = weight(zeta[:, None], moments) @ (_legendre_projection() / math.pi)
+        vals = terms[0] + terms[1]
     for rs, minus, plus in _folded_blocks(half, gamma):
-        blk = np.add(far(minus), far(plus), out=minus)
+        blk = np.add(far(minus), far(plus), out=minus if out is None else out[rs])
         blk *= cw
         np.einsum("ii->i", blk[:, rs])[:] += diag[rs]
         if near is not None:
@@ -360,9 +370,9 @@ def _panel_operator(half: np.ndarray, cw: np.ndarray, gamma: float, near) -> np.
     integrates a density analytic in that ellipse to rounding (``~rho^-32``;
     one entry can be off by ``~rho^-17``)."""
     out = np.empty((half.size, half.size))
-    for rs, blk in _operator_blocks(half, cw, gamma, near, lambda k: k, cw / (math.pi * gamma),
-                                    lambda zeta, moments: moments.imag):
-        out[rs] = blk
+    for _ in _operator_blocks(half, cw, gamma, near, lambda k: k, cw / (math.pi * gamma),
+                              lambda zeta, moments: moments.imag, out):
+        pass
     return out
 
 
@@ -447,7 +457,7 @@ def _ground_at(gamma: float, edges: np.ndarray, ell: float, stop: float) -> Grou
     I'``, the slope ``(gamma/ell)^2 (M' - 3 (gamma/ell) M I') / m'`` is
     ``d((gamma/ell)^3 M)/d(gamma)`` at ``ell = gamma I``, free of the
     chain rule's cancellation of two ``O(1/gamma)`` terms."""
-    rule, y, cw = _mirrored_rule(edges)
+    nodes, weights, y, cw = _mirrored_rule(edges)
     w = 2.0 * cw
     adjoint = np.column_stack((w, w * y * y))
     last = math.inf
@@ -469,11 +479,11 @@ def _ground_at(gamma: float, edges: np.ndarray, ell: float, stop: float) -> Grou
             moment = float(w @ (y * y * g)) - step * dmoment
             ratio = gamma / ell
             slope = ratio**2 * (dmoment - 3.0 * ratio * moment * dint) / mprime
-            return GroundState(gamma, ell, rule.nodes, rule.weights, _mirror(g), ratio**3 * moment, slope)
+            return GroundState(gamma, ell, nodes, weights, _mirror(g), ratio**3 * moment, slope)
         last = abs(step)
         ell = ell - step if step < ell else 0.5 * ell
     raise ConvergenceError(f"cutoff-ratio Newton solve failed at ell={ell} "
-                           f"(gamma={gamma}, n={rule.nodes.size})", best=ell)
+                           f"(gamma={gamma}, n={nodes.size})", best=ell)
 
 
 def solve_ground_state(
@@ -578,7 +588,7 @@ class _Rung:
     mu_hi = math.inf  # the density is finite at every mu
 
     def __init__(self, gamma: float, tau: float, kmax: float, edges: np.ndarray):
-        self.rule, self.grid, self.cw = _mirrored_rule(edges)
+        self.nodes, self.weights, self.grid, self.cw = _mirrored_rule(edges)
         self.w = 2.0 * self.cw
         self.edges = np.concatenate((-edges[::-1], edges[1:]))
         self.gamma, self.tau, self.kmax = gamma, tau, kmax
@@ -639,8 +649,8 @@ class _Rung:
         return TBASolution(
             gamma=self.gamma,
             tau=self.tau,
-            grid=self.rule.nodes,
-            weights=self.rule.weights,
+            grid=self.nodes,
+            weights=self.weights,
             eps=_mirror(self.eps),
             density=_mirror(self.density),
             mu=self.mu,
@@ -668,6 +678,9 @@ class _TBAGrid(_Rung):
         super().__init__(gamma, tau, kmax, edges)
         self.kw = _panel_operator(self.grid, self.cw, gamma, _near_pairs(self.grid, edges, gamma))
         self._jac = np.empty_like(self.kw)
+        self._diag = np.einsum("ii->i", self._jac)
+        self._rhs = np.empty((self.grid.size, 3))  # F, the constant 1/2pi, C (dfermi g)
+        self._rhs[:, 1] = 1.0 / (2.0 * math.pi)
         self.g = np.full(self.grid.size, 1.0 / (2.0 * math.pi))
 
     def _conv(self, values: np.ndarray) -> np.ndarray:
@@ -682,21 +695,21 @@ class _TBAGrid(_Rung):
         else:
             # first-order predictor from dE/dmu = -2pi g
             eps = self.eps - (2.0 * math.pi * (mu - self.mu)) * self.g
-        g = self.g
-        jac = self._jac
-        diag = np.einsum("ii->i", jac)
+        g, jac, diag, rhs = self.g, self._jac, self._diag, self._rhs
+        resid = rhs[:, 0]
         for _ in range(_MAX_NEWTON):
-            fermi = _fermi(eps, tau)
-            resid = eps - self.k2 + mu + self._conv(_softplus_e(eps, tau))
+            x = eps / tau
+            fermi = _fermi(x)
+            np.subtract(eps, self.k2, out=resid)
+            resid += mu
+            resid += self._conv(tau * np.logaddexp(0.0, -x))  # C softplus(E)
             dfermi = (2.0 * math.pi / tau) * fermi * (1.0 - fermi) * g
-            np.multiply(self.kw, -fermi[None, :], out=jac)
+            np.multiply(self.kw, -fermi, out=jac)
             diag += 1.0
-            rhs = np.column_stack(
-                (resid, np.full(eps.size, 1.0 / (2.0 * math.pi)), self._conv(dfermi * g))
-            )
+            rhs[:, 2] = self._conv(dfermi * g)
             step, g, dg = np.linalg.solve(jac, rhs).T
             eps = eps - step
-            if np.max(np.abs(step)) <= _NEWTON_TOL * np.max(np.abs(eps)):
+            if np.abs(step).max() <= _NEWTON_TOL * np.abs(eps).max():
                 self.eps, self.g, self.mu = eps, g, mu
                 self.density = fermi * g
                 return float(self.w @ (dfermi * g + fermi * dg))
@@ -722,7 +735,7 @@ class _IdealGrid(_Rung):
             self.eps = self.tau * _log_expm1(x)
             dn = occ * (1.0 + occ)
         else:
-            occ = _fermi(self.k2 - mu, self.tau)
+            occ = _fermi(x)
             self.eps = self.k2 - mu
             dn = occ * (1.0 - occ)
         self.density, self.mu = occ / (2.0 * math.pi), mu
@@ -734,10 +747,11 @@ def _fermi_points(sol: TBASolution) -> list[tuple[float, float]]:
     (zeros of ``E`` by linear interpolation between nodes), each with the
     distance ``pi tau / |E'(K_F)|`` from the real axis of the singularities
     of the Fermi factor and ``softplus(-E/tau)``, at ``E = +-i pi tau``."""
-    pos = sol.grid > 0.0
-    k, e = sol.grid[pos], sol.eps[pos]
+    half = sol.grid.size // 2  # the mirrored rule has no node at 0
+    k, e = sol.grid[half:], sol.eps[half:]
+    neg = np.signbit(e)
     points = []
-    for i in np.flatnonzero(np.signbit(e[:-1]) != np.signbit(e[1:])):
+    for i in np.flatnonzero(neg[:-1] != neg[1:]):
         slope = (e[i + 1] - e[i]) / (k[i + 1] - k[i])
         points.append((k[i] - e[i] / slope, math.pi * sol.tau / abs(slope)))
     return points

@@ -271,7 +271,7 @@ def _reference_panel_edges(a, sc, eps):
         refine(u_star, max(a / 16.0, 1e-10))
     edges = [0.0]
     for p in sorted(p for p in pts if 0.0 < p <= u_end):
-        if p - edges[-1] > 1e-11 * max(p, 1.0):
+        if p - edges[-1] > 1e-11 * p:
             edges.append(p)
     return np.asarray(edges)
 
@@ -283,7 +283,12 @@ def test_panel_edges_match_the_reference_layout():
     # the layout's own sc = sigma*cos(pi a), plus arbitrary sc near the pole
     sc = np.where(rng.uniform(size=a.size) < 0.8, sigma * np.cos(np.pi * a), rng.uniform(-1.0, -0.5, a.size))
     eps = 10.0 ** rng.uniform(-3.0, np.log10(700.0), a.size)
-    for ai, si, ei in zip(a.tolist(), sc.tolist(), eps.tolist()):
+    keys = list(zip(a.tolist(), sc.tolist(), eps.tolist()))
+    # the domain end lies 7.9e-12 (relative) above the shoulder edge 0.75:
+    # a gap of 1e-11 max(p, 1) would drop it, the layout's 1e-11 p keeps it
+    keys.append((0.2107347924403473, -0.7887380623443557, 234.97580682876546))
+    assert anyon_abelian._panel_edges(*keys[-1]).size == 25
+    for ai, si, ei in keys:
         got = anyon_abelian._panel_edges(ai, si, ei)
         assert np.array_equal(got, _reference_panel_edges(ai, si, ei)), (ai, si, ei)
 
@@ -292,8 +297,7 @@ def _near_coincident_keys():
     # sigma = -1 keys whose pole refinement edge c = 1 + 2^-k1, shoulder
     # refinement edge u_star (1 + 2^-4) = c (1 + d1) and domain end u_end =
     # u_star (4/3)^a = c (1 + d2) lie within a few 1e-11 of each other, with
-    # d1 and d2 - d1 on both sides of the 1e-11 gap; a, eps from d1, d2.
-    # Above 1 the reference's gap 1e-11 max(p, 1) is the layout's 1e-11 p
+    # d1 and d2 - d1 on both sides of the 1e-11 gap; a, eps from d1, d2
     # (c = 1 + 2^-4 would centre both refinements on 1)
     keys = []
     for c in (1.5, 1.25, 1.125, 1.03125):

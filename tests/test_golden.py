@@ -73,6 +73,10 @@ SWEEPS = {
     ),
     "sweep-ll-b2-2d.csv": ("quantity = ll-b2\naxis = gamma log 0.1 10 3\naxis = tau linear 0.5 2 2\n", ""),
     "sweep-ll-tba-bose.csv": ("quantity = ll-tba\naxis = tau log 0.01 1000 3\ngamma = 0\n", ""),
+    # the nominal 1d benchmark grids (bench/workloads.py, unshifted)
+    "sweep-ll-tba-tau0.5.csv": ("quantity = ll-tba\naxis = gamma log 0.025 100 8\ntau = 0.5\n", ""),
+    "sweep-ll-tba-tau1e3.csv": ("quantity = ll-tba\naxis = gamma log 0.01 100 9\ntau = 1000\n", ""),
+    "sweep-ll-shift-tau0.csv": ("quantity = ll-shift\naxis = gamma log 1e-3 1e4 8\ntau = 0\n", ""),
 }
 
 EXPECTED_EXIT = {"sweep-ll-b2.csv": 2}  # tau = -1 is outside the domain

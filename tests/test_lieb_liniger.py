@@ -544,7 +544,7 @@ def test_folded_convolution_matches_the_full_grid(n, gamma):
     # node sits at K = 0
     kmax = 6.0
     tba = lieb_liniger._TBAGrid(gamma, 1.0, kmax, lieb_liniger._graded_edges(kmax, n // 32, []))
-    nodes, weights = tba.rule.nodes, tba.rule.weights
+    nodes, weights = tba.nodes, tba.weights
     k2 = nodes * nodes
     v = np.exp(-0.5 * k2) * (2.0 + np.cos(k2))
     full = _product_operator(nodes, weights, tba.edges, gamma) @ v
@@ -568,8 +568,7 @@ def test_plain_fold_matches_the_full_grid(n, gamma):
     # against the full-grid plain kernel w_j ker(y_i - y_j), zero on the
     # diagonal, with each column added onto its half node
     edges = lieb_liniger._graded_edges(1.0, n // 32, [(1.0, gamma)])
-    rule, y, cw = lieb_liniger._mirrored_rule(edges)
-    nodes, weights = rule.nodes, rule.weights
+    nodes, weights, y, cw = lieb_liniger._mirrored_rule(edges)
     assert np.array_equal(nodes[: y.size], -y[::-1]) and y[0] > 0.0
     q = nodes[:, None] - nodes
     plain = weights * (gamma / math.pi) / (q * q + gamma * gamma)
@@ -593,7 +592,7 @@ def test_width_derivative_matches_central_differences(ell):
     # ellipse, so no pair crosses it inside these stencils (at ell = 0.1
     # one does, and the difference misses by 4e-8)
     edges = lieb_liniger._graded_edges(1.0, 4, [(1.0, ell)])
-    _, y, cw = lieb_liniger._mirrored_rule(edges)
+    _, _, y, cw = lieb_liniger._mirrored_rule(edges)
     near = lieb_liniger._near_pairs(y, edges, ell)
     assert (near is None) == (ell == 2.0)
     dconv = np.column_stack([
@@ -699,6 +698,25 @@ def test_cauchy_moments_match_quadrature(rho):
         assert np.max(np.abs(got - want)) <= bound * abs(want[0])
 
 
+def test_cauchy_moments_do_not_depend_on_their_neighbours():
+    # forward-recurrence zetas (rho < 1.24) interleaved with upsampled ones:
+    # each forward row has the bits its zeta gives alone, and the upsampled
+    # rows the bits of the upsampled zetas on their own (one matrix product;
+    # a lone zeta's vector product may round differently); so does no zeta
+    rng = np.random.default_rng(7)
+    zetas = rng.uniform(-1.5, 1.5, 40) + 1j * 10.0 ** rng.uniform(-6.0, 0.0, 40)
+    fwd = lieb_liniger._bernstein_rho(zetas) ** 32 < 1e3
+    assert 5 < np.count_nonzero(fwd) < 35 and np.count_nonzero(fwd[1:] != fwd[:-1]) > 5
+    together = lieb_liniger._cauchy_moments(zetas)
+    for zeta, row in zip(zetas[fwd], together[fwd]):
+        assert row.tobytes() == lieb_liniger._cauchy_moments(np.array([zeta])).tobytes()
+    assert together[~fwd].tobytes() == lieb_liniger._cauchy_moments(zetas[~fwd]).tobytes()
+    for zeta, row in zip(zetas[~fwd], together[~fwd]):
+        alone = lieb_liniger._cauchy_moments(np.array([zeta]))[0]
+        assert np.max(np.abs(row - alone)) <= 1e-15 * np.max(np.abs(alone))
+    assert lieb_liniger._cauchy_moments(np.array([], dtype=complex)).shape == (0, lieb_liniger._PANEL_NODES)
+
+
 def test_both_grid_parities_agree_and_mirror_exactly():
     # --nodes reaches n0: every grid of both solvers is even (mirrored
     # 16-node panels, no middle node), from the default n0 = 64 as from
@@ -758,15 +776,27 @@ def test_tba_rung_budget_on_the_benchmark_grid(monkeypatch):
     # its singularity distance pi tau/|E'(K_F)|, so the last rung at tau =
     # 0.5 has at most 384 nodes (448 when graded down to the Fermi width
     # tau/|E'|); tau = 1e3 has no Fermi point and stops on the ungraded 128.
-    # Both temperatures are above _SEED_TAU: no ladder pays for a T = 0 solve
+    # Both temperatures are above _SEED_TAU: no ladder pays for a T = 0 solve.
+    # One np.linalg.solve per pseudo-energy Newton step: 209 steps at tau =
+    # 0.5 and 108 at tau = 1e3, so added Newton steps or mu trials show here
     def no_ground_state(*args, **kwargs):
         raise AssertionError("a ladder above _SEED_TAU solved the ground state")
 
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
     monkeypatch.setattr(lieb_liniger, "solve_ground_state", no_ground_state)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     sizes = [solve_tba(LLParams(float(gamma), 0.5)).grid.size for gamma in np.geomspace(0.025, 100.0, 8)]
     assert sizes == [256, 256, 256, 320, 320, 288, 384, 384]
+    assert len(calls) == 209
     for gamma in np.geomspace(0.01, 100.0, 9):
         assert solve_tba(LLParams(float(gamma), 1e3)).grid.size == 128
+    assert len(calls) == 209 + 108
 
 
 # (gamma, tau) -> shift of a deep ladder (started at 1615 nodes); the
