@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -107,26 +107,20 @@ class SoftCoreBC:
         return math.isinf(self.eps)
 
 
-@dataclass(frozen=True)
-class B2Value:
+class B2Value(NamedTuple):
     """``B_2`` in units of the squared thermal wavelength, split into its
     hard-core, bound-state, and scattering-integral parts (``value`` is
-    their exact floating-point sum)."""
+    their exact floating-point sum).  A tuple of the four floats in that
+    order, so a grid's results are a table's rows as they stand."""
 
     value: float
-    parts: tuple[float, float, float]
+    hard_core_part: float
+    bound_state_part: float
+    scattering_part: float
 
     @property
-    def hard_core_part(self) -> float:
-        return self.parts[0]
-
-    @property
-    def bound_state_part(self) -> float:
-        return self.parts[1]
-
-    @property
-    def scattering_part(self) -> float:
-        return self.parts[2]
+    def parts(self) -> tuple[float, float, float]:
+        return self[1:]
 
 
 def _exp_or_inf(x: float) -> float:
@@ -480,22 +474,18 @@ def b2_softcore(alpha: float, bc: SoftCoreBC) -> B2Value:
     is below -1.8e308 there, so this is not a numerical artifact), and
     that raises ``ValueError`` naming ``eps``.
     """
-    value, *parts = _one(*_b2_values(*map(np.array, zip(_reduced(alpha, bc)))))
-    return B2Value(value, tuple(parts))
-
-
-def _b2_rows(points) -> list:
-    """Each point's ``[value, hard_core, bound, scatter]`` of
-    :func:`b2_softcore` at ``(alpha, sigma, eps)``, or its exception."""
-    keys, errors = _abelian_grid(points, False)
-    columns, failed = _b2_values(*keys)
-    return _rows(np.stack(columns, axis=1), {**failed, **errors})
+    return B2Value(*_one(*_b2_values(*map(np.array, zip(_reduced(alpha, bc))))))
 
 
 def b2_softcore_grid(points) -> list:
     """:func:`b2_softcore` at each ``(alpha, sigma, eps)`` of ``points``, or
     the exception it raises, with the integrals of all points in chunks."""
-    return [row if isinstance(row, Exception) else B2Value(row[0], tuple(row[1:])) for row in _b2_rows(points)]
+    keys, errors = _abelian_grid(points, False)
+    columns, failed = _b2_values(*keys)
+    rows = list(map(B2Value._make, np.stack(columns, axis=1).tolist()))
+    for i, err in {**failed, **errors}.items():
+        rows[i] = err
+    return rows
 
 
 def _dilution(dilution: float) -> float:

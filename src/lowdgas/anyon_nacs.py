@@ -12,7 +12,7 @@ bosonic expression with the statistics shifted by one unit.  ``B_2``
 and the energy shift are therefore one channel sum of
 :mod:`.anyon_abelian` terms over ``(2l+1)**2`` channels, in units of the
 squared thermal wavelength.  Each Abelian term depends on the channel
-only through its reduced statistics ``|delta|`` and its ``eps``, so the
+only through its reduced statistics ``|nu_j|`` and its ``eps``, so the
 sum evaluates it once per distinct reduced statistics and ``eps``, and a
 grid function gathers these terms over all its points.
 
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .anyon_abelian import (
-    SoftCoreBC, StatisticsParameter, _b2_values, _bc_valid, _dilution, _e_rel_values, _grid, _one, _out_of_range, _rows,
+    SoftCoreBC, _b2_values, _bc_valid, _dilution, _e_rel_values, _grid, _one, _out_of_range, _rows,
 )
 
 __all__ = [
@@ -112,11 +112,14 @@ class NACSSystem:
 class ChannelWeights:
     """Per-channel statistics of an :class:`NACSSystem` (index = ``j``).
 
-    ``omega`` is the raw Chern-Simons phase; ``delta`` and ``gamma`` its
-    even reductions to ``[-1, 1)`` before and after the one-unit
-    fermionic shift; ``nu`` picks whichever of the two the channel's own
-    parity calls for (``bosonic[j]`` true for ``j + 2l`` even), so a
-    uniform system is just ``sum (2j+1) * B2(nu_j)``.
+    ``omega`` is the raw Chern-Simons phase ``n_j / (2k)``, with the
+    integer ``n_j = 2j(j+1) - 2l(2l+2)``; ``delta`` and ``gamma`` are
+    ``n_j / (2k)`` and ``(n_j + 2k) / (2k)`` taken mod 2 into ``[-1, 1)``
+    on these exact integers and rounded once, so every equal statistic
+    gives equal bits; ``nu`` is whichever of the two the channel's parity
+    calls for (``bosonic[j]`` true for ``j + 2l`` even), and the channel
+    sums evaluate the Abelian terms at ``|nu_j|``: a uniform system is
+    exactly ``sum (2j+1) * B2(nu_j) / (2l+1)**2``.
     """
 
     omega: tuple[float, ...]
@@ -126,23 +129,21 @@ class ChannelWeights:
     bosonic: tuple[bool, ...]
 
 
-def _mod2_shift(x: float) -> float:
-    # x mod 2 taken into [0, 2) (Python's floored %), then shifted to [-1, 1)
-    return x % 2.0 - 1.0
-
-
 def channel_weights(sys: NACSSystem) -> ChannelWeights:
     """Reduced statistics parameters for every isospin channel."""
-    twice_l = int(round(2.0 * sys.l))
-    ll1 = sys.l * (sys.l + 1.0)
+    twice_l = sys.channel_count - 1
+    sign = 1 if sys.k > 0 else -1  # makes the denominator 2k positive
+    d = 2 * sys.k * sign
     omega, delta, gamma, nu, bosonic = [], [], [], [], []
-    for j in range(twice_l + 1):
-        w = (j * (j + 1.0) - 2.0 * ll1) / sys.k
+    for j in range(sys.channel_count):
+        n = (2 * j * (j + 1) - twice_l * (twice_l + 2)) * sign
         b = (j + twice_l) % 2 == 0
-        omega.append(w)
-        delta.append(_mod2_shift(w + 1.0))
-        gamma.append(_mod2_shift(w))
-        nu.append(_mod2_shift(w - 1.0) if b else _mod2_shift(w))
+        # m / d mod 2 into [-1, 1) in integers, then one correctly rounded division
+        dj, gj = (((m + d) % (2 * d) - d) / d for m in (n, n + d))
+        omega.append(n / d)
+        delta.append(dj)
+        gamma.append(gj)
+        nu.append(dj if b else gj)
         bosonic.append(b)
     return ChannelWeights(
         tuple(omega), tuple(delta), tuple(gamma), tuple(nu), tuple(bosonic)
@@ -152,15 +153,13 @@ def channel_weights(sys: NACSSystem) -> ChannelWeights:
 def _runs(sys: NACSSystem) -> tuple[list, list, list]:
     """``(counts, stats, eps)`` of the channel sum over all ``(j, jz)`` in
     ascending order: a run of equal ``eps`` in row ``j`` is one term
-    weighted by its length, at the reduced ``|stat_j|`` of ``stat_j =
-    omega_j`` (bosonic) or ``omega_j + 1`` (fermionic)."""
-    w = channel_weights(sys)
+    weighted by its length, at the channel's ``|nu_j|``."""
+    nu = channel_weights(sys).nu
     counts, stats, eps = [], [], []
     for j, row in enumerate(sys.eps):
-        stat = abs(StatisticsParameter(w.omega[j] if w.bosonic[j] else w.omega[j] + 1.0).delta)
         for e, run in groupby(row):
             counts.append(sum(1 for _ in run))
-            stats.append(stat)
+            stats.append(abs(nu[j]))
             eps.append(e)
     return counts, stats, eps
 
@@ -209,7 +208,7 @@ def b2_nacs_general(sys: NACSSystem) -> float:
 
 def b2_nacs_isotropic(sys: NACSSystem) -> float:
     """``B_2 / lambda_T**2`` for a fully isotropic matrix, where the
-    channel sum collapses to ``(2l+1)**-2 sum_j (2j+1) B2(stat_j)``.
+    channel sum collapses to ``(2l+1)**-2 sum_j (2j+1) B2(nu_j)``.
 
     Raises ``ValueError`` when the matrix is not uniform (use
     :func:`b2_nacs_general` there).

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .anyon_abelian import SoftCoreBC, _b2_rows, e_rel_abelian_grid, e_rel_semion
+from .anyon_abelian import SoftCoreBC, b2_softcore_grid, e_rel_abelian_grid, e_rel_semion
 from .anyon_nacs import NACSSystem, b2_nacs_grid, channel_weights, e_rel_nacs_grid
 from .lieb_liniger import (
     LLParams,
@@ -407,7 +407,7 @@ REGISTRY: dict[str, _Quantity] = {
             ("bound_state_part", "lambda_T^2"),
             ("scattering_part", "lambda_T^2"),
         ),
-        evaluate=_on_grid(_b2_rows, ("alpha", "sigma", "eps"), rows=True),
+        evaluate=_on_grid(b2_softcore_grid, ("alpha", "sigma", "eps"), rows=True),
     ),
     "anyon-shift": _Quantity(
         required=("alpha", "sigma", "eps", "x"),
@@ -621,15 +621,15 @@ def _parse_cell(text: str):
         return text
 
 
-def _parse_line(line: str) -> tuple:
-    """The cells of an unquoted CSV line, as :func:`_parse_cell` reads them:
-    a row of numbers and the status ``ok`` in bulk."""
-    if line.endswith(",ok"):
+def _parse_row(row: list) -> tuple:
+    """The cells of a CSV row, as :func:`_parse_cell` reads them: a row of
+    numbers and the status ``ok`` in bulk."""
+    if row[-1] == "ok":
         try:
-            return (*map(float, line[:-3].split(",")), "ok")
+            return (*map(float, row[:-1]), "ok")
         except ValueError:  # a cell that is not a number
             pass
-    return tuple(map(_parse_cell, line.split(",")))
+    return tuple(map(_parse_cell, row))
 
 
 def load_table(path: str) -> ResultTable:
@@ -659,10 +659,7 @@ def load_table(path: str) -> ResultTable:
         else:
             name, unit = cell, ""
         columns.append((name, unit))
-    if any('"' in line or "\0" in line for line in lines):
-        rows = tuple(tuple(map(_parse_cell, row)) for row in reader if row)
-    else:  # with nothing quoted each line is one row, its cells split at commas
-        rows = tuple(map(_parse_line, filter(None, lines[1:])))
+    rows = tuple(map(_parse_row, filter(None, reader)))
     return ResultTable(columns=tuple(columns), rows=rows, metadata=metadata)
 
 

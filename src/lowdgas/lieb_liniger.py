@@ -683,9 +683,6 @@ class _TBAGrid(_Rung):
         self._rhs[:, 1] = 1.0 / (2.0 * math.pi)
         self.g = np.full(self.grid.size, 1.0 / (2.0 * math.pi))
 
-    def _conv(self, values: np.ndarray) -> np.ndarray:
-        return self.kw @ values
-
     def _newton(self, mu: float) -> float:
         """Solve ``F(E) = 0`` at ``mu``; sets ``eps``, ``g``, ``density``
         and ``mu`` and returns ``dn/dmu``."""
@@ -702,11 +699,11 @@ class _TBAGrid(_Rung):
             fermi = _fermi(x)
             np.subtract(eps, self.k2, out=resid)
             resid += mu
-            resid += self._conv(tau * np.logaddexp(0.0, -x))  # C softplus(E)
+            resid += self.kw @ (tau * np.logaddexp(0.0, -x))  # C softplus(E)
             dfermi = (2.0 * math.pi / tau) * fermi * (1.0 - fermi) * g
             np.multiply(self.kw, -fermi, out=jac)
             diag += 1.0
-            rhs[:, 2] = self._conv(dfermi * g)
+            rhs[:, 2] = self.kw @ (dfermi * g)
             step, g, dg = np.linalg.solve(jac, rhs).T
             eps = eps - step
             if np.abs(step).max() <= _NEWTON_TOL * np.abs(eps).max():

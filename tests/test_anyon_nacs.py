@@ -11,6 +11,7 @@ collapses entirely to error functions and is checked in closed form.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,19 +174,40 @@ def test_channel_weights_invariants(k, twice_l):
     assert len(w.omega) == twice_l + 1
     assert sum(2 * j + 1 for j in range(twice_l + 1)) == (twice_l + 1) ** 2
     for j in range(twice_l + 1):
-        assert w.omega[j] == pytest.approx(
-            (j * (j + 1) - 2 * l * (l + 1)) / k, rel=1e-15, abs=1e-15
-        )
+        omega = Fraction(j * (j + 1)) - Fraction(twice_l * (twice_l + 2), 2)
+        omega /= k
+        assert w.omega[j] == float(omega)
         for red in (w.delta[j], w.gamma[j], w.nu[j]):
             assert -1.0 <= red < 1.0
-        # reductions stay in the right residue class mod 2
-        for shift, red in ((0.0, w.delta[j]), (1.0, w.gamma[j])):
-            r = (red - w.omega[j] + shift) % 2.0
-            assert min(r, 2.0 - r) < 1e-12
-        # nu picks delta on bosonic channels, gamma on fermionic ones
-        expect = w.delta[j] if w.bosonic[j] else w.gamma[j]
-        assert abs(w.nu[j] - expect) < 1e-12 or abs(abs(w.nu[j] - expect) - 2.0) < 1e-12
+        # each reduction is the exact one mod 2, rounded once
+        for exact, red in ((omega, w.delta[j]), (omega + 1, w.gamma[j])):
+            assert red == float(exact - 2 * math.floor((exact + 1) / 2))
+        # nu is delta on bosonic channels, gamma on fermionic ones, bit for bit
+        assert w.nu[j] == (w.delta[j] if w.bosonic[j] else w.gamma[j])
         assert w.bosonic[j] == ((j + twice_l) % 2 == 0)
+
+
+def test_uniform_sums_are_their_channel_terms_bit_for_bit():
+    # a uniform system is exactly sum_j (2j+1) * term(nu_j) / (2l+1)**2,
+    # with equal statistics in two channels giving equal terms
+    b2, shift = {}, {}
+    for k in [k for k in range(-6, 7) if k]:
+        for twice_l in range(7):
+            nu = channel_weights(NACSSystem.isotropic(k, twice_l / 2, 1.0, +1)).nu
+            for eps in (0.3, 2.0):
+                for sigma in (+1, -1):
+                    sys = NACSSystem.isotropic(k, twice_l / 2, eps, sigma)
+                    bc = SoftCoreBC(sigma, eps)
+                    b2_sum = shift_sum = 0.0
+                    for j, a in enumerate(nu):
+                        if (a, sigma, eps) not in b2:
+                            b2[a, sigma, eps] = b2_softcore(a, bc).value
+                            shift[a, sigma, eps] = e_rel_abelian(a, bc, 0.7)
+                        b2_sum += (2 * j + 1) * b2[a, sigma, eps]
+                        shift_sum += (2 * j + 1) * shift[a, sigma, eps]
+                    norm = (twice_l + 1) ** 2
+                    assert b2_nacs_isotropic(sys) == b2_sum / norm, (k, twice_l, eps, sigma)
+                    assert e_rel_nacs(sys, 0.7) == shift_sum / norm, (k, twice_l, eps, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +335,10 @@ def test_anisotropic_matches_hand_assembled_channel_sum():
 
 def test_uniform_rows_cost_one_abelian_call_each(monkeypatch):
     # an isotropic system pays one Abelian integral per distinct reduced
-    # statistics |delta_j|, not one per (j, jz) entry or per row:
-    # (4, 3/2) has 4 rows but |delta| in {7/8, 5/8}, (2, 1/2) has 2 rows
-    # both at 1/4; under (3, 1) rows 0 and 2 reduce one ulp apart and stay
-    # separate terms
+    # statistics |nu_j|, not one per (j, jz) entry or per row:
+    # (4, 3/2) has 4 rows but |nu| in {7/8, 5/8}, (2, 1/2) has 2 rows
+    # both at 1/4, and (3, 1) has rows 0 and 2 both at 2/3, which the
+    # exact reduction rounds to the same bits
     calls = []
     chunked = anyon_abelian._integrate_chunk
 
@@ -325,7 +347,7 @@ def test_uniform_rows_cost_one_abelian_call_each(monkeypatch):
         return chunked(keys, *chunk)
 
     monkeypatch.setattr(anyon_abelian, "_integrate_chunk", counting)
-    for k, l, expected in [(4, 1.5, 2), (2, 0.5, 1), (3, 1.0, 3)]:
+    for k, l, expected in [(4, 1.5, 2), (2, 0.5, 1), (3, 1.0, 2)]:
         calls.clear()
         e_rel_nacs(NACSSystem.isotropic(k, l, 1.0, +1), 0.1)
         assert len(calls) == expected, (k, l)

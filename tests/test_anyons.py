@@ -541,6 +541,7 @@ def test_a_grid_chunk_stays_below_half_a_mebibyte():
     finally:
         tracemalloc.stop()
     assert len(out) == 400 and all(isinstance(v, B2Value) for v in out)
+    assert all(type(c) is float for v in out for c in v)  # render_csv's bulk path
     assert peak < 1 << 19, peak
 
 

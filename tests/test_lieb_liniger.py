@@ -554,7 +554,7 @@ def test_folded_convolution_matches_the_full_grid(n, gamma):
     # normwise: a panel's product weights cancel to ~eps entrywise (at
     # gamma -> 0 they tend to the Kronecker delta), so where v has fallen
     # by 1e5 the output keeps an absolute rounding of eps * max|v|
-    miss = np.max(np.abs(tba._conv(v[half:]) - full[half:]))
+    miss = np.max(np.abs(tba.kw @ v[half:] - full[half:]))
     assert miss <= 1e-13 * np.max(np.abs(full))
     assert float(tba.w @ v[half:]) == pytest.approx(float(weights @ v), rel=1e-14)
 
@@ -640,7 +640,7 @@ def test_panel_operator_is_exact_on_even_polynomials(gamma):
     k = tba.grid
     exact = np.array([_even_power_integrals(x, gamma, kmax) for x in k])
     for m in range(8):
-        np.testing.assert_allclose(tba._conv(k ** (2 * m)), exact[:, m], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(tba.kw @ k ** (2 * m), exact[:, m], rtol=1e-12, atol=0.0)
     # the closed form against adaptive quadrature at one node
     x = k[k.size // 2]
     peak = [p for p in (x - gamma, x, x + gamma) if -kmax < p < kmax]
