@@ -58,7 +58,7 @@ from .virial import (
     classify_shift,
     lieb_liniger_b2_model,
     power_law_model,
-    thermo_from_virial,
+    thermo_from_virial_grid,
 )
 
 __all__ = [
@@ -325,9 +325,8 @@ def _prepare_virial_model(fixed: Mapping) -> dict:
     return {"model": model}
 
 
-def _eval_virial_thermo(p, opts, ctx):
-    out = thermo_from_virial(ctx["model"], p["rho"], p["T"])
-    return out.pressure, out.helmholtz, out.gibbs, out.entropy, out.energy, out.enthalpy
+def _eval_virial_thermo(points, opts, ctx):
+    return thermo_from_virial_grid(ctx["model"], [(p["rho"], p["T"]) for p in points])
 
 
 def _prepare_classify(fixed: Mapping) -> dict:
@@ -439,7 +438,7 @@ REGISTRY: dict[str, _Quantity] = {
             ("energy", "k_B T"),
             ("enthalpy", "k_B T"),
         ),
-        evaluate=_pointwise(_eval_virial_thermo),
+        evaluate=_eval_virial_thermo,
         prepare=_prepare_virial_model,
         model_keys=("model", "d", "alpha", "amps", "c"),
     ),

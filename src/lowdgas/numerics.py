@@ -149,17 +149,17 @@ def _rule_faults(nodes: np.ndarray, weights: np.ndarray, bounds: list[int], lo, 
 
 
 # Newton budget of the node builder, in recurrence sweeps.  From
-# Tricomi's guesses the panel sizes 16 and 32, and single rules of 64,
-# 128, ..., 4096 nodes, need at most 4 steps plus the sweep at the
-# converged nodes that gives the weights.
+# Tricomi's guesses the panel size 16, and single rules of 64, 128, ...,
+# 4096 nodes, need at most 4 steps plus the sweep at the converged nodes
+# that gives the weights.
 _GL_MAX_EVALS = 10
 _GL_STEP_TOL = 4.0 * _EPS
 
 
-# The library asks for three n: the 1d solvers' panels (n = 16, both
-# ladders), the anyon panels (n = 32) and the upsampled rule of the 1d
-# solvers' Cauchy moments (n = 96); the bound keeps a caller that asks
-# gauss_legendre for many distinct n from growing memory.
+# The library asks for two n: the panels of the 1d solvers (both
+# ladders) and of the anyon integrals (n = 16), and the upsampled rule of
+# the 1d solvers' Cauchy moments (n = 96); the bound keeps a caller that
+# asks gauss_legendre for many distinct n from growing memory.
 @functools.lru_cache(maxsize=16)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on ``[-1, 1]``, ascending.

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import EvaluationError
+from .numerics import EvaluationError, _attempt
 
 __all__ = [
     "VirialModel",
@@ -31,6 +31,7 @@ __all__ = [
     "B2SmallBetaShape",
     "ShiftClassification",
     "thermo_from_virial",
+    "thermo_from_virial_grid",
     "internal_pressure",
     "scale_invariance_residuals",
     "check_scale_invariance",
@@ -135,26 +136,72 @@ def _validate_state_point(rho, T) -> None:
         raise ValueError(f"need finite rho > 0 and T > 0, got rho={rho}, T={T}")
 
 
+def _series(half_d: float, bs, dbs, powers, T) -> tuple:
+    """The six series of :class:`VirialThermo`, in its field order, from
+    ``B_{k+1}``, ``dB_{k+1}/dT`` and ``rho**k`` for ``k = 1 .. K_max``:
+    scalars (symbolic ones too), or arrays with one entry per state point."""
+    terms = list(enumerate(zip(bs, dbs, powers), start=1))
+    pressure = 1 + sum(b * p for _, (b, _, p) in terms)
+    helmholtz = half_d + sum(b * p / k for k, (b, _, p) in terms)
+    gibbs = half_d + 1 + sum((k + 1) * b * p / k for k, (b, _, p) in terms)
+    entropy = -sum((b + T * db) * p / k for k, (b, db, p) in terms)
+    energy = half_d - T * sum(db * p / k for k, (_, db, p) in terms)
+    enthalpy = half_d + 1 + sum((b - T * db / k) * p for k, (b, db, p) in terms)
+    return pressure, helmholtz, gibbs, entropy, energy, enthalpy
+
+
+def _powers(rho, k_max: int) -> list:
+    """``rho**k`` for ``k = 1 .. k_max``."""
+    return [rho**k for k in range(1, k_max + 1)]
+
+
+def _once(cache: dict, fn: Callable, x, *args):
+    """``fn(x, *args)``, or the exception it raised, computed once per
+    distinct ``x`` of each type (``2 == 2.0``, but ``2**k`` is an int)."""
+    key = (type(x), x)
+    if key not in cache:
+        cache[key] = _attempt(fn, x, *args)
+    return cache[key]
+
+
 def thermo_from_virial(model: VirialModel, rho, T) -> VirialThermo:
     """All six truncated virial series at the state point ``(rho, T)``."""
     _validate_state_point(rho, T)
     bs, dbs = model.evaluate(T)
-    half_d = model.d / 2.0
-    pressure = 1 + sum(b * rho**k for k, b in enumerate(bs, start=1))
-    helmholtz = half_d + sum(b * rho**k / k for k, b in enumerate(bs, start=1))
-    gibbs = half_d + 1 + sum(
-        (k + 1) * b * rho**k / k for k, b in enumerate(bs, start=1)
-    )
-    entropy = -sum(
-        (b + T * db) * rho**k / k
-        for k, (b, db) in enumerate(zip(bs, dbs), start=1)
-    )
-    energy = half_d - T * sum(db * rho**k / k for k, db in enumerate(dbs, start=1))
-    enthalpy = half_d + 1 + sum(
-        (b - T * db / k) * rho**k
-        for k, (b, db) in enumerate(zip(bs, dbs), start=1)
-    )
-    return VirialThermo(pressure, helmholtz, gibbs, entropy, energy, enthalpy)
+    return VirialThermo(*_series(model.d / 2.0, bs, dbs, _powers(rho, model.k_max), T))
+
+
+def thermo_from_virial_grid(model: VirialModel, points) -> list:
+    """:func:`thermo_from_virial` at each numeric ``(rho, T)`` of
+    ``points``, bit for bit, as the row ``(pressure, helmholtz, gibbs,
+    entropy, energy, enthalpy)`` of Python floats, or the exception it
+    raises.  The model is evaluated once per distinct ``T`` and
+    ``rho**k`` taken once per distinct ``rho``, both in Python floats, and
+    the six series are summed on arrays of all the points at once."""
+    coeffs, powers = {}, {}
+    rows, good, temps, bs, ps = [], [], [], [], []
+    for rho, T in points:
+        # a point fails where thermo_from_virial fails it: on its state
+        # point, then on its coefficients, then on rho**k
+        row = _attempt(_validate_state_point, rho, T)
+        if row is None:
+            row = b = _once(coeffs, model.evaluate, T)
+        if not isinstance(row, Exception):
+            row = _once(powers, _powers, rho, model.k_max)
+        if not isinstance(row, Exception):
+            good.append(len(rows))
+            temps.append(T)
+            bs.append(b)
+            ps.append(row)
+        rows.append(row)
+    if good:
+        # (2, K_max, points) and (K_max, points): a row per order k
+        values, slopes = np.array(bs, dtype=float).transpose(1, 2, 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python floats
+            series = _series(model.d / 2.0, values, slopes, np.array(ps, dtype=float).T, np.array(temps, dtype=float))
+        for i, row in zip(good, zip(*np.array(series).tolist())):
+            rows[i] = row
+    return rows
 
 
 def internal_pressure(model: VirialModel, rho, T):

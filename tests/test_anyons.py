@@ -187,7 +187,7 @@ def test_softcore_periodicity_and_evenness(alpha):
 # ---------------------------------------------------------------------------
 
 def test_anyon_calls_build_one_reference_rule():
-    # every scattering integral maps the same cached 32-node panel rule
+    # every scattering integral maps the same cached 16-node panel rule
     numerics._legendre_rule.cache_clear()
     numerics._panel_reference.cache_clear()
     for alpha in (0.1, 0.35, 0.6, 0.85, 1.3):
@@ -205,36 +205,36 @@ def test_anyon_calls_build_one_reference_rule():
 # -1), the refined shoulder at |delta| < 1/2, the integer endpoints and
 # eps from 1e-3 to 700.
 SCATTER_PINS = {
-    (0.03, +1, 0.001): (-0.25329133139951515, -0.032841331399515124, 4.4612633917451564e-05),
-    (0.03, +1, 700.0): (-0.24725334371572383, -0.026803343715723817, 4.450542706255198e-05),
-    (0.3, +1, 0.37): (-0.31528260599232544, -0.32028260599232544, 0.004641489679289913),
-    (0.3, +1, 5.0): (-0.1973110219644318, -0.20231102196443176, 0.004179855628657459),
-    (0.49, +1, 0.001): (-0.8236742715289326, -0.9436242715289326, 0.001729589548385226),
-    (0.5, +1, 0.37): (-0.4391255412266347, -0.5641255412266347, 0.013445667562503016),
-    (0.77, +1, 5.0): (0.06759208393478125, -0.15595791606521878, 0.015079599696366807),
-    (0.999, +1, 0.001): (-1.7459888148431275, -1.9959883148431274, 0.00020086604002853836),
-    (0.999, +1, 0.37): (-1.129464877486079, -1.3794643774860789, 0.051040604051874404),
-    (0.999999, +1, 5.0): (0.2365233983389672, -0.013476601660532807, 0.006738030063846113),
-    (-1.001, +1, 0.37): (-1.129464877486079, -1.3794643774860789, 0.051040604051874404),
-    (1.0, +1, 0.37): (-1.1314686612747094, -1.3814686612747094, 0.051114340467164246),
-    (0.0, +1, 0.37): (-0.25, -0.0, 0.0),
-    (2.0, +1, 700.0): (-0.25, -0.0, 0.0),
-    (0.6, +1, 700.0): (0.15930208072433272, -0.010697919275667262, 0.0006464398513056416),
-    (0.2, +1, 60.0): (-0.18170891939217043, -0.11170891939217044, 0.0016347634035996984),
-    (0.001, -1, 0.37): (-2.063193473851374, 1.0812762554752753, -0.12481889319061068),
-    (1e-06, -1, 5.0): (-296.4347391784742, 0.6415780266794984, -148.42715501543108),
-    (0.03, -1, 0.37): (-2.0637054697136845, 1.0522137596129646, -0.12480390886444205),
-    (0.3, -1, 0.001): (-0.6912049148839476, 1.3057960854494692, -0.003294376489353659),
-    (0.49, -1, 5.0): (-296.4676215329698, 0.23874667218334408, -148.42330479973896),
-    (0.5, -1, 700.0): (-2.028464109470009e+304, 0.0213091626985873, -1.4199248766290064e+306),
-    (0.77, -1, 0.37): (-2.405283261952372, 0.26663596737427714, -0.11454359300330577),
-    (0.999, -1, 5.0): (-296.5760226012318, 0.00029610392142313325, -148.41318163551534),
+    (0.03, 1, 0.001): (-0.2532913313995151, -0.03284133139951511, 4.461263391745157e-05),
+    (0.03, 1, 700.0): (-0.24725334371572383, -0.02680334371572381, 4.4505427062551956e-05),
+    (0.3, 1, 0.37): (-0.3152826059923253, -0.32028260599232533, 0.004641489679289911),
+    (0.3, 1, 5.0): (-0.19731102196443173, -0.20231102196443174, 0.004179855628657458),
+    (0.49, 1, 0.001): (-0.8236742715289324, -0.9436242715289324, 0.0017295895483852254),
+    (0.5, 1, 0.37): (-0.4391255412266345, -0.5641255412266345, 0.013445667562503014),
+    (0.77, 1, 5.0): (0.06759208393478136, -0.15595791606521867, 0.015079599696366812),
+    (0.999, 1, 0.001): (-1.7459888148431268, -1.9959883148431268, 0.00020086604002853836),
+    (0.999, 1, 0.37): (-1.129464877486078, -1.379464377486078, 0.05104060405187439),
+    (0.999999, 1, 5.0): (0.2365233983389671, -0.013476601660532909, 0.006738030063846167),
+    (-1.001, 1, 0.37): (-1.1294648774860787, -1.3794643774860786, 0.05104060405187439),
+    (1.0, 1, 0.37): (-1.1314686612747094, -1.3814686612747094, 0.051114340467164246),
+    (0.0, 1, 0.37): (-0.25, -0.0, 0.0),
+    (2.0, 1, 700.0): (-0.25, -0.0, 0.0),
+    (0.6, 1, 700.0): (0.15930208072433272, -0.010697919275667257, 0.0006464398513056413),
+    (0.2, 1, 60.0): (-0.18170891939217038, -0.1117089193921704, 0.0016347634035996982),
+    (0.001, -1, 0.37): (-2.063193473851374, 1.0812762554752753, -0.1248188931906107),
+    (1e-06, -1, 5.0): (-296.4347391784738, 0.6415780266799044, -148.4271550154311),
+    (0.03, -1, 0.37): (-2.0637054697136845, 1.0522137596129644, -0.12480390886444205),
+    (0.3, -1, 0.001): (-0.6912049148839479, 1.305796085449469, -0.003294376489353658),
+    (0.49, -1, 5.0): (-296.4676215329698, 0.23874667218334403, -148.42330479973896),
+    (0.5, -1, 700.0): (-2.028464109470009e+304, 0.02130916269858729, -1.4199248766290064e+306),
+    (0.77, -1, 0.37): (-2.405283261952372, 0.2666359673742771, -0.11454359300330577),
+    (0.999, -1, 5.0): (-296.5760226012318, 0.0002961039214231403, -148.41318163551534),
     (1.0, -1, 5.0): (-296.5763182051532, -0.0, -148.4131591025766),
     (0.0, -1, 0.001): (-2.2520010003334168, -0.0, -0.00020020010003334168),
     (3.0, -1, 0.37): (-2.645469229326649, -0.0, -0.10713236148508601),
-    (0.4, -1, 700.0): (-2.028464109470009e+304, 0.039956931264033185, -1.4199248766290064e+306),
-    (0.1, -1, 60.0): (-2.2840147796313685e+26, 0.2984137334078468, -1.370408867778821e+27),
-    (2.001, -1, 0.001): (-0.5559516008878431, 1.6950498994455738, -0.004561412851329373),
+    (0.4, -1, 700.0): (-2.028464109470009e+304, 0.03995693126403318, -1.4199248766290064e+306),
+    (0.1, -1, 60.0): (-2.2840147796313685e+26, 0.2984137334078467, -1.370408867778821e+27),
+    (2.001, -1, 0.001): (-0.5559516008878436, 1.6950498994455734, -0.0045614128513293785),
 }
 
 
@@ -253,7 +253,7 @@ def _reference_panel_edges(a, sc, eps):
     u_end = (anyon_abelian._EXP_END / eps) ** a
     pts = [0.0, u_end]
     base = min(1.0, u_star)
-    pts += [base * 2.0**-k for k in range(13)]
+    pts += [base * 2.0**-k for k in range(anyon_abelian._LADDER + 1)]
     v = base
     while v < u_end:
         v *= 2.0
@@ -287,7 +287,7 @@ def test_panel_edges_match_the_reference_layout():
     # the domain end lies 7.9e-12 (relative) above the shoulder edge 0.75:
     # a gap of 1e-11 max(p, 1) would drop it, the layout's 1e-11 p keeps it
     keys.append((0.2107347924403473, -0.7887380623443557, 234.97580682876546))
-    assert anyon_abelian._panel_edges(*keys[-1]).size == 25
+    assert anyon_abelian._panel_edges(*keys[-1]).size == 31
     for ai, si, ei in keys:
         got = anyon_abelian._panel_edges(ai, si, ei)
         assert np.array_equal(got, _reference_panel_edges(ai, si, ei)), (ai, si, ei)
@@ -354,7 +354,7 @@ def test_one_layout_pass_matches_the_reference_layout():
 def test_integrate_on_an_anyon_rule_names_a_nonfinite_node():
     # the panel rule of a scattering integral keeps the integrand check
     a = 0.3
-    rule = numerics.composite_rule(anyon_abelian._panel_edges(a, math.cos(math.pi * a), 1.0), n=32)
+    rule = numerics.composite_rule(anyon_abelian._panel_edges(a, math.cos(math.pi * a), 1.0), n=anyon_abelian._NODES)
     bad = rule.nodes[len(rule) // 3]
     with pytest.raises(numerics.EvaluationError, match=r"^integrand returned inf at node ") as exc:
         numerics.integrate(lambda u: np.where(u == bad, math.inf, 1.0), rule)
@@ -543,6 +543,23 @@ def test_a_grid_chunk_stays_below_half_a_mebibyte():
     assert len(out) == 400 and all(isinstance(v, B2Value) for v in out)
     assert all(type(c) is float for v in out for c in v)  # render_csv's bulk path
     assert peak < 1 << 19, peak
+
+
+def test_scattering_rule_budget_on_the_benchmark_grid(monkeypatch):
+    # the nodes and chunks integrated on the nominal 400-point anyon-b2
+    # grids of the benchmark, so a rule change that adds nodes shows here
+    nodes = []
+    chunked = anyon_abelian._integrate_chunk
+
+    def counting(keys, lo, half, rows, bounds, *rest):
+        nodes.append(bounds[-1])
+        return chunked(keys, lo, half, rows, bounds, *rest)
+
+    monkeypatch.setattr(anyon_abelian, "_integrate_chunk", counting)
+    for sigma, total, chunks in ((+1, 193_920, 52), (-1, 198_608, 54)):
+        nodes.clear()
+        anyon_abelian.b2_softcore_grid([(a, sigma, e) for a in np.linspace(0.05, 0.95, 20) for e in np.geomspace(0.01, 100.0, 20)])
+        assert (sum(nodes), len(nodes)) == (total, chunks), sigma
 
 
 def test_shift_near_integer_continuity_and_jump():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from lowdgas.anyon_abelian import b2_hardcore
 from lowdgas.lieb_liniger import LLParams, b2_ll, e_res_high_T
-from lowdgas.numerics import EvaluationError, derivative
+from lowdgas.numerics import EvaluationError, _attempt, derivative
 from lowdgas.virial import (
     B2SmallBetaShape,
     ScaleInvarianceReport,
@@ -35,6 +35,7 @@ from lowdgas.virial import (
     scale_invariance_residuals,
     shift_from_b2,
     thermo_from_virial,
+    thermo_from_virial_grid,
 )
 
 
@@ -109,6 +110,34 @@ def test_ideal_gas_values():
     assert out.energy == 1.0
     assert out.enthalpy == 2.0
     assert internal_pressure(power_law_model(3, 2.0, (0.0,)), 0.3, 5.0) == 0.0
+
+
+def test_grid_is_the_pointwise_series_bit_for_bit():
+    # every row, or the exception's type and text, as thermo_from_virial
+    # gives it point by point: invalid and extreme state points, overflow
+    # of rho**k and of the series, failing coefficients, repeated rho and T,
+    # and an int next to its equal float (2**k is an int, 2.0**k a float)
+    edges = [0.0, -1.0, math.inf, math.nan, 5e-324, 1e-300, 1e200, 1.7e308, 2, 2.0, 0.3]
+    points = [(rho, T) for rho in edges for T in edges]
+    points += [(10.0**r, 10.0**t) for r in range(-300, 301, 60) for t in range(-300, 301, 60)]
+    models = [
+        power_law_model(2, 2.0, (0.5, -0.2)),
+        power_law_model(3, 1.5, (1.0, 2.0, -3.0, 0.1)),
+        lieb_liniger_b2_model(1.0),
+        # a ZeroDivisionError at T = 0.3, and an error that names T = 2 or 2.0
+        VirialModel(d=1, alpha_scaling=2.0, coeffs=((lambda T: 1.0 / (T - 0.3), lambda T: math.inf if T == 2 else 0.0),)),
+    ]
+    for model in models:
+        got = thermo_from_virial_grid(model, points)
+        assert len(got) == len(points)
+        for point, row in zip(points, got):
+            want = _attempt(thermo_from_virial, model, *point)
+            if isinstance(want, Exception):
+                assert (type(row), str(row)) == (type(want), str(want)), point
+            else:
+                fields = (want.pressure, want.helmholtz, want.gibbs, want.entropy, want.energy, want.enthalpy)
+                assert all(type(v) is float for v in row), point
+                assert [v.hex() for v in row] == [float(v).hex() for v in fields], point
 
 
 def test_two_coefficient_hand_values():
