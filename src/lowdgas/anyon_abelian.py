@@ -32,8 +32,8 @@ relative from ``a = 0.01`` up to the fermionic pole, for ``eps`` from
 are taken from exact differences to get there.
 
 Points are evaluated in batches, a few array passes each: the points are
-checked on arrays, the panel rules of all their distinct keys laid out
-together and integrated in chunks; a single call is a batch of one.
+checked on arrays, the panel layouts of all their distinct keys built and
+checked together, then integrated in chunks; a single call is a batch of one.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import _attempt, _panel_reference, _rule_faults, _weighted_sum, erfcx
+from .numerics import _attempt, _erfcx_deficit, _panel_reference, _weighted_sum, erfcx
 
 __all__ = [
     "StatisticsParameter",
@@ -250,12 +250,6 @@ def _dedup(pts, u_end):
     return lo, hi, panels
 
 
-def _panel_edges(a: float, sc: float, eps: float) -> np.ndarray:
-    """The panel edges of one key, from :func:`_panel_blocks`."""
-    ((_, _, hi, _),) = _panel_blocks(np.array([a]), np.array([sc]), np.array([eps]))
-    return np.concatenate(([0.0], hi))
-
-
 def _integrate(a, sigma, eps, moment: int):
     """``(totals, errors)``: the integral ``I`` of :func:`_scatter_parts` at
     each key of the arrays (``0 < a < 1``, ``0 < eps < inf``), and the
@@ -274,24 +268,33 @@ def _integrate(a, sigma, eps, moment: int):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for keys, lo, hi, panels in _panel_blocks(a, sc, eps):
             first = np.concatenate(([0], panels.cumsum()))
-            ends, offsets = hi[first[1:] - 1].tolist(), (_NODES * first).tolist()
+            offsets = (_NODES * first).tolist()
             half = (hi - lo) * 0.5
+            # a key's nodes lo + half (x + 1) and weights half w meet QuadratureRule's
+            # four checks on [0, end] where its edges are finite and increasing (0 <
+            # half < inf) and the first is 0, as _dedup keeps panels 1e-11 p wide
+            wrong = (~((half > 0.0) & (half < math.inf))).nonzero()[0]
+            faults = dict.fromkeys((first.searchsorted(wrong, "right") - 1).tolist(), "quadrature nodes must be strictly increasing")
+            for k in (lo[first[:-1]] != 0.0).nonzero()[0].tolist():  # a rule on [lo, end]
+                faults.setdefault(k, "weights of a finite-domain rule must sum to the domain length")
             start = 0
             while start < keys.size:  # as many keys as fit in _CHUNK nodes, at least one
                 stop = max(start + 1, int(first.searchsorted(first[start] + _CHUNK // _NODES, "right")) - 1)
                 p, bounds = slice(first[start], first[stop]), [n - offsets[start] for n in offsets[start : stop + 1]]
                 rows = table[keys[start:stop]].repeat(panels[start:stop], axis=0)  # a row per panel
-                _integrate_chunk(keys[start:stop], lo[p], half[p], rows, bounds, ends[start:stop], moment, totals, errors)
+                _integrate_chunk(keys[start:stop], lo[p], half[p], rows, bounds, moment, totals, errors)
                 start = stop
+            # a faulty key's text wins over the non-finite sum it gives
+            errors.update((keys[k], ValueError(text)) for k, text in faults.items())
     return totals, errors
 
 
-def _integrate_chunk(keys, lo, half, rows, bounds, ends, moment: int, totals, errors) -> None:
+def _integrate_chunk(keys, lo, half, rows, bounds, moment: int, totals, errors) -> None:
     """Store in ``totals``, or else in ``errors``, the integral at each key of
     a chunk, over its panels ``(lo, lo + 2 half)`` with the integrand's
     parameter ``rows``: key ``i`` holds the nodes ``bounds[i]:bounds[i + 1]``
-    of the rule on ``[0, ends[i]]`` that :func:`~lowdgas.numerics.composite_rule`
-    maps and checks, and a pass of the integrand
+    of the rule that :func:`~lowdgas.numerics.composite_rule` would map on
+    the layout that :func:`_integrate` checks, and a pass of the integrand
     ``exp(-eps * u**(1/a)) * u**(m/a) / ((1-u)**2 + 2u(1+sc))`` gives a sum per key."""
     # the reference nodes x + 1 and weights w of every panel, end to end, from
     # a cached copy for a power of two of panels
@@ -305,7 +308,6 @@ def _integrate_chunk(keys, lo, half, rows, bounds, ends, moment: int, totals, er
     u = nodes.reshape(-1, _NODES)
     den = np.subtract((1.0 - lo)[:, None], u)
     u += lo[:, None]
-    faults = _rule_faults(nodes, weights, bounds, [0.0] * keys.size, ends)
     inv_a, neg_eps, log_scale, two_ops = rows.T[:, :, None]
     f = np.power(u, inv_a)
     f *= neg_eps
@@ -319,15 +321,12 @@ def _integrate_chunk(keys, lo, half, rows, bounds, ends, moment: int, totals, er
     f /= den
     f = f.ravel()
     totals[keys] = sums = [np.dot(weights[i:j], f[i:j]) for i, j in zip(bounds, bounds[1:])]
-    if any(faults) or not all(map(math.isfinite, sums)):
-        for k in [k for k, total in enumerate(sums) if faults[k] or not math.isfinite(total)]:
-            i, j = bounds[k : k + 2]
-            try:  # a fault, or a non-finite value that names its node, fails this key
-                if faults[k]:
-                    raise ValueError(faults[k])
-                _weighted_sum(weights[i:j], f[i:j], nodes[i:j])
-            except ValueError as err:
-                errors[keys[k]] = err
+    for k in [k for k, total in enumerate(sums) if not math.isfinite(total)]:
+        i, j = bounds[k : k + 2]
+        try:  # a non-finite value, named by its node, fails this key
+            _weighted_sum(weights[i:j], f[i:j], nodes[i:j])
+        except ValueError as err:
+            errors[keys[k]] = err
 
 
 def _reflected(a):
@@ -561,8 +560,9 @@ def e_rel_semion(bc: SoftCoreBC, dilution: float) -> float:
     eps = bc.eps
     if math.isinf(eps):
         return 0.0
-    root = math.sqrt(eps)
-    scatter = math.sqrt(eps / math.pi) - eps * erfcx(root)
+    root, scale = math.sqrt(eps), math.sqrt(eps / math.pi)
+    # scale (1 - sqrt(pi) root erfcx(root)) cancels from root = 6 on, where its deficit form does not
+    scatter = scale - eps * erfcx(root) if root < 6.0 else scale * _erfcx_deficit(root)
     if bc.sigma == +1:
         return x * scatter
     return _in_range(x * (-scatter - 2.0 * eps * _exp_or_inf(eps)), eps)

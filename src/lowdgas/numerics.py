@@ -107,45 +107,20 @@ class QuadratureRule:
         a, b = self.domain
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        (fault,) = _rule_faults(nodes, weights, [0, nodes.size], (a,), (b,))
-        if fault is not None:
-            raise ValueError(fault)
+        # each check asks for what must hold, so a NaN, for which every comparison
+        # is False, fails it; the weight sum is not checked on an infinite domain
+        rising = nodes[1:] > nodes[:-1]
+        if np.count_nonzero(rising) != rising.size:
+            raise ValueError("quadrature nodes must be strictly increasing")
+        if nodes.size and not (nodes[0] > a and (nodes[-1] < b or not math.isfinite(b))):
+            raise ValueError("quadrature nodes must lie strictly inside the domain")
+        if np.count_nonzero(weights > 0.0) != weights.size:
+            raise ValueError("quadrature weights must be positive")
+        if math.isfinite(b) and not abs(weights.sum() - (b - a)) <= 1e-12 * max(abs(b - a), 1.0):
+            raise ValueError("weights of a finite-domain rule must sum to the domain length")
 
     def __len__(self) -> int:
         return self.nodes.size
-
-
-def _rule_faults(nodes: np.ndarray, weights: np.ndarray, bounds: list[int], lo, hi) -> list[str | None]:
-    """The checks of :class:`QuadratureRule` on rules laid end to end, rule
-    ``i`` holding the nodes and weights ``bounds[i]:bounds[i + 1]`` on the
-    domain ``(lo[i], hi[i])``: each rule's first failed check, or ``None``.
-    Each check asks for what must hold, so a NaN, for which every
-    comparison is False, fails it; a node-wise check is split by rule only
-    where it fails, and the weight sum is not checked on an infinite domain."""
-    starts = bounds[:-1]
-    rising = nodes[1:] > nodes[:-1]
-    if len(starts) > 1:
-        rising[[stop - 1 for stop in bounds[1:-1]]] = True  # the pairs that straddle two rules
-    ordered, positive = (
-        [True] * len(starts)
-        if np.count_nonzero(ok) == ok.size
-        else np.logical_and.reduceat(np.append(ok, True), starts).tolist()
-        for ok in (rising, weights > 0.0)
-    )
-    totals = np.add.reduceat(weights, starts).tolist() if weights.size else [0.0]
-    faults = []
-    for in_order, signed, start, stop, total, a, b in zip(ordered, positive, starts, bounds[1:], totals, lo, hi):
-        if not in_order:
-            faults.append("quadrature nodes must be strictly increasing")
-        elif not (start == stop or (nodes[start] > a and (nodes[stop - 1] < b or not math.isfinite(b)))):
-            faults.append("quadrature nodes must lie strictly inside the domain")
-        elif not signed:
-            faults.append("quadrature weights must be positive")
-        elif math.isfinite(b) and not abs(total - (b - a)) <= 1e-12 * max(abs(b - a), 1.0):
-            faults.append("weights of a finite-domain rule must sum to the domain length")
-        else:
-            faults.append(None)
-    return faults
 
 
 # Newton budget of the node builder, in recurrence sweeps.  From

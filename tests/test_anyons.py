@@ -246,6 +246,12 @@ def test_scattering_rule_values_are_pinned_bit_for_bit(key):
     assert (b2.value, b2.scattering_part, e_rel_abelian(alpha, bc, 0.1)) == SCATTER_PINS[key]
 
 
+def _panel_edges(a, sc, eps):
+    # the panel edges of one key, from the layout pass of the grids
+    ((_, _, hi, _),) = anyon_abelian._panel_blocks(np.array([a]), np.array([sc]), np.array([eps]))
+    return np.concatenate(([0.0], hi))
+
+
 def _reference_panel_edges(a, sc, eps):
     # the panel layout as first written: Python lists, one sorted
     # generator over the filtered points, then the dedup pass
@@ -287,9 +293,9 @@ def test_panel_edges_match_the_reference_layout():
     # the domain end lies 7.9e-12 (relative) above the shoulder edge 0.75:
     # a gap of 1e-11 max(p, 1) would drop it, the layout's 1e-11 p keeps it
     keys.append((0.2107347924403473, -0.7887380623443557, 234.97580682876546))
-    assert anyon_abelian._panel_edges(*keys[-1]).size == 31
+    assert _panel_edges(*keys[-1]).size == 31
     for ai, si, ei in keys:
-        got = anyon_abelian._panel_edges(ai, si, ei)
+        got = _panel_edges(ai, si, ei)
         assert np.array_equal(got, _reference_panel_edges(ai, si, ei)), (ai, si, ei)
 
 
@@ -309,10 +315,9 @@ def _near_coincident_keys():
     return keys
 
 
-def test_one_layout_pass_matches_the_reference_layout():
-    # the keys of test_panel_edges_match_the_reference_layout laid out as one
-    # grid, plus keys at the 1e-10 refinement floor and keys whose edges
-    # nearly coincide, in every block and key order the layout picks
+def _one_grid_keys():
+    # the keys of test_panel_edges_match_the_reference_layout, plus keys at
+    # the 1e-10 refinement floor and keys whose edges nearly coincide
     rng = np.random.default_rng(20141)
     a = np.concatenate([rng.uniform(1e-4, 1.0, 5000), rng.uniform(0.9, 1.0, 1000), [1e-6, 0.5, 1.0]])
     sigma = rng.choice([-1.0, 1.0], a.size)
@@ -324,8 +329,14 @@ def test_one_layout_pass_matches_the_reference_layout():
     # refinements would meet below 1)
     keys += [(x, -1.0, e) for x in (0.1, 0.3) for e in (1e-3, 1.0, 59.0)]
     keys += [(x, s, e) for x in (1e-12, 1e-9) for s in (-1.0, -0.75) for e in (1e-300, 1e-200)]
+    return keys + _near_coincident_keys()
+
+
+def test_one_layout_pass_matches_the_reference_layout():
+    # the keys of _one_grid_keys laid out as one grid, in every block and key
+    # order the layout picks
+    keys = _one_grid_keys()
     near = _near_coincident_keys()
-    keys += near
     a, sc, eps = map(np.array, zip(*keys))
     seen = np.zeros(a.size, dtype=bool)
     for block, lo, hi, panels in anyon_abelian._panel_blocks(a, sc, eps):
@@ -351,10 +362,132 @@ def test_one_layout_pass_matches_the_reference_layout():
     assert tight >= 3
 
 
+def _reference_rule_faults(nodes, weights, bounds, lo, hi):
+    # the checks of QuadratureRule node by node, on rules laid end to end:
+    # rule i holds the nodes and weights bounds[i]:bounds[i + 1] on the
+    # domain (lo[i], hi[i]); each rule's first failed check, or None
+    starts = bounds[:-1]
+    rising = nodes[1:] > nodes[:-1]
+    if len(starts) > 1:
+        rising[[stop - 1 for stop in bounds[1:-1]]] = True  # the pairs that straddle two rules
+    ordered, positive = (
+        [True] * len(starts)
+        if np.count_nonzero(ok) == ok.size
+        else np.logical_and.reduceat(np.append(ok, True), starts).tolist()
+        for ok in (rising, weights > 0.0)
+    )
+    totals = np.add.reduceat(weights, starts).tolist() if weights.size else [0.0]
+    faults = []
+    for in_order, signed, start, stop, total, a, b in zip(ordered, positive, starts, bounds[1:], totals, lo, hi):
+        if not in_order:
+            faults.append("quadrature nodes must be strictly increasing")
+        elif not (start == stop or (nodes[start] > a and (nodes[stop - 1] < b or not math.isfinite(b)))):
+            faults.append("quadrature nodes must lie strictly inside the domain")
+        elif not signed:
+            faults.append("quadrature weights must be positive")
+        elif math.isfinite(b) and not abs(total - (b - a)) <= 1e-12 * max(abs(b - a), 1.0):
+            faults.append("weights of a finite-domain rule must sum to the domain length")
+        else:
+            faults.append(None)
+    return faults
+
+
+def _checked_layouts(monkeypatch, keys, corrupt=lambda block, lo, hi, panels: None):
+    """``(layout, reference)``: the text of each key that the layout check
+    of ``_integrate`` fails, and the reference checks' verdict on each key's
+    rule, run on every chunk of the layouts of ``keys`` (``(a, sc, eps)``,
+    any ``sc``) after ``corrupt`` edits a block's ``lo`` and ``hi`` in place."""
+    a, sc, eps = map(np.array, zip(*keys))
+    blocks, chunk = anyon_abelian._panel_blocks, anyon_abelian._integrate_chunk
+    x1, w = numerics._panel_reference(anyon_abelian._NODES)[:, 0]
+    block_hi, reference = [], {}
+
+    def layout(*_):
+        for block, lo, hi, panels in blocks(a, sc, eps):
+            corrupt(block, lo, hi, panels)
+            block_hi[:] = [hi, 0]  # the block's edges, and the panels its chunks took
+            yield block, lo, hi, panels
+
+    def checked(chunk_keys, lo, half, rows, bounds, *rest):
+        # the chunk's nodes and weights as _integrate_chunk maps them
+        nodes, weights = (half[:, None] * x1 + lo[:, None]).ravel(), (half[:, None] * w).ravel()
+        hi, taken = block_hi
+        ends = hi[taken + np.array(bounds[1:]) // anyon_abelian._NODES - 1]
+        block_hi[1] += half.size
+        faults = _reference_rule_faults(nodes, weights, bounds, [0.0] * chunk_keys.size, ends)
+        reference.update(zip(chunk_keys.tolist(), faults))
+        return chunk(chunk_keys, lo, half, rows, bounds, *rest)
+
+    monkeypatch.setattr(anyon_abelian, "_panel_blocks", layout)
+    monkeypatch.setattr(anyon_abelian, "_integrate_chunk", checked)
+    _, errors = anyon_abelian._integrate(a, np.ones(a.size), eps, 0)
+    assert sorted(reference) == list(range(a.size))
+    # an integrand that leaves float range gives an EvaluationError instead
+    return {k: str(err) for k, err in errors.items() if type(err) is ValueError}, reference
+
+
+def test_the_layout_check_passes_only_rules_that_pass_every_node_check(monkeypatch):
+    # today's layouts, on every chunk: the layout check passes every key,
+    # and so does the node-by-node reference
+    layout, reference = _checked_layouts(monkeypatch, _one_grid_keys())
+    assert layout == {}
+    assert set(reference.values()) == {None}
+
+
+@pytest.mark.parametrize(
+    "edit, text",
+    [
+        ("nan", "quadrature nodes must be strictly increasing"),
+        ("repeated", "quadrature nodes must be strictly increasing"),
+        ("reversed", "quadrature nodes must be strictly increasing"),
+        ("start", "weights of a finite-domain rule must sum to the domain length"),
+    ],
+)
+def test_a_corrupted_layout_fails_both_checks_with_the_same_text(monkeypatch, edit, text):
+    # one key of each block gets a NaN edge, an edge repeated (hi = lo), an
+    # edge below its panel's lo, or a first edge above 0; the other keys of
+    # the block pass
+    keys = _one_grid_keys()[::40]
+    bad = []
+
+    def corrupt(block, lo, hi, panels):
+        k = block.size // 2
+        start = int(panels[:k].sum())  # key k's first panel
+        i = start + int(panels[k]) // 2  # and one inside it
+        bad.append(int(block[k]))
+        if edit == "start":
+            lo[start] = 0.5 * hi[start]
+            return
+        hi[i] = {"nan": math.nan, "repeated": lo[i], "reversed": 0.5 * lo[i]}[edit]
+        lo[i + 1] = hi[i]  # the next panel starts where this one ends
+
+    layout, reference = _checked_layouts(monkeypatch, keys, corrupt)
+    assert layout == dict.fromkeys(bad, text)
+    assert {k: v for k, v in reference.items() if v} == layout
+
+
+def test_a_faulty_layout_fails_its_own_point_with_the_rule_text(monkeypatch):
+    # a NaN edge also makes the key's sum NaN: the rule text wins over the
+    # EvaluationError that names the node
+    points = [(0.3, 1, 1.0), (0.4, 1, 1.0)]
+    good = anyon_abelian.b2_softcore_grid(points)
+    blocks = anyon_abelian._panel_blocks
+
+    def layout(a, sc, eps):
+        for block, lo, hi, panels in blocks(a, sc, eps):
+            hi[3] = lo[4] = math.nan  # a panel of the first key, a = 0.3
+            yield block, lo, hi, panels
+
+    monkeypatch.setattr(anyon_abelian, "_panel_blocks", layout)
+    first, second = anyon_abelian.b2_softcore_grid(points)
+    assert type(first) is ValueError and str(first) == "quadrature nodes must be strictly increasing"
+    assert second == good[1]
+
+
 def test_integrate_on_an_anyon_rule_names_a_nonfinite_node():
     # the panel rule of a scattering integral keeps the integrand check
     a = 0.3
-    rule = numerics.composite_rule(anyon_abelian._panel_edges(a, math.cos(math.pi * a), 1.0), n=anyon_abelian._NODES)
+    rule = numerics.composite_rule(_panel_edges(a, math.cos(math.pi * a), 1.0), n=anyon_abelian._NODES)
     bad = rule.nodes[len(rule) // 3]
     with pytest.raises(numerics.EvaluationError, match=r"^integrand returned inf at node ") as exc:
         numerics.integrate(lambda u: np.where(u == bad, math.inf, 1.0), rule)
@@ -600,7 +733,7 @@ def test_semion_frozen_values(key):
     assert got == pytest.approx(E_REL_SEMION_REFERENCE[key], rel=1e-11)
 
 
-@pytest.mark.parametrize("eps", [1e-6, 0.01, 0.5, 1.0, 7.0, 100.0, 1e4])
+@pytest.mark.parametrize("eps", [1e-6, 0.01, 0.5, 1.0, 7.0, 100.0, 1e4, 1e8, 1e12, 1e16])
 def test_semion_closed_form_equals_quadrature(eps):
     for sigma in (+1, -1):
         if sigma == -1 and eps > 500.0:
@@ -608,7 +741,7 @@ def test_semion_closed_form_equals_quadrature(eps):
         bc = SoftCoreBC(sigma, eps)
         closed = e_rel_semion(bc, 1.0)
         quad = e_rel_abelian(0.5, bc, 1.0)
-        assert quad == pytest.approx(closed, rel=1e-10)
+        assert quad == pytest.approx(closed, rel=1e-10, abs=0.0)
 
 
 def test_semion_asymptotics_and_maximum():
