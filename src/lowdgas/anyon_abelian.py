@@ -270,9 +270,9 @@ def _integrate(a, sigma, eps, moment: int):
             first = np.concatenate(([0], panels.cumsum()))
             offsets = (_NODES * first).tolist()
             half = (hi - lo) * 0.5
-            # a key's nodes lo + half (x + 1) and weights half w meet QuadratureRule's
-            # four checks on [0, end] where its edges are finite and increasing (0 <
-            # half < inf) and the first is 0, as _dedup keeps panels 1e-11 p wide
+            # a key's nodes lo + half (x + 1) and weights half w meet QuadratureRule's four checks on
+            # [0, end] where its edges are finite and increasing (0 < half < inf) and the first is
+            # 0, as _dedup keeps each panel at least 1e-11 of its position wide
             wrong = (~((half > 0.0) & (half < math.inf))).nonzero()[0]
             faults = dict.fromkeys((first.searchsorted(wrong, "right") - 1).tolist(), "quadrature nodes must be strictly increasing")
             for k in (lo[first[:-1]] != 0.0).nonzero()[0].tolist():  # a rule on [lo, end]
