@@ -129,25 +129,24 @@ class ChannelWeights:
     bosonic: tuple[bool, ...]
 
 
-def channel_weights(sys: NACSSystem) -> ChannelWeights:
-    """Reduced statistics parameters for every isospin channel."""
-    twice_l = sys.channel_count - 1
-    sign = 1 if sys.k > 0 else -1  # makes the denominator 2k positive
-    d = 2 * sys.k * sign
-    omega, delta, gamma, nu, bosonic = [], [], [], [], []
-    for j in range(sys.channel_count):
+def _channels(k: int, twice_l: int) -> list[tuple]:
+    """``(omega, delta, gamma, nu, bosonic)`` of each channel ``j = 0 ..
+    2l`` at level ``k``, as :class:`ChannelWeights` defines them."""
+    sign = 1 if k > 0 else -1  # makes the denominator 2k positive
+    d = 2 * k * sign
+    channels = []
+    for j in range(twice_l + 1):
         n = (2 * j * (j + 1) - twice_l * (twice_l + 2)) * sign
         b = (j + twice_l) % 2 == 0
         # m / d mod 2 into [-1, 1) in integers, then one correctly rounded division
         dj, gj = (((m + d) % (2 * d) - d) / d for m in (n, n + d))
-        omega.append(n / d)
-        delta.append(dj)
-        gamma.append(gj)
-        nu.append(dj if b else gj)
-        bosonic.append(b)
-    return ChannelWeights(
-        tuple(omega), tuple(delta), tuple(gamma), tuple(nu), tuple(bosonic)
-    )
+        channels.append((n / d, dj, gj, dj if b else gj, b))
+    return channels
+
+
+def channel_weights(sys: NACSSystem) -> ChannelWeights:
+    """Reduced statistics parameters for every isospin channel."""
+    return ChannelWeights(*zip(*_channels(sys.k, sys.channel_count - 1)))
 
 
 def _runs(sys: NACSSystem) -> tuple[list, list, list]:
@@ -221,7 +220,8 @@ def b2_nacs_isotropic(sys: NACSSystem) -> float:
 def _isotropic_grid(points, term: Callable, dilution: bool) -> list:
     """The channel sum of ``term`` for each isotropic system ``(k, l, eps,
     sigma[, dilution])`` of ``points``, or its exception: the channels of
-    each distinct ``(k, l, sigma)`` once, with one batch of Abelian terms."""
+    each distinct ``(k, l)`` once, from ``k`` and ``2l`` alone (a valid
+    point builds no eps matrix), with one batch of Abelian terms."""
 
     def checked(k, l, eps, sigma, *x):
         sys = NACSSystem.isotropic(k, l, eps, sigma)
@@ -233,16 +233,18 @@ def _isotropic_grid(points, term: Callable, dilution: bool) -> list:
 
     (k, l, eps, sigma, *x), errors = _grid(points, checked, valid, (1.0, 0.0, math.inf, 1.0, 0.0)[: 4 + dilution])
     x, means, groups = x[0] if x else eps, np.zeros(eps.size), {}  # the B_2 term takes no dilution
-    for i, system in enumerate(zip(k.tolist(), l.tolist(), sigma.tolist())):
+    for i, system in enumerate(zip(k.tolist(), (2.0 * l).tolist())):
         if i not in errors:
             groups.setdefault(system, []).append(i)
-    for (gk, gl, gs), members in groups.items():
-        counts, stats, _ = _runs(NACSSystem.isotropic(gk, gl, 1.0, gs))
+    for (gk, twice_l), members in groups.items():
+        # channel j is one run of 2j + 1 equal eps, at its |nu_j|
+        stats = [abs(nu) for _, _, _, nu, _ in _channels(int(gk), int(twice_l))]
+        counts = [2 * j + 1 for j in range(len(stats))]
         members = np.array(members)
         entry = members.repeat(len(counts))
         values, failed = term(x[entry], np.tile(stats, members.size), sigma[entry], eps[entry])
         values = values.reshape(members.size, -1)
-        means[members], rows = _channel_mean(counts, values, failed, (2.0 * gl + 1.0) ** 2, eps[members])
+        means[members], rows = _channel_mean(counts, values, failed, (twice_l + 1.0) ** 2, eps[members])
         errors.update((members[i].item(), err) for i, err in rows.items())
     return _rows(means, errors)
 

@@ -30,7 +30,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -257,49 +256,39 @@ def _ll_solver_kw(opts: Mapping) -> dict:
     return kw
 
 
-def _pointwise(evaluate: Callable[[Mapping, Mapping, Mapping], tuple]) -> Callable:
-    """The grid form of an evaluator of one point."""
-    return lambda points, opts, ctx: [_attempt(evaluate, p, opts, ctx) for p in points]
+def _pointwise(evaluate: Callable[..., object]) -> Callable:
+    """The grid form of ``evaluate(*point, opts)``, an evaluator of one
+    point that takes its parameters positionally, then the run options:
+    each point's outputs, or the exception it raised."""
+    return lambda points, opts, fixed: [_attempt(evaluate, *p, opts) for p in points]
 
 
-def _eval_ll_ground(p, opts, ctx):
-    gs = solve_ground_state(p["gamma"], **_ll_solver_kw(opts))
+def _eval_ll_ground(gamma, opts):
+    gs = solve_ground_state(gamma, **_ll_solver_kw(opts))
     return (gs.energy, gs.ell)
 
 
-def _eval_ll_tba(p, opts, ctx):
-    sol = solve_tba(LLParams(gamma=p["gamma"], tau=p["tau"]), **_ll_solver_kw(opts))
+def _eval_ll_tba(gamma, tau, opts):
+    sol = solve_tba(LLParams(gamma=gamma, tau=tau), **_ll_solver_kw(opts))
     pressure, energy = observables(sol)
     return (sol.mu, pressure, energy)
 
 
-def _eval_ll_shift(p, opts, ctx):
-    if p["tau"] == 0.0:
-        return (e_res_zero_T(p["gamma"], **_ll_solver_kw(opts)),)
-    return (e_res_finite_T(LLParams(gamma=p["gamma"], tau=p["tau"]), **_ll_solver_kw(opts)),)
+def _eval_ll_shift(gamma, tau, opts):
+    if tau == 0.0:
+        return e_res_zero_T(gamma, **_ll_solver_kw(opts))
+    return e_res_finite_T(LLParams(gamma=gamma, tau=tau), **_ll_solver_kw(opts))
 
 
-def _eval_ll_b2(p, opts, ctx):
-    return (b2_ll(LLParams(gamma=p["gamma"], tau=p["tau"])),)
+def _eval_ll_b2(gamma, tau, opts):
+    return b2_ll(LLParams(gamma=gamma, tau=tau))
 
 
-def _eval_anyon_semion(p, opts, ctx):
-    return (e_rel_semion(SoftCoreBC(int(p["sigma"]), p["eps"]), p["x"]),)
+def _eval_anyon_semion(sigma, eps, x, opts):
+    return e_rel_semion(SoftCoreBC(int(sigma), eps), x)
 
 
-def _on_grid(evaluate: Callable[[list], list], names: tuple[str, ...], rows: bool = False) -> Callable:
-    """The evaluator of a library grid function of each point's ``names``,
-    giving its value (or its row of values, with ``rows``) or exception."""
-    values = operator.itemgetter(*names)
-
-    def grid(points, opts, ctx):
-        outs = evaluate(list(map(values, points)))
-        return outs if rows else [v if isinstance(v, Exception) else (v,) for v in outs]
-
-    return grid
-
-
-def _prepare_virial_model(fixed: Mapping) -> dict:
+def _virial_model(fixed: Mapping):
     kind = str(fixed.get("model", "power-law"))
     if kind == "power-law":
         for key in ("d", "alpha", "amps"):
@@ -315,37 +304,29 @@ def _prepare_virial_model(fixed: Mapping) -> dict:
             amps = (float(amps),)
         if not amps:
             raise SpecError("amps must list at least one coefficient")
-        model = power_law_model(_as_int(fixed["d"], "d"), float(fixed["alpha"]), amps)
-    elif kind == "delta-gas":
+        return power_law_model(_as_int(fixed["d"], "d"), float(fixed["alpha"]), amps)
+    if kind == "delta-gas":
         if "c" not in fixed:
             raise SpecError("delta-gas model needs c")
-        model = lieb_liniger_b2_model(float(fixed["c"]))
-    else:
-        raise SpecError(f"unknown model {kind!r} (power-law or delta-gas)")
-    return {"model": model}
+        return lieb_liniger_b2_model(float(fixed["c"]))
+    raise SpecError(f"unknown model {kind!r} (power-law or delta-gas)")
 
 
-def _eval_virial_thermo(points, opts, ctx):
-    return thermo_from_virial_grid(ctx["model"], [(p["rho"], p["T"]) for p in points])
+def _eval_virial_thermo(points, opts, fixed):
+    return thermo_from_virial_grid(_virial_model(fixed), points)
 
 
-def _prepare_classify(fixed: Mapping) -> dict:
+def _eval_classify(points, opts, fixed):
     extra = fixed.get("extra", ())  # "c,p,l;c,p,l" from a specfile, a list from flags
     if isinstance(extra, str):
         extra = extra.split(";")
-    return {"extra": _parse_extra_terms([t for t in extra if t.strip()])}
+    extra = _parse_extra_terms([t for t in extra if t.strip()])
 
+    def one(d, sqrt_beta, beta_log_beta, beta):
+        out = classify_shift(B2SmallBetaShape(sqrt_beta, beta_log_beta, beta, extra), int(d))
+        return (out.verdict, "" if out.limit_value is None else out.limit_value)
 
-def _eval_classify(p, opts, ctx):
-    shape = B2SmallBetaShape(
-        sqrt_beta=p["sqrt_beta"],
-        beta_log_beta=p["beta_log_beta"],
-        beta=p["beta"],
-        extra=ctx.get("extra", ()),
-    )
-    out = classify_shift(shape, int(p["d"]))
-    limit = out.limit_value if out.limit_value is not None else ""
-    return (out.verdict, limit)
+    return [_attempt(one, *p) for p in points]
 
 
 @dataclass(frozen=True)
@@ -353,15 +334,19 @@ class _Quantity:
     """One quantity, declared once.  Its subcommand takes one flag per
     parameter and is named by ``command``, or else by the quantity's
     name split at its first dash (``ll-b2`` is ``lowdgas ll b2``).
-    ``evaluate(points, opts, ctx)`` maps the grid's parameter mappings to
-    each point's outputs or exception (see :func:`_pointwise`).
+    ``evaluate(points, opts, fixed)`` maps the grid's points, each a tuple
+    of the quantity's parameters in ``required + defaults`` order, to each
+    point's outputs (a one-output quantity's value itself) or exception;
+    ``opts`` are the run options, and ``fixed`` the spec's fixed
+    parameters as given, from which an evaluator builds what every point
+    shares (a model, extra terms) before the first point, so that a bad
+    one is a spec error (see :func:`_pointwise`).
     """
 
     required: tuple[str, ...]
     outputs: tuple[tuple[str, str], ...]
-    evaluate: Callable[[Sequence[Mapping], Mapping, Mapping], list]
+    evaluate: Callable[[Sequence[tuple], Mapping, Mapping], list]
     defaults: Mapping[str, float] = field(default_factory=dict)
-    prepare: Callable[[Mapping], dict] | None = None
     model_keys: tuple[str, ...] = ()
     command: str | None = None
 
@@ -406,12 +391,12 @@ REGISTRY: dict[str, _Quantity] = {
             ("bound_state_part", "lambda_T^2"),
             ("scattering_part", "lambda_T^2"),
         ),
-        evaluate=_on_grid(b2_softcore_grid, ("alpha", "sigma", "eps"), rows=True),
+        evaluate=lambda points, opts, fixed: b2_softcore_grid(points),
     ),
     "anyon-shift": _Quantity(
         required=("alpha", "sigma", "eps", "x"),
         outputs=(("e_rel", ""),),
-        evaluate=_on_grid(e_rel_abelian_grid, ("alpha", "sigma", "eps", "x")),
+        evaluate=lambda points, opts, fixed: e_rel_abelian_grid(points),
     ),
     "anyon-semion": _Quantity(
         required=("sigma", "eps", "x"),
@@ -421,12 +406,12 @@ REGISTRY: dict[str, _Quantity] = {
     "nacs-b2": _Quantity(
         required=("k", "l", "eps", "sigma"),
         outputs=(("b2", "lambda_T^2"),),
-        evaluate=_on_grid(b2_nacs_grid, ("k", "l", "eps", "sigma")),
+        evaluate=lambda points, opts, fixed: b2_nacs_grid(points),
     ),
     "nacs-shift": _Quantity(
         required=("k", "l", "eps", "sigma", "x"),
         outputs=(("e_rel", ""),),
-        evaluate=_on_grid(e_rel_nacs_grid, ("k", "l", "eps", "sigma", "x")),
+        evaluate=lambda points, opts, fixed: e_rel_nacs_grid(points),
     ),
     "virial-thermo": _Quantity(
         required=("rho", "T"),
@@ -439,15 +424,13 @@ REGISTRY: dict[str, _Quantity] = {
             ("enthalpy", "k_B T"),
         ),
         evaluate=_eval_virial_thermo,
-        prepare=_prepare_virial_model,
         model_keys=("model", "d", "alpha", "amps", "c"),
     ),
     "classify": _Quantity(
         required=("d",),
         defaults={"sqrt_beta": 0.0, "beta_log_beta": 0.0, "beta": 0.0},
         outputs=(("verdict", ""), ("limit", "energy volume")),
-        evaluate=_pointwise(_eval_classify),
-        prepare=_prepare_classify,
+        evaluate=_eval_classify,
         model_keys=("extra",),
         command="virial classify",
     ),
@@ -506,19 +489,18 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None) -> ResultTable:
     opts = dict(opts or {})
     q = REGISTRY[spec.quantity]
     _check_parameters(spec, q)
-    context = q.prepare(spec.fixed) if q.prepare is not None else {}
 
     base = dict(q.defaults)
     base.update((k, _number(v, k)) for k, v in spec.fixed.items() if k not in q.model_keys)
 
-    points = list(itertools.product(*(axis.values() for axis in spec.axes)))
+    names = (*q.required, *q.defaults)
     axis_names = [a.name for a in spec.axes]
-    lead = axis_names or [*q.required, *q.defaults]
-    # each point's mapping, its axis values after (and over) the fixed ones
-    names, values = (*base, *axis_names), tuple(base.values())
-    grid = [dict(zip(names, values + point)) for point in points]
-    # a row leads with its axis values, or the one point's parameters
-    heads = points if axis_names else [tuple(base[name] for name in lead)]
+    heads = list(itertools.product(*(axis.values() for axis in spec.axes)))
+    # a point holds the parameters in order: its axis values, else the fixed ones
+    at = {name: i for i, name in enumerate(axis_names)}
+    take = [at.get(name, len(at) + i) for i, name in enumerate(names)]
+    values = tuple(base.get(name) for name in names)
+    points = [tuple(map((head + values).__getitem__, take)) for head in heads]
 
     def row(head: tuple, out) -> tuple:
         if not isinstance(out, Exception):
@@ -537,10 +519,13 @@ def run_sweep(spec: SweepSpec, opts: Mapping | None = None) -> ResultTable:
         note = f"{type(out).__name__}: {out}".replace("\n", "; ")
         return head + ("",) * len(q.outputs) + (note,)
 
-    outs = q.evaluate(grid, opts, context)
-    rows = tuple(itertools.starmap(row, zip(heads, outs, strict=True)))
+    outs = q.evaluate(points, opts, spec.fixed)
+    if len(q.outputs) == 1:  # the value of a one-output quantity is its row
+        outs = [out if isinstance(out, Exception) else (out,) for out in outs]
+    # a row leads with its axis values, or with the one point
+    rows = tuple(itertools.starmap(row, zip(heads if axis_names else points, outs, strict=True)))
 
-    columns = tuple((name, "") for name in lead) + q.outputs + (("status", ""),)
+    columns = tuple((name, "") for name in axis_names or names) + q.outputs + (("status", ""),)
     config = dict(opts, format=spec.format or opts.get("format"))
     metadata = _metadata(spec.quantity, spec.axes, spec.fixed, config)
     return ResultTable(columns=columns, rows=rows, metadata=metadata)
@@ -814,8 +799,8 @@ def _flag_values(ns: argparse.Namespace, names: Iterable[str]) -> dict:
     return {name: getattr(ns, name) for name in names if getattr(ns, name) is not None}
 
 
-def _channels_table(ns: argparse.Namespace) -> tuple:
-    sys_ = NACSSystem.isotropic(_as_int(ns.k, "k"), ns.l, 1.0, +1)
+def _channels_table(fixed: Mapping) -> tuple:
+    sys_ = NACSSystem.isotropic(_as_int(fixed["k"], "k"), fixed["l"], 1.0, +1)
     w = channel_weights(sys_)
     rows = [
         (
@@ -829,17 +814,16 @@ def _channels_table(ns: argparse.Namespace) -> tuple:
         for j in range(sys_.channel_count)
     ]
     columns = ("j", "omega", "delta", "gamma", "nu", "kind")
-    return columns, rows, _flag_values(ns, ("k", "l"))
+    return columns, rows, fixed
 
 
-def _scaling_table(ns: argparse.Namespace) -> tuple:
-    fixed = _flag_values(ns, REGISTRY["virial-thermo"].model_keys)
-    model = _prepare_virial_model(fixed)["model"]
+def _scaling_table(fixed: Mapping) -> tuple:
+    model = _virial_model(fixed)
     try:
-        temps = [float(t) for t in ns.temps.split(",") if t.strip()]
+        temps = [float(t) for t in fixed["temps"].split(",") if t.strip()]
     except ValueError as err:
-        raise SpecError(f"bad temperature list {ns.temps!r}") from err
-    report = check_scale_invariance(model, temps, rtol=ns.rtol)  # a ValueError exits 1 in main
+        raise SpecError(f"bad temperature list {fixed['temps']!r}") from err
+    report = check_scale_invariance(model, temps, rtol=fixed["rtol"])  # a ValueError exits 1 in main
     rows = [
         (
             float(k + 1),
@@ -848,19 +832,19 @@ def _scaling_table(ns: argparse.Namespace) -> tuple:
         )
         for k in range(len(report.relative_spread))
     ]
-    fixed.update(temps=temps, rtol=ns.rtol)
-    return ("order_k", "relative_spread", "scaling"), rows, fixed
+    return ("order_k", "relative_spread", "scaling"), rows, {**fixed, "temps": temps}
 
 
 @dataclass(frozen=True)
 class _Table:
     """A command that prints a table of its own, not one point of a
     quantity; its flags and name are declared as a quantity's are.
-    ``build`` gives the column names, the rows and the parameters to
-    echo in the metadata; every column is unitless.
+    ``build(fixed)``, given the parameters set by flags, gives the column
+    names, the rows and the parameters to echo in the metadata; every
+    column is unitless.
     """
 
-    build: Callable[[argparse.Namespace], tuple]
+    build: Callable[[Mapping], tuple]
     required: tuple[str, ...]
     defaults: Mapping[str, object] = field(default_factory=dict)
     model_keys: tuple[str, ...] = ()
@@ -931,6 +915,8 @@ def _effective_opts(ns: argparse.Namespace) -> dict:
         with open(ns.config, "r", encoding="utf-8") as fh:
             opts.update(_parse_config(fh.read(), ns.config))
     opts.update(_flag_values(ns, _RUN_OPTIONS))
+    if opts["tol"] is not None and not opts["tol"] > 0.0:
+        raise SpecError(f"tol must be > 0, got {opts['tol']}")
     return opts
 
 
@@ -952,22 +938,21 @@ def _dispatch(ns: argparse.Namespace, opts: Mapping) -> tuple[ResultTable, str |
     is the table's ``config`` metadata: a ``--format`` flag, else a
     specfile's format line, else the config file's, else csv.
     """
-    if ns.quantity in _TABLES:
-        columns, rows, fixed = _TABLES[ns.quantity].build(ns)
-        table = ResultTable(
-            columns=tuple((name, "") for name in (*columns, "status")),
-            rows=tuple((*row, "ok") for row in rows),
-            metadata=_metadata(ns.quantity, (), fixed, opts),
-        )
-        return table, ns.out
     if ns.quantity is None:
         with open(ns.specfile, "r", encoding="utf-8") as fh:
             spec = parse_specfile(fh.read(), name=ns.specfile)
         spec = replace(spec, format=ns.format or spec.format)
-    else:
-        fixed = _flag_values(ns, _parameters(REGISTRY[ns.quantity]))
-        spec = SweepSpec(ns.quantity, (), fixed, format=None)
-    return run_sweep(spec, opts), spec.output if ns.out is None else ns.out
+        return run_sweep(spec, opts), spec.output if ns.out is None else ns.out
+    fixed = _flag_values(ns, _parameters(_TABLES.get(ns.quantity) or REGISTRY[ns.quantity]))
+    if ns.quantity not in _TABLES:
+        return run_sweep(SweepSpec(ns.quantity, (), fixed, format=None), opts), ns.out
+    columns, rows, fixed = _TABLES[ns.quantity].build(fixed)
+    table = ResultTable(
+        columns=tuple((name, "") for name in (*columns, "status")),
+        rows=tuple((*row, "ok") for row in rows),
+        metadata=_metadata(ns.quantity, (), fixed, opts),
+    )
+    return table, ns.out
 
 
 def main(argv: Sequence[str] | None = None) -> int:

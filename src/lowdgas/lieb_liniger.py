@@ -412,7 +412,10 @@ def _climb(ladder, n0: int, ceiling: int, tol: float, what: str, where: str):
     :class:`ConvergenceError` before any rung runs, and so does a second
     rung that grading pushes past the ceiling, after the first.  At the
     ceiling it raises with the last rung as ``best`` and the last energy
-    change as ``residual``."""
+    change as ``residual``.  A ``tol`` that is not positive (or is NaN)
+    raises ``ValueError`` first: no ladder could meet it."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     if n0 > ceiling:
         raise ConvergenceError(f"n0={n0} is above the ladder's {ceiling}-node ceiling")
     panels = max(1, n0 // (2 * _PANEL_NODES))

@@ -18,15 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowdgas import anyon_abelian
+from lowdgas import anyon_abelian, anyon_nacs
 from lowdgas.anyon_abelian import SoftCoreBC, b2_softcore, e_rel_abelian
 from lowdgas.anyon_nacs import (
     ChannelWeights,
     NACSSystem,
     b2_nacs_general,
+    b2_nacs_grid,
     b2_nacs_isotropic,
     channel_weights,
     e_rel_nacs,
+    e_rel_nacs_grid,
 )
 from lowdgas.numerics import composite_rule, erfcx, integrate
 
@@ -351,6 +353,35 @@ def test_uniform_rows_cost_one_abelian_call_each(monkeypatch):
         calls.clear()
         e_rel_nacs(NACSSystem.isotropic(k, l, 1.0, +1), 0.1)
         assert len(calls) == expected, (k, l)
+
+
+def test_isotropic_grids_need_no_eps_matrix(monkeypatch):
+    # a grid takes each channel's 2j + 1 entries and |nu_j| from (k, 2l)
+    # alone: its values are the matrix route's bits, on both branches, and
+    # its valid points evaluate while the matrix cannot be built; a point
+    # that fails its checks still goes through NACSSystem.isotropic
+    points = [
+        (k, l, eps, sigma)
+        for k in (3, -4)
+        for l in (0.0, 0.5, 1.0, 1.5, 7.5)
+        for sigma in (1.0, -1.0)
+        for eps in (0.0, 0.37, 5.0, math.inf)
+        if not (sigma == -1.0 and math.isinf(eps))
+    ]
+    b2 = [b2_nacs_isotropic(NACSSystem.isotropic(k, l, eps, int(s))) for k, l, eps, s in points]
+    shift = [e_rel_nacs(NACSSystem.isotropic(k, l, eps, int(s)), 0.1) for k, l, eps, s in points]
+
+    def refuse(*args):
+        raise RuntimeError("no eps matrix")
+
+    monkeypatch.setattr(anyon_nacs.NACSSystem, "isotropic", refuse)
+    bad = (3, 0.25, 1.0, 1.0)  # l is no half-integer
+    got = b2_nacs_grid(points + [bad])
+    assert [v.hex() for v in got[:-1]] == [v.hex() for v in b2]
+    assert f"{type(got[-1]).__name__}: {got[-1]}" == "RuntimeError: no eps matrix"
+    got = e_rel_nacs_grid([(*p, 0.1) for p in points] + [(*bad, 0.1)])
+    assert [v.hex() for v in got[:-1]] == [v.hex() for v in shift]
+    assert isinstance(got[-1], RuntimeError)
 
 
 def test_hardcore_sentinel_routes_per_channel():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowdgas import anyon_abelian, numerics
+from lowdgas import anyon_abelian, anyon_nacs, numerics
 from lowdgas.anyon_abelian import (
     B2Value,
     SoftCoreBC,
@@ -660,6 +660,29 @@ def test_a_moment_integral_beyond_float_range_fails_its_own_point():
     assert math.isfinite(exc.value.node) and exc.value.node > 0.0
     assert isinstance(failed, numerics.EvaluationError) and str(failed) == str(exc.value)
     assert [first, last] == [e_rel_abelian(a, SoftCoreBC(s, e), x) for a, s, e, x in good]
+
+
+@pytest.mark.parametrize(
+    "grid, good",
+    [
+        (anyon_abelian.b2_softcore_grid, [(0.3, -1.0, 0.37), (0.7, 1.0, 5.0)]),
+        (anyon_abelian.e_rel_abelian_grid, [(0.3, -1.0, 0.37, 0.1), (0.7, 1.0, 5.0, 0.1)]),
+        (anyon_nacs.b2_nacs_grid, [(3.0, 1.0, 0.37, -1.0), (4.0, 1.5, 5.0, 1.0)]),
+        (anyon_nacs.e_rel_nacs_grid, [(3.0, 1.0, 0.37, -1.0, 0.1), (4.0, 1.5, 5.0, 1.0, 0.1)]),
+    ],
+)
+def test_a_point_of_the_wrong_length_fails_with_its_count(grid, good):
+    # a point with a value too many or too few fails on its own, naming how
+    # many values a point takes; the points beside it keep their bits, in
+    # a grid of mixed lengths and in one where every point is too long
+    n = len(good[0])
+    long, short = (*good[0], 7.0), good[1][:-1]
+    expected = [repr(v) for v in grid(good)]
+    first, too_long, middle, too_short, last = grid([good[0], long, good[1], short, good[0]])
+    assert [repr(v) for v in (first, middle)] == expected and repr(last) == expected[0]
+    assert f"{type(too_long).__name__}: {too_long}" == f"ValueError: a point takes {n} values, got {n + 1}"
+    assert f"{type(too_short).__name__}: {too_short}" == f"ValueError: a point takes {n} values, got {n - 1}"
+    assert [str(e) for e in grid([long, long])] == [f"a point takes {n} values, got {n + 1}"] * 2
 
 
 def test_a_grid_chunk_stays_below_half_a_mebibyte():

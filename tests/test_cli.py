@@ -31,6 +31,7 @@ from lowdgas.cli import (
     run_sweep,
 )
 from lowdgas.lieb_liniger import LLParams, b2_ll, e_res_zero_T
+from lowdgas.numerics import _attempt
 
 
 @pytest.fixture(autouse=True)
@@ -293,7 +294,7 @@ def test_a_non_finite_isospin_fails_each_row_with_its_domain_error():
         assert value == "" and status == "ValueError: l must be a non-negative half-integer, got inf"
     # an infinite k is a spec error on the command line; a library grid
     # gives each such point the level's domain error
-    (out,) = cli.REGISTRY["nacs-b2"].evaluate([{"k": math.inf, "l": 1.0, "eps": 1.0, "sigma": 1.0}], {}, {})
+    (out,) = cli.REGISTRY["nacs-b2"].evaluate([(math.inf, 1.0, 1.0, 1.0)], {}, {})
     assert f"{type(out).__name__}: {out}" == "ValueError: k must be a nonzero integer, got inf"
 
 
@@ -538,7 +539,7 @@ def test_a_non_finite_output_is_a_status_row(monkeypatch, capsys, value):
     # one backstop in run_sweep for every quantity: a float output that is
     # not finite fails its row, named by its column, and the command exits
     # 2; an inf input cell (gamma = inf) stays legitimate
-    entry = dataclasses.replace(cli.REGISTRY["ll-b2"], evaluate=cli._pointwise(lambda p, o, c: (value,)))
+    entry = dataclasses.replace(cli.REGISTRY["ll-b2"], evaluate=cli._pointwise(lambda gamma, tau, opts: value))
     monkeypatch.setitem(cli.REGISTRY, "ll-b2", entry)
     assert main(["ll", "b2", "--gamma", "inf", "--tau", "1"]) == EXIT_SOLVER
     row = capsys.readouterr().out.strip().splitlines()[-1]
@@ -567,13 +568,22 @@ def _point_outputs(quantity, points):
             return (b2_nacs_isotropic(system),)
         return (e_rel_nacs(system, p["x"]),)
 
-    return cli._pointwise(lambda p, opts, ctx: one(p))(points, {}, {})
+    return [_attempt(one, p) for p in points]
+
+
+def _evaluate(quantity, points):
+    """The quantity's evaluator on the points given as parameter mappings:
+    each point the tuple of its parameters in the quantity's order."""
+    entry = cli.REGISTRY[quantity]
+    return entry.evaluate([tuple(p[name] for name in entry.required) for p in points], {}, {})
 
 
 def _as_cells(outs):
-    # bit patterns of the values, or the status text run_sweep writes
+    # bit patterns of the values (a one-output quantity's value is its
+    # row), or the status text run_sweep writes
     return [
-        f"{type(o).__name__}: {o}" if isinstance(o, Exception) else tuple(float(v).hex() for v in o)
+        f"{type(o).__name__}: {o}" if isinstance(o, Exception)
+        else tuple(float(v).hex() for v in (o if isinstance(o, tuple) else (o,)))
         for o in outs
     ]
 
@@ -595,14 +605,14 @@ def test_grid_evaluation_matches_point_evaluation(quantity, fixed):
     # a failing point between two good ones leaves their rows alone
     alphas = [{"alpha": a} for a in (0.0, 0.03, 0.5, 0.999, 1.0, 2.001)] if quantity.startswith("anyon") else [{}]
     points = [{**fixed, **a, "sigma": s, "eps": e} for a in alphas for s in (1.0, -1.0) for e in GRID_EPS]
-    grid = cli.REGISTRY[quantity].evaluate(points, {}, {})
+    grid = _evaluate(quantity, points)
     assert _as_cells(grid) == _as_cells(_point_outputs(quantity, points))
     good = [p for p, out in zip(points, grid) if not isinstance(out, Exception)]
     bad = [p for p, out in zip(points, grid) if isinstance(out, Exception)]
     assert good and bad
     for a, b in zip(good, good[1:]):
-        pair = cli.REGISTRY[quantity].evaluate([a, bad[0], b], {}, {})
-        assert _as_cells(pair[::2]) == _as_cells(cli.REGISTRY[quantity].evaluate([a, b], {}, {}))
+        pair = _evaluate(quantity, [a, bad[0], b])
+        assert _as_cells(pair[::2]) == _as_cells(_evaluate(quantity, [a, b]))
 
 
 def _checked_point(quantity, p):
@@ -638,10 +648,10 @@ def test_points_that_fail_their_checks_between_good_ones(quantity):
         bad += [{"x": x} for x in (math.nan, -0.1)]
     bad = [{**good[i % len(good)], **change} for i, change in enumerate(bad)]
     mixed = [p for pair in zip(good * 3, bad) for p in pair] + good[:1]
-    grid = cli.REGISTRY[quantity].evaluate(mixed, {}, {})
+    grid = _evaluate(quantity, mixed)
     assert _as_cells(grid) == _as_cells([_checked_point(quantity, p) for p in mixed])
     assert all(isinstance(out, Exception) for out in grid[1::2])
-    assert _as_cells(grid[::2]) == _as_cells(cli.REGISTRY[quantity].evaluate(mixed[::2], {}, {}))
+    assert _as_cells(grid[::2]) == _as_cells(_evaluate(quantity, mixed[::2]))
 
 
 def test_main_single_point_to_stdout(capsys):
@@ -879,6 +889,21 @@ def test_main_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, k
     assert main(["ll", "b2", "--gamma", "1", "--tau", "1", "--config", bad]) == EXIT_SPEC
     value = line.partition("=")[2].strip()
     assert f"{bad}:2: bad value {value!r} for {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_main_a_tolerance_that_is_not_positive_is_a_spec_error(tmp_path, capsys, value, where):
+    # checked once for the run, before any point: exit 1 and no table,
+    # not a status row per point after a climb to the ladder's ceiling
+    if where == "flag":
+        extra = ["--tol", value]
+    else:
+        extra = ["--config", _write(tmp_path / "lowdgas.cfg", f"tol = {value}\n")]
+    assert main(["ll", "shift", "--gamma", "1", "--tau", "1", *extra]) == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lowdgas: error: tol must be > 0, got {float(value)}\n"
 
 
 def test_main_config_bad_format_fails_cleanly_for_a_table_command(tmp_path, capsys):

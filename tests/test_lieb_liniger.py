@@ -250,6 +250,21 @@ def test_a_graded_second_rung_past_the_ceiling_leaves_no_second_rung(monkeypatch
     assert int(str(err.value).split("rung, ")[1].split()[0]) > 200
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, -0.0, math.nan, -math.inf])
+def test_a_tolerance_that_is_not_positive_fails_before_any_rung(monkeypatch, tol):
+    # no ladder can meet such a tolerance: both solvers raise at once,
+    # where they would climb to the ceiling and only then give up
+    def no_rung(*args):
+        raise AssertionError("a rung ran")
+
+    monkeypatch.setattr(lieb_liniger, "_tba_rungs", no_rung)
+    monkeypatch.setattr(lieb_liniger, "_ground_rungs", no_rung)
+    with pytest.raises(ValueError, match=rf"^tol must be > 0, got {tol}$"):
+        solve_tba(LLParams(1.0, 1.0), tol=tol)
+    with pytest.raises(ValueError, match=rf"^tol must be > 0, got {tol}$"):
+        solve_ground_state(1.0, tol=tol)
+
+
 def test_an_unstable_ladder_carries_its_last_rung_and_change(monkeypatch):
     # the TBA ladder reports its last energy change, as the T = 0 one does
     monkeypatch.setattr(lieb_liniger, "_TBA_MAX_NODES", 300)
@@ -470,6 +485,18 @@ def test_solution_closes_its_own_equations():
     # far tail is free-particle: E(k) -> k^2 - mu
     k_far = 150.0
     assert sol.pseudo_energy_at(k_far) == pytest.approx(k_far**2 - sol.mu, rel=1e-6)
+
+
+@pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
+def test_pseudo_energy_at_the_coupling_endpoints(tau):
+    # the two closed-form branches: the ideal Bose gas gives back its
+    # rung's eps at every node bit for bit, and the impenetrable gas is
+    # exactly k^2 - mu everywhere, inside and beyond kmax
+    bose = solve_tba(LLParams(0.0, tau))
+    assert [bose.pseudo_energy_at(k) for k in bose.grid.tolist()] == bose.eps.tolist()
+    fermi = solve_tba(LLParams(math.inf, tau))
+    for k in (*fermi.grid.tolist(), 0.0, 3.0 * fermi.kmax, -2.0 * fermi.kmax):
+        assert fermi.pseudo_energy_at(k) == k * k - fermi.mu
 
 
 @pytest.mark.parametrize("gamma, tau", [(0.01, 1e3), (1.0, 1e3)])
