@@ -432,9 +432,9 @@ def _grid(points, checked: Callable, valid: Callable, blank: tuple):
     columns (``valid`` marks the points that pass); a point that fails them,
     or any point of a grid that is not all numbers, goes through the scalar
     ``checked(*point)``, which raises the point's exception or returns its
-    checked values; a point that does not hold one value per entry of
-    ``blank`` fails before that.  A failed point's columns hold ``blank``,
-    which costs nothing to evaluate."""
+    checked values; a point that is no sequence, or does not hold one
+    value per entry of ``blank``, fails before that.  A failed point's
+    columns hold ``blank``, which costs nothing to evaluate."""
     points = list(points)
     try:
         table = np.array(points)
@@ -447,8 +447,8 @@ def _grid(points, checked: Callable, valid: Callable, blank: tuple):
         columns, bad = np.repeat(np.array(blank)[:, None], len(points), axis=1), range(len(points))
     errors = {}
     for i in bad:
-        point = tuple(points[i])
         try:
+            point = tuple(points[i])
             if len(point) != len(blank):
                 raise ValueError(f"a point takes {len(blank)} values, got {len(point)}")
             columns[:, i] = checked(*point)

@@ -13,11 +13,11 @@ give byte-identical files for a fixed BLAS configuration.  A quantity
 gets its whole grid; the 2d ones evaluate it in chunks of quadrature
 nodes, and every row depends on its own point only.
 
-Exit codes: 0 success; 1 malformed spec, flags, or config, which
-includes a ``sigma`` that is not +1 or -1 and a non-integer ``k`` or
-``d``, from flags and specfiles alike; 2 some points failed, for single
-points and sweeps alike (their rows carry the error in the ``status``
-column); 3 output could not be written.
+Exit codes: 0 success; 1 malformed spec or flags, which includes a
+``sigma`` that is not +1 or -1 and a non-integer ``k`` or ``d``, from
+flags and specfiles alike; 2 some points failed, for single points and
+sweeps alike (their rows carry the error in the ``status`` column); 3
+output could not be written.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ _FLOAT_FMT = "%.17g"
 
 
 class SpecError(ValueError):
-    """A sweep spec, command line, or config file could not be understood."""
+    """A sweep spec or command line could not be understood."""
 
 
 def _format(name: str) -> str:
@@ -97,8 +97,8 @@ def _format(name: str) -> str:
     return name
 
 
-# The run options a config file may set, with the converter of each value.
-_RUN_OPTIONS = {"format": _format, "tol": float, "nodes": int}
+# The run options: flags of every command, echoed in a table's ``config``.
+_RUN_OPTIONS = ("format", "tol")
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +251,6 @@ def _ll_solver_kw(opts: Mapping) -> dict:
     kw = {}
     if opts.get("tol") is not None:
         kw["tol"] = float(opts["tol"])
-    if opts.get("nodes") is not None:
-        kw["n0"] = int(opts["nodes"])
     return kw
 
 
@@ -304,11 +302,11 @@ def _virial_model(fixed: Mapping):
             amps = (float(amps),)
         if not amps:
             raise SpecError("amps must list at least one coefficient")
-        return power_law_model(_as_int(fixed["d"], "d"), float(fixed["alpha"]), amps)
+        return power_law_model(_as_int(fixed["d"], "d"), _number(fixed["alpha"], "alpha"), amps)
     if kind == "delta-gas":
         if "c" not in fixed:
             raise SpecError("delta-gas model needs c")
-        return lieb_liniger_b2_model(float(fixed["c"]))
+        return lieb_liniger_b2_model(_number(fixed["c"], "c"))
     raise SpecError(f"unknown model {kind!r} (power-law or delta-gas)")
 
 
@@ -318,8 +316,8 @@ def _eval_virial_thermo(points, opts, fixed):
 
 def _eval_classify(points, opts, fixed):
     extra = fixed.get("extra", ())  # "c,p,l;c,p,l" from a specfile, a list from flags
-    if isinstance(extra, str):
-        extra = extra.split(";")
+    if not isinstance(extra, (list, tuple)):
+        extra = str(extra).split(";")
     extra = _parse_extra_terms([t for t in extra if t.strip()])
 
     def one(d, sqrt_beta, beta_log_beta, beta):
@@ -668,7 +666,7 @@ def _write_gnuplot(table: ResultTable, csv_path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Specfile / config parsing
+# Specfile parsing
 
 
 def _parse_axis_line(value: str, where: str) -> Axis:
@@ -691,8 +689,8 @@ def _parse_axis_line(value: str, where: str) -> Axis:
 
 
 def _key_values(text: str, name: str) -> Iterator[tuple[str, str, str]]:
-    """``(where, key, value)`` for each ``key = value`` line of a spec or
-    config file, ``where`` being ``name:line``; blank and ``#`` lines are
+    """``(where, key, value)`` for each ``key = value`` line of a
+    specfile, ``where`` being ``name:line``; blank and ``#`` lines are
     skipped.
     """
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -755,20 +753,6 @@ def parse_specfile(text: str, name: str = "<spec>") -> SweepSpec:
     )
 
 
-def _parse_config(text: str, name: str) -> dict:
-    out: dict = {}
-    for where, key, value in _key_values(text, name):
-        if key not in _RUN_OPTIONS:
-            raise SpecError(
-                f"{where}: unknown config key {key!r} (one of: {', '.join(_RUN_OPTIONS)})"
-            )
-        try:
-            out[key] = _RUN_OPTIONS[key](value)
-        except ValueError as err:
-            raise SpecError(f"{where}: bad value {value!r} for {key!r}") from err
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Command line
 
@@ -784,8 +768,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     common.add_argument("--format", choices=tuple(_RENDERERS), default=None)
     common.add_argument("--tol", type=float, default=None, help="solver tolerance")
-    common.add_argument("--nodes", type=int, default=None, help="initial grid size")
-    common.add_argument("--config", metavar="PATH", help="key=value defaults file")
     common.add_argument(
         "--gnuplot",
         action="store_true",
@@ -910,11 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_opts(ns: argparse.Namespace) -> dict:
-    opts = {**dict.fromkeys(_RUN_OPTIONS), "format": "csv"}
-    if getattr(ns, "config", None):
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            opts.update(_parse_config(fh.read(), ns.config))
-    opts.update(_flag_values(ns, _RUN_OPTIONS))
+    opts = {"format": ns.format or "csv", "tol": ns.tol}
     if opts["tol"] is not None and not opts["tol"] > 0.0:
         raise SpecError(f"tol must be > 0, got {opts['tol']}")
     return opts
@@ -936,7 +914,7 @@ def _parse_extra_terms(specs: Sequence[str]) -> tuple:
 def _dispatch(ns: argparse.Namespace, opts: Mapping) -> tuple[ResultTable, str | None]:
     """The command's table and where it goes (None: stdout).  The format
     is the table's ``config`` metadata: a ``--format`` flag, else a
-    specfile's format line, else the config file's, else csv.
+    specfile's format line, else csv.
     """
     if ns.quantity is None:
         with open(ns.specfile, "r", encoding="utf-8") as fh:
@@ -965,8 +943,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         opts = _effective_opts(ns)
         table, out = _dispatch(ns, opts)
     except (ValueError, FileNotFoundError) as err:
-        # SpecError is a ValueError; a missing spec or config file is a
-        # spec problem, not an I/O one
+        # SpecError is a ValueError; a missing specfile is a spec
+        # problem, not an I/O one
         print(f"lowdgas: error: {err}", file=sys.stderr)
         return EXIT_SPEC
     fmt = table.metadata["config"]["format"]

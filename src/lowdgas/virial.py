@@ -175,12 +175,18 @@ def thermo_from_virial_grid(model: VirialModel, points) -> list:
     """:func:`thermo_from_virial` at each numeric ``(rho, T)`` of
     ``points``, bit for bit, as the row ``(pressure, helmholtz, gibbs,
     entropy, energy, enthalpy)`` of Python floats, or the exception it
-    raises.  The model is evaluated once per distinct ``T`` and
-    ``rho**k`` taken once per distinct ``rho``, both in Python floats, and
-    the six series are summed on arrays of all the points at once."""
+    raises (for a point that is no pair, the one its unpacking raises).
+    The model is evaluated once per distinct ``T`` and ``rho**k`` taken
+    once per distinct ``rho``, both in Python floats, and the six series
+    are summed on arrays of all the points at once."""
     coeffs, powers = {}, {}
     rows, good, temps, bs, ps = [], [], [], [], []
-    for rho, T in points:
+    for point in points:
+        try:
+            rho, T = point
+        except (TypeError, ValueError) as err:  # no (rho, T) pair: this point's own failure
+            rows.append(err)
+            continue
         # a point fails where thermo_from_virial fails it: on its state
         # point, then on its coefficients, then on rho**k
         row = _attempt(_validate_state_point, rho, T)

@@ -662,15 +662,16 @@ def test_a_moment_integral_beyond_float_range_fails_its_own_point():
     assert [first, last] == [e_rel_abelian(a, SoftCoreBC(s, e), x) for a, s, e, x in good]
 
 
-@pytest.mark.parametrize(
-    "grid, good",
-    [
-        (anyon_abelian.b2_softcore_grid, [(0.3, -1.0, 0.37), (0.7, 1.0, 5.0)]),
-        (anyon_abelian.e_rel_abelian_grid, [(0.3, -1.0, 0.37, 0.1), (0.7, 1.0, 5.0, 0.1)]),
-        (anyon_nacs.b2_nacs_grid, [(3.0, 1.0, 0.37, -1.0), (4.0, 1.5, 5.0, 1.0)]),
-        (anyon_nacs.e_rel_nacs_grid, [(3.0, 1.0, 0.37, -1.0, 0.1), (4.0, 1.5, 5.0, 1.0, 0.1)]),
-    ],
-)
+# each 2d grid function with two good points of it
+_GRIDS = [
+    (anyon_abelian.b2_softcore_grid, [(0.3, -1.0, 0.37), (0.7, 1.0, 5.0)]),
+    (anyon_abelian.e_rel_abelian_grid, [(0.3, -1.0, 0.37, 0.1), (0.7, 1.0, 5.0, 0.1)]),
+    (anyon_nacs.b2_nacs_grid, [(3.0, 1.0, 0.37, -1.0), (4.0, 1.5, 5.0, 1.0)]),
+    (anyon_nacs.e_rel_nacs_grid, [(3.0, 1.0, 0.37, -1.0, 0.1), (4.0, 1.5, 5.0, 1.0, 0.1)]),
+]
+
+
+@pytest.mark.parametrize("grid, good", _GRIDS)
 def test_a_point_of_the_wrong_length_fails_with_its_count(grid, good):
     # a point with a value too many or too few fails on its own, naming how
     # many values a point takes; the points beside it keep their bits, in
@@ -683,6 +684,14 @@ def test_a_point_of_the_wrong_length_fails_with_its_count(grid, good):
     assert f"{type(too_long).__name__}: {too_long}" == f"ValueError: a point takes {n} values, got {n + 1}"
     assert f"{type(too_short).__name__}: {too_short}" == f"ValueError: a point takes {n} values, got {n - 1}"
     assert [str(e) for e in grid([long, long])] == [f"a point takes {n} values, got {n + 1}"] * 2
+
+
+@pytest.mark.parametrize("grid, good", _GRIDS)
+def test_a_point_that_is_no_sequence_fails_on_its_own(grid, good):
+    # a bare number fails its own row; the point beside it keeps its bits
+    first, bad = grid([good[0], 5.0])
+    assert repr(first) == repr(grid(good[:1])[0])
+    assert f"{type(bad).__name__}: {bad}" == "TypeError: 'float' object is not iterable"
 
 
 def test_a_grid_chunk_stays_below_half_a_mebibyte():

@@ -300,13 +300,13 @@ def test_a_non_finite_isospin_fails_each_row_with_its_domain_error():
 
 def test_metadata_echoes_run_configuration():
     spec = SweepSpec("ll-b2", (_axis(),), {"tau": 1.0})
-    table = run_sweep(spec, opts={"tol": 1e-9, "nodes": 101, "format": "csv"})
+    table = run_sweep(spec, opts={"tol": 1e-9, "format": "csv"})
     meta = table.metadata
     assert meta["tool"] == "lowdgas"
     assert meta["quantity"] == "ll-b2"
     assert meta["fixed"] == {"tau": 1.0}
     assert meta["axes"][0]["spacing"] == "linear"
-    assert meta["config"] == {"format": "csv", "tol": 1e-9, "nodes": 101}
+    assert meta["config"] == {"format": "csv", "tol": 1e-9}
     assert meta["timestamp"] == ""
 
 
@@ -499,10 +499,8 @@ def test_main_exit_codes(tmp_path):
     assert main(["sweep", bad_quantity]) == EXIT_SPEC
     assert main(["sweep", str(tmp_path / "missing.sweep")]) == EXIT_SPEC
     assert main(["ll", "b2", "--gamma", "1"]) == EXIT_SPEC  # --tau missing
-    # there is no worker-count option, on the command line or in a config
+    # there is no worker-count option
     assert main(["sweep", good, "--jobs", "2"]) == EXIT_SPEC
-    jobs_cfg = _write(tmp_path / "jobs.cfg", "jobs = 2\n")
-    assert main(["sweep", good, "--config", jobs_cfg]) == EXIT_SPEC
     assert main(["sweep", failing]) == EXIT_SOLVER
     assert main(["sweep", good, "--out", str(tmp_path / "no/dir/x.csv")]) == EXIT_IO
 
@@ -665,9 +663,10 @@ def test_main_single_point_to_stdout(capsys):
     "argv,error",
     [
         ("anyon b2 --alpha 0.5 --sigma -1 --eps 800", "ValueError"),
-        ("ll shift --gamma 1 --nodes 7000 --tau 0.5", "ConvergenceError"),
-        ("ll ground --gamma 1 --nodes 5000", "ConvergenceError"),
-        ("ll shift --gamma 1 --tau 0 --nodes 5000", "ConvergenceError"),
+        # no ladder reaches a change of 1e-300 at finite T (at T = 0 the
+        # energy stops changing at all, so those ladders succeed)
+        ("ll shift --gamma 1 --tau 0.5 --tol 1e-300", "ConvergenceError"),
+        ("ll tba --gamma 1 --tau 0.5 --tol 1e-300", "ConvergenceError"),
         ("ll b2 --gamma 1 --tau -1", "ValueError"),
         # l is fixed for a sweep but is no integer kind: a value that is
         # not a half-integer fails its row, not the spec
@@ -866,69 +865,81 @@ def test_main_gnuplot_script(tmp_path):
     assert '"curve.csv" using 1:2' in script
 
 
-def test_main_config_file_precedence(tmp_path, capsys):
-    config = _write(tmp_path / "lowdgas.cfg", "format = json\ntol = 1e-6\n")
-    assert main(["ll", "b2", "--gamma", "1", "--tau", "1", "--config", config]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)  # config format applied
-    assert payload["metadata"]["config"]["tol"] == 1e-6
-
-    rc = main(["ll", "b2", "--gamma", "1", "--tau", "1", "--config", config,
-               "--format", "csv"])
-    assert rc == EXIT_OK
-    assert capsys.readouterr().out.startswith("# lowdgas")  # flag wins
-
-    bad = _write(tmp_path / "bad.cfg", "volume = 11\n")
-    assert main(["ll", "b2", "--gamma", "1", "--tau", "1", "--config", bad]) == EXIT_SPEC
+@pytest.mark.parametrize("argv", [["--config", "lowdgas.cfg"], ["--nodes", "128"]], ids=["config", "nodes"])
+def test_main_run_options_come_from_flags_alone(tmp_path, capsys, argv):
+    # a defaults file and the first rung of the ladder are no run options:
+    # either is a usage error, and no table is written
+    out = tmp_path / "point.csv"
+    assert main(["ll", "shift", "--gamma", "1", "--tau", "1", "--out", str(out), *argv]) == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"lowdgas: error: unrecognized arguments: {' '.join(argv)}" in captured.err
 
 
-@pytest.mark.parametrize(
-    "line, key", [("nodes = abc", "nodes"), ("tol = x", "tol"), ("format = xml", "format")]
-)
-def test_main_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, key):
-    bad = _write(tmp_path / "bad.cfg", f"# defaults\n{line}\n")
-    assert main(["ll", "b2", "--gamma", "1", "--tau", "1", "--config", bad]) == EXIT_SPEC
-    value = line.partition("=")[2].strip()
-    assert f"{bad}:2: bad value {value!r} for {key!r}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["-1", "0", "nan"])
-@pytest.mark.parametrize("where", ["flag", "config"])
-def test_main_a_tolerance_that_is_not_positive_is_a_spec_error(tmp_path, capsys, value, where):
+@pytest.mark.parametrize("value", ["-1", "0", "nan"], ids=lambda value: f"flag-{value}")
+def test_main_a_tolerance_that_is_not_positive_is_a_spec_error(capsys, value):
     # checked once for the run, before any point: exit 1 and no table,
     # not a status row per point after a climb to the ladder's ceiling
-    if where == "flag":
-        extra = ["--tol", value]
-    else:
-        extra = ["--config", _write(tmp_path / "lowdgas.cfg", f"tol = {value}\n")]
-    assert main(["ll", "shift", "--gamma", "1", "--tau", "1", *extra]) == EXIT_SPEC
+    assert main(["ll", "shift", "--gamma", "1", "--tau", "1", "--tol", value]) == EXIT_SPEC
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"lowdgas: error: tol must be > 0, got {float(value)}\n"
 
 
-def test_main_config_bad_format_fails_cleanly_for_a_table_command(tmp_path, capsys):
-    # nacs channels builds its table without a sweep spec, so the format
-    # is checked when the config file is read, not first by emit
-    bad = _write(tmp_path / "bad.cfg", "format = xml\n")
-    assert main(["nacs", "channels", "--k", "3", "--l", "0.5", "--config", bad]) == EXIT_SPEC
+_THERMO = "quantity = virial-thermo\naxis = rho linear 0.1 0.2 2\nT = 2\n"
+_POWER_LAW = "virial thermo --d 2 --alpha 2 --rho 0.1 --T 2"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("quantity = classify\naxis = beta linear 1 3 2\nd = 1\nextra = 5\n",
+         "--extra wants COEFF,POWER,LOGPOWER, got '5.0'"),
+        (_THERMO + "model = delta-gas\nc = abc\n", "parameter c must be numeric, got 'abc'"),
+        (_THERMO + "d = 2\nalpha = x\namps = 0.5\n", "parameter alpha must be numeric, got 'x'"),
+        (_POWER_LAW, "power-law model needs amps"),
+        ("virial thermo --model delta-gas --rho 0.1 --T 2", "delta-gas model needs c"),
+        (_THERMO + "model = ideal\n", "unknown model 'ideal' (power-law or delta-gas)"),
+        (_POWER_LAW + " --amps 0.5,x", "bad amps list '0.5,x'"),
+        (_POWER_LAW + " --amps ,", "amps must list at least one coefficient"),
+        ("virial classify --d 1 --extra 1,2", "--extra wants COEFF,POWER,LOGPOWER, got '1,2'"),
+        ("virial classify --d 1 --extra 1,2,x", "bad --extra term '1,2,x'"),
+        ("virial check-scaling --model delta-gas --c 1 --temps 10,x", "bad temperature list '10,x'"),
+        ("quantity = ll-b2\naxis = gamma linear 1 2 2\ntau = abc\n", "parameter tau must be numeric, got 'abc'"),
+        ("quantity = ll-b2\naxis = gamma linear 1 2 x\ntau = 1\n", "bad.sweep:2: invalid literal for int()"),
+    ],
+    ids=[
+        "specfile-extra", "specfile-c", "specfile-alpha", "missing-key", "missing-c",
+        "unknown-model", "bad-amps", "empty-amps", "short-extra", "bad-extra", "bad-temps",
+        "non-numeric", "bad-axis",
+    ],
+)
+def test_main_a_bad_parameter_is_a_spec_error(tmp_path, capsys, command, message):
+    # exit 1 with one error line that names what is wrong, and no table
+    out = tmp_path / "table.csv"
+    if command.startswith("quantity"):
+        argv = ["sweep", _write(tmp_path / "bad.sweep", f"{command}out = {out}\n")]
+    else:
+        argv = [*command.split(), "--out", str(out)]
+    assert main(argv) == EXIT_SPEC
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"lowdgas: error: {bad}:1: bad value 'xml' for 'format'\n"
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("lowdgas: error: ") and message in captured.err
 
 
 def test_main_sweep_format_precedence(tmp_path):
-    # flag > specfile format line > config file > default
-    config = _write(tmp_path / "lowdgas.cfg", "format = json\n")
+    # flag > specfile format line > csv
     text = "quantity = ll-b2\naxis = gamma linear 1 2 2\ntau = 1\n"
     cases = [
-        ("", [], "json"),
-        ("format = csv\n", [], "csv"),
-        ("format = csv\n", ["--format", "json"], "json"),
+        ("", [], "csv"),
+        ("format = json\n", [], "json"),
+        ("format = json\n", ["--format", "csv"], "csv"),
+        ("", ["--format", "json"], "json"),
     ]
     for i, (line, flags, fmt) in enumerate(cases):
         out = str(tmp_path / f"table{i}")
         specfile = _write(tmp_path / f"s{i}.sweep", text + line + f"out = {out}\n")
-        assert main(["sweep", specfile, "--config", config, *flags]) == EXIT_OK
+        assert main(["sweep", specfile, *flags]) == EXIT_OK
         head = open(out, encoding="utf-8").read(1)
         assert head == ("{" if fmt == "json" else "#")
         assert load_table(out).metadata["config"]["format"] == fmt

@@ -138,6 +138,38 @@ def test_ground_state_newton_failure_names_gamma_and_nodes(monkeypatch):
         solve_ground_state(1.0)
 
 
+@pytest.mark.parametrize("scale", [-1e6, math.nan])
+def test_ground_state_newton_stops_where_m_prime_is_not_positive(monkeypatch, scale):
+    # an I' that makes m' = 1 - gamma I' negative (or NaN) leaves no
+    # Newton step: the first step fails the solve, named by gamma and nodes
+    calls = []
+
+    def steep(*args):
+        calls.append(1)
+        return scale * width_product(*args)
+
+    width_product = lieb_liniger._width_product
+    monkeypatch.setattr(lieb_liniger, "_width_product", steep)
+    with pytest.raises(ConvergenceError, match=r"^cutoff-ratio Newton solve failed .*\(gamma=1.0, n=64\)$"):
+        solve_ground_state(1.0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_a_rung_out_of_mu_trials_carries_its_last_solve(monkeypatch, trials):
+    # the mu solve of the first rung gives up after its trials: with one
+    # trial it carries that trial's solution and normalization residual,
+    # with none it has neither
+    monkeypatch.setattr(lieb_liniger, "_MAX_MU_TRIALS", trials)
+    with pytest.raises(ConvergenceError, match=f"^density normalization not reached in {trials} trials of mu$") as exc:
+        solve_tba(LLParams(1.0, 1.0))
+    if trials:
+        assert isinstance(exc.value.best, lieb_liniger.TBASolution)
+        assert exc.value.residual > lieb_liniger._NORM_TOL
+    else:
+        assert exc.value.best is None and math.isnan(exc.value.residual)
+
+
 # frozen shift values (abs ~1e-6); max sits between gamma = 4 and 5
 E_RES_ZERO = {1.0: 0.24475354, 4.7: 0.41385007, 100.0: 0.06191154}
 
@@ -745,9 +777,9 @@ def test_cauchy_moments_do_not_depend_on_their_neighbours():
 
 
 def test_both_grid_parities_agree_and_mirror_exactly():
-    # --nodes reaches n0: every grid of both solvers is even (mirrored
-    # 16-node panels, no middle node), from the default n0 = 64 as from
-    # n0 = 200 (six panels per half-line); the arrays come back exactly even
+    # every grid of both solvers is even (mirrored 16-node panels, no
+    # middle node), from the default n0 = 64 as from n0 = 200 (six panels
+    # per half-line); the arrays come back exactly even
     def shift(sol):
         pressure, energy = observables(sol)
         return energy - 0.5 * pressure
@@ -1116,6 +1148,9 @@ def test_high_T_shift_warns_outside_validity():
 def test_high_T_shift_rejects_nonpositive_tau():
     with pytest.raises(ValueError):
         e_res_high_T(LLParams(1.0, -1.0))
+    # tau = 0 is a valid state point, but not of the high-temperature form
+    with pytest.raises(ValueError, match=r"^the high-temperature form needs tau > 0, got 0.0$"):
+        e_res_high_T(LLParams(1.0, 0.0))
 
 
 def test_high_T_shift_agrees_with_full_solver():

@@ -177,6 +177,17 @@ def test_potential_identities(d, amps, rho, T):
     assert out.helmholtz == pytest.approx(out.energy - out.entropy, rel=1e-13, abs=1e-13)
 
 
+def test_a_grid_point_that_is_no_pair_fails_on_its_own():
+    # a bare number or a triple fails its own row, with the error its
+    # unpacking raises; the points beside it keep their bits
+    model = power_law_model(2, 2.0, (0.5, -0.2))
+    good = [(0.1, 2.0), (0.3, 5.0)]
+    first, number, middle, triple = thermo_from_virial_grid(model, [good[0], 5.0, good[1], (0.1, 2.0, 3.0)])
+    assert [first, middle] == thermo_from_virial_grid(model, good)
+    assert f"{type(number).__name__}: {number}" == "TypeError: cannot unpack non-iterable float object"
+    assert f"{type(triple).__name__}: {triple}" == "ValueError: too many values to unpack (expected 2)"
+
+
 # ---------------------------------------------------------------------------
 # Scale invariance
 
