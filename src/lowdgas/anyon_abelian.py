@@ -33,7 +33,8 @@ are taken from exact differences to get there.
 
 Points are evaluated in batches, a few array passes each: the points are
 checked on arrays, the panel layouts of all their distinct keys built and
-checked together, then integrated in chunks; a single call is a batch of one.
+checked together, then integrated in chunks; a single call is its grid
+function at one point.
 """
 
 from __future__ import annotations
@@ -414,11 +415,12 @@ def _e_rel_values(x, a, sigma, eps):
     return value, _out_of_range(value, eps, errors)
 
 
-def _one(columns, errors: dict) -> list:
-    """The values of a batch of one, or its exception."""
-    if errors:
-        raise errors[0]
-    return [c.item() for c in columns]
+def _one(rows: list):
+    """The row of a batch of one, or its exception."""
+    (row,) = rows
+    if isinstance(row, Exception):
+        raise row
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +472,6 @@ def _bc_valid(sigma, eps):
     return ((sigma == 1.0) | (sigma == -1.0)) & (eps >= 0.0) & ~(np.isinf(eps) & (sigma == -1.0))
 
 
-def _reduced(alpha: float, bc: SoftCoreBC) -> tuple[float, int, float]:
-    return abs(StatisticsParameter(alpha).delta), bc.sigma, bc.eps
-
-
 def _abelian_grid(points, dilution: bool):
     """``(x, |delta|, sigma, eps)`` columns of ``(alpha, sigma, eps[,
     dilution])`` points, checked as :class:`SoftCoreBC`, ``_dilution`` and
@@ -503,7 +501,7 @@ def b2_softcore(alpha: float, bc: SoftCoreBC) -> B2Value:
     is below -1.8e308 there, so this is not a numerical artifact), and
     that raises ``ValueError`` naming ``eps``.
     """
-    return B2Value(*_one(*_b2_values(*map(np.array, zip(_reduced(alpha, bc))))))
+    return _one(b2_softcore_grid([(alpha, bc.sigma, bc.eps)]))
 
 
 def b2_softcore_grid(points) -> list:
@@ -537,8 +535,7 @@ def e_rel_abelian(alpha: float, bc: SoftCoreBC, dilution: float) -> float:
     the attractive branch a shift beyond float range (from ``eps ~ 703``
     at ``dilution = 1``) raises ``ValueError`` naming ``eps``.
     """
-    x = _dilution(dilution)
-    return _one(*_e_rel_values(*map(np.array, zip((x, *_reduced(alpha, bc))))))[0]
+    return _one(e_rel_abelian_grid([(alpha, bc.sigma, bc.eps, dilution)]))
 
 
 def e_rel_abelian_grid(points) -> list:

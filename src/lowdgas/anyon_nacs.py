@@ -45,6 +45,21 @@ __all__ = [
 ]
 
 
+def _level_isospin(k, l) -> tuple[int, int]:
+    """``(k, 2l)`` as integers, or the ``ValueError`` of a ``k`` that is no
+    nonzero integer, else of an ``l`` that is no non-negative half-integer."""
+    try:
+        integer = k == int(k) and k != 0
+    except (OverflowError, ValueError):  # int() of inf or nan
+        integer = False
+    if not integer:
+        raise ValueError(f"k must be a nonzero integer, got {k}")
+    twice_l = 2.0 * float(l)
+    if not (twice_l >= 0.0 and twice_l.is_integer()):
+        raise ValueError(f"l must be a non-negative half-integer, got {l}")
+    return int(k), int(twice_l)
+
+
 @dataclass(frozen=True)
 class NACSSystem:
     """Level ``k``, isospin ``l``, soft-core parameter matrix, and branch
@@ -63,23 +78,13 @@ class NACSSystem:
     sigma: int
 
     def __post_init__(self):
-        try:
-            integer = self.k == int(self.k) and self.k != 0
-        except (OverflowError, ValueError):  # int() of inf or nan
-            integer = False
-        if not integer:
-            raise ValueError(f"k must be a nonzero integer, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
-        twice_l = 2.0 * float(self.l)
-        if not (twice_l >= 0.0 and twice_l.is_integer()):
-            raise ValueError(f"l must be a non-negative half-integer, got {self.l}")
+        k, twice_l = _level_isospin(self.k, self.l)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", float(self.l))
         rows = tuple(tuple(float(e) for e in row) for row in self.eps)
         object.__setattr__(self, "eps", rows)
-        if len(rows) != int(twice_l) + 1:
-            raise ValueError(
-                f"eps needs one row per channel j = 0..{int(twice_l)}, got {len(rows)}"
-            )
+        if len(rows) != twice_l + 1:
+            raise ValueError(f"eps needs one row per channel j = 0..{twice_l}, got {len(rows)}")
         for j, row in enumerate(rows):
             if len(row) != 2 * j + 1:
                 raise ValueError(f"channel j={j} needs 2j+1 = {2*j+1} entries, got {len(row)}")
@@ -88,11 +93,11 @@ class NACSSystem:
 
     @classmethod
     def isotropic(cls, k: int, l: float, eps: float, sigma: int) -> "NACSSystem":
-        """System with every ``eps_{j,jz}`` equal to ``eps``."""
-        twice_l = 2.0 * float(l)
-        if not (twice_l >= 0.0 and twice_l.is_integer()):
-            raise ValueError(f"l must be a non-negative half-integer, got {l}")
-        rows = tuple((float(eps),) * (2 * j + 1) for j in range(int(twice_l) + 1))
+        """System with every ``eps_{j,jz}`` equal to ``eps``: ``k``, ``l`` and
+        the boundary condition are checked before its ``(2l+1)**2`` entries are built."""
+        _, twice_l = _level_isospin(k, l)
+        eps = SoftCoreBC(sigma, eps).eps
+        rows = tuple((eps,) * (2 * j + 1) for j in range(twice_l + 1))
         return cls(k, l, rows, sigma)
 
     @property
@@ -190,7 +195,7 @@ def _system_mean(sys: NACSSystem, term: Callable, x: float = 0.0) -> float:
     counts, stats, eps = _runs(sys)
     n, top = len(counts), np.array([max(map(max, sys.eps))])
     values, errors = term(np.full(n, x), np.array(stats), np.full(n, float(sys.sigma)), np.array(eps))
-    return _one(*_channel_mean(counts, values[None, :], errors, (2.0 * sys.l + 1.0) ** 2, top))[0]
+    return _one(_rows(*_channel_mean(counts, values[None, :], errors, (2.0 * sys.l + 1.0) ** 2, top)))
 
 
 def _b2_term(x, a, sigma, eps) -> tuple:
@@ -220,12 +225,15 @@ def b2_nacs_isotropic(sys: NACSSystem) -> float:
 def _isotropic_grid(points, term: Callable, dilution: bool) -> list:
     """The channel sum of ``term`` for each isotropic system ``(k, l, eps,
     sigma[, dilution])`` of ``points``, or its exception: the channels of
-    each distinct ``(k, l)`` once, from ``k`` and ``2l`` alone (a valid
-    point builds no eps matrix), with one batch of Abelian terms."""
+    each distinct ``(k, l)`` once, from ``k`` and ``2l`` alone, with one
+    batch of Abelian terms.  No point builds an eps matrix: one that fails
+    the array checks gets the error of :func:`_level_isospin`, else
+    :class:`SoftCoreBC`, else the dilution check."""
 
     def checked(k, l, eps, sigma, *x):
-        sys = NACSSystem.isotropic(k, l, eps, sigma)
-        return (sys.k, sys.l, sys.eps[0][0], sys.sigma, *map(_dilution, x))
+        k, _ = _level_isospin(k, l)
+        bc = SoftCoreBC(sigma, eps)
+        return (k, float(l), bc.eps, bc.sigma, *map(_dilution, x))
 
     def valid(k, l, eps, sigma, *x):
         ok = (k == np.trunc(k)) & (k != 0.0) & np.isfinite(k) & (2.0 * l == np.trunc(2.0 * l)) & (l >= 0.0)

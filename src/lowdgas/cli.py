@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .anyon_abelian import SoftCoreBC, b2_softcore_grid, e_rel_abelian_grid, e_rel_semion
-from .anyon_nacs import NACSSystem, b2_nacs_grid, channel_weights, e_rel_nacs_grid
+from .anyon_nacs import _channels, _level_isospin, b2_nacs_grid, e_rel_nacs_grid
 from .lieb_liniger import (
     LLParams,
     b2_ll,
@@ -125,7 +125,7 @@ class Axis:
                 raise SpecError(f"axis {self.name}: bounds must be finite")
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "stop", float(self.stop))
-        if self.count != int(self.count) or self.count < 1:
+        if not 1.0 <= float(self.count) < math.inf or self.count != int(self.count):
             raise SpecError(f"axis {self.name}: count must be a positive integer")
         object.__setattr__(self, "count", int(self.count))
         if self.spacing not in ("linear", "log"):
@@ -782,21 +782,12 @@ def _flag_values(ns: argparse.Namespace, names: Iterable[str]) -> dict:
 
 
 def _channels_table(fixed: Mapping) -> tuple:
-    sys_ = NACSSystem.isotropic(_as_int(fixed["k"], "k"), fixed["l"], 1.0, +1)
-    w = channel_weights(sys_)
+    k, twice_l = _level_isospin(_as_int(fixed["k"], "k"), fixed["l"])
     rows = [
-        (
-            float(j),
-            w.omega[j],
-            w.delta[j],
-            w.gamma[j],
-            w.nu[j],
-            "bosonic" if w.bosonic[j] else "fermionic",
-        )
-        for j in range(sys_.channel_count)
+        (float(j), omega, delta, gamma, nu, "bosonic" if bosonic else "fermionic")
+        for j, (omega, delta, gamma, nu, bosonic) in enumerate(_channels(k, twice_l))
     ]
-    columns = ("j", "omega", "delta", "gamma", "nu", "kind")
-    return columns, rows, fixed
+    return ("j", "omega", "delta", "gamma", "nu", "kind"), rows, fixed
 
 
 def _scaling_table(fixed: Mapping) -> tuple:

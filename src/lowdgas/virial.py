@@ -261,8 +261,11 @@ def check_scale_invariance(
     """Probe each coefficient for the power-law temperature dependence
     that scale invariance forces on it.  A coefficient or product that is
     not finite at a sample raises ``EvaluationError``, as in
-    :meth:`VirialModel.evaluate`.
+    :meth:`VirialModel.evaluate`; ``rtol`` must be finite and ``>= 0``.
     """
+    rtol = float(rtol)
+    if not 0.0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
     temps = [float(t) for t in T_samples]
     if len(temps) < 2:
         raise ValueError("need at least two temperature samples")
@@ -278,9 +281,7 @@ def check_scale_invariance(
         products.append(row)
         spreads.append((max(row) - min(row)) / scale if scale > 0.0 else 0.0)
     violations = [k for k, spread in enumerate(spreads, start=1) if spread > rtol]
-    return ScaleInvarianceReport(
-        tuple(products), tuple(spreads), tuple(violations), float(rtol)
-    )
+    return ScaleInvarianceReport(tuple(products), tuple(spreads), tuple(violations), rtol)
 
 
 def isoentropic_scale(

@@ -10,6 +10,7 @@ asserted where the contract includes one.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +322,6 @@ def test_16_cli_sweep_is_byte_deterministic(tmp_path, monkeypatch):
     outs = [str(tmp_path / f"run{i}.csv") for i in (1, 2)]
     assert main(["sweep", str(specfile), "--out", outs[0]]) == 0
     assert main(["sweep", str(specfile), "--out", outs[1]]) == 0
-    first = open(outs[0], "rb").read()
-    assert open(outs[1], "rb").read() == first
+    first = Path(outs[0]).read_bytes()
+    assert Path(outs[1]).read_bytes() == first
     assert first.endswith(b"\n") and b"\r" not in first

@@ -358,8 +358,8 @@ def test_uniform_rows_cost_one_abelian_call_each(monkeypatch):
 def test_isotropic_grids_need_no_eps_matrix(monkeypatch):
     # a grid takes each channel's 2j + 1 entries and |nu_j| from (k, 2l)
     # alone: its values are the matrix route's bits, on both branches, and
-    # its valid points evaluate while the matrix cannot be built; a point
-    # that fails its checks still goes through NACSSystem.isotropic
+    # its valid points evaluate while the matrix cannot be built, and a
+    # point that fails its checks gets its own error without it too
     points = [
         (k, l, eps, sigma)
         for k in (3, -4)
@@ -378,10 +378,28 @@ def test_isotropic_grids_need_no_eps_matrix(monkeypatch):
     bad = (3, 0.25, 1.0, 1.0)  # l is no half-integer
     got = b2_nacs_grid(points + [bad])
     assert [v.hex() for v in got[:-1]] == [v.hex() for v in b2]
-    assert f"{type(got[-1]).__name__}: {got[-1]}" == "RuntimeError: no eps matrix"
+    message = "ValueError: l must be a non-negative half-integer, got 0.25"
+    assert f"{type(got[-1]).__name__}: {got[-1]}" == message
     got = e_rel_nacs_grid([(*p, 0.1) for p in points] + [(*bad, 0.1)])
     assert [v.hex() for v in got[:-1]] == [v.hex() for v in shift]
-    assert isinstance(got[-1], RuntimeError)
+    assert f"{type(got[-1]).__name__}: {got[-1]}" == message
+
+
+def test_failed_points_build_no_system(monkeypatch):
+    # the (k, l) rule and the boundary condition are checked before any
+    # (2l+1)**2 matrix: at l = 2000 that matrix holds 16 million entries
+    def refuse(*args):
+        raise RuntimeError("no NACSSystem")
+
+    monkeypatch.setattr(NACSSystem, "__post_init__", refuse)
+    message = "ValueError: eps must be >= 0, got -1.0"
+    for got in (b2_nacs_grid([(3, 2000, -1.0, 1.0)]), e_rel_nacs_grid([(3, 2000, -1.0, 1.0, 0.1)])):
+        assert [f"{type(e).__name__}: {e}" for e in got] == [message]
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        NACSSystem.isotropic(3, 2000, -1.0, 1)
+    # k is checked before l, as NACSSystem itself checks them
+    with pytest.raises(ValueError, match="k must be a nonzero integer"):
+        NACSSystem.isotropic(0.5, 0.25, 1.0, 1)
 
 
 def test_hardcore_sentinel_routes_per_channel():

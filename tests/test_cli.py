@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +62,8 @@ def test_axis_single_point():
     [
         dict(name="gamma", start=0.0, stop=1.0, count=0),
         dict(name="gamma", start=0.0, stop=1.0, count=-3),
+        dict(name="gamma", start=0.0, stop=1.0, count=math.inf),
+        dict(name="gamma", start=0.0, stop=1.0, count=math.nan),
         dict(name="gamma", start=math.inf, stop=1.0, count=2),
         dict(name="gamma", start=0.0, stop=math.nan, count=2),
         dict(name="gamma", start=0.0, stop=1.0, count=2, spacing="cubic"),
@@ -461,7 +464,7 @@ def test_main_sweep_is_byte_identical_across_runs(tmp_path):
     out1, out2 = (str(tmp_path / f"r{i}.csv") for i in (1, 2))
     assert main(["sweep", specfile, "--out", out1]) == EXIT_OK
     assert main(["sweep", specfile, "--out", out2]) == EXIT_OK
-    assert open(out2, "rb").read() == open(out1, "rb").read()
+    assert Path(out2).read_bytes() == Path(out1).read_bytes()
 
 
 def test_one_parser_serves_every_main_call(tmp_path):
@@ -478,8 +481,8 @@ def test_one_parser_serves_every_main_call(tmp_path):
     assert main(classify + ["--extra", "0.3,2,0", "--extra", "0.1,3,0", "--out", c1]) == EXIT_OK
     assert main(["sweep", specfile, "--out", out2]) == EXIT_OK
     assert main(classify + ["--extra", "0.3,2,0", "--extra", "0.1,3,0", "--out", c2]) == EXIT_OK
-    assert open(out2, "rb").read() == open(out1, "rb").read()
-    assert open(c2, "rb").read() == open(c1, "rb").read()
+    assert Path(out2).read_bytes() == Path(out1).read_bytes()
+    assert Path(c2).read_bytes() == Path(c1).read_bytes()
 
 
 def test_main_exit_codes(tmp_path):
@@ -788,6 +791,19 @@ def test_main_nacs_channels_table(capsys):
     assert lines[2].split(",")[5] == "bosonic"
 
 
+def test_nacs_channels_builds_no_system(monkeypatch, capsys):
+    # the channel table comes from k and 2l alone, not a (2l+1)**2 matrix
+    def refuse(*args):
+        raise RuntimeError("no NACSSystem")
+
+    monkeypatch.setattr(NACSSystem, "__post_init__", refuse)
+    assert main(["nacs", "channels", "--k", "3", "--l", "1000"]) == EXIT_OK
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert len(lines) == 2002
+    assert main(["nacs", "channels", "--k", "3", "--l", "0.25"]) == EXIT_SPEC
+    assert "l must be a non-negative half-integer, got 0.25" in capsys.readouterr().err
+
+
 def test_main_virial_thermo_ideal_gas(capsys):
     rc = main(
         ["virial", "thermo", "--model", "power-law", "--d", "3", "--alpha", "2",
@@ -861,7 +877,7 @@ def test_main_gnuplot_script(tmp_path):
         f"quantity = ll-b2\naxis = gamma linear 1 4 4\ntau = 1\nout = {out}\n",
     )
     assert main(["sweep", specfile, "--gnuplot"]) == EXIT_OK
-    script = open(out + ".gp", encoding="utf-8").read()
+    script = Path(out + ".gp").read_text(encoding="utf-8")
     assert '"curve.csv" using 1:2' in script
 
 
@@ -905,12 +921,18 @@ _POWER_LAW = "virial thermo --d 2 --alpha 2 --rho 0.1 --T 2"
         ("virial classify --d 1 --extra 1,2", "--extra wants COEFF,POWER,LOGPOWER, got '1,2'"),
         ("virial classify --d 1 --extra 1,2,x", "bad --extra term '1,2,x'"),
         ("virial check-scaling --model delta-gas --c 1 --temps 10,x", "bad temperature list '10,x'"),
+        *(
+            (f"virial check-scaling --model delta-gas --c 1 --temps 10,100,1000 --rtol {rtol}",
+             f"rtol must be finite and >= 0, got {float(rtol)}")
+            for rtol in ("nan", "inf", "-1")
+        ),
         ("quantity = ll-b2\naxis = gamma linear 1 2 2\ntau = abc\n", "parameter tau must be numeric, got 'abc'"),
         ("quantity = ll-b2\naxis = gamma linear 1 2 x\ntau = 1\n", "bad.sweep:2: invalid literal for int()"),
     ],
     ids=[
         "specfile-extra", "specfile-c", "specfile-alpha", "missing-key", "missing-c",
         "unknown-model", "bad-amps", "empty-amps", "short-extra", "bad-extra", "bad-temps",
+        "nan-rtol", "inf-rtol", "negative-rtol",
         "non-numeric", "bad-axis",
     ],
 )
@@ -940,7 +962,7 @@ def test_main_sweep_format_precedence(tmp_path):
         out = str(tmp_path / f"table{i}")
         specfile = _write(tmp_path / f"s{i}.sweep", text + line + f"out = {out}\n")
         assert main(["sweep", specfile, *flags]) == EXIT_OK
-        head = open(out, encoding="utf-8").read(1)
+        head = Path(out).read_text(encoding="utf-8")[:1]
         assert head == ("{" if fmt == "json" else "#")
         assert load_table(out).metadata["config"]["format"] == fmt
 

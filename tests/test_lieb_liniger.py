@@ -953,6 +953,22 @@ def test_low_tau_shift_follows_the_cft_law(gamma):
         assert coeff == pytest.approx(law, rel=2e-3)
 
 
+@pytest.mark.parametrize(
+    "gamma, bound",
+    [(0.3, 1e-5), (1.0, 2e-6), (4.0, 2e-6), (20.0, 6e-6), (100.0, 8e-6), (1000.0, 1e-5)],
+)
+def test_low_tau_shift_meets_the_cft_law_to_fourth_order(gamma, bound):
+    # e_res(gamma, tau) = e_res(gamma, 0) + c2 tau^2 + O(tau^4): the
+    # Richardson pair of (e_res(tau) - e_res(0)) / tau^2 at tau = 0.01 and
+    # 0.02 cancels the tau^4 term and leaves c2 to the solvers' accuracy
+    d = 2e-3 * gamma
+    dv = (_sound_velocity(gamma + d) - _sound_velocity(gamma - d)) / (2 * d)
+    law = math.pi * gamma / 12.0 * dv / _sound_velocity(gamma) ** 2
+    zero = e_res_zero_T(gamma)
+    coeff = {tau: (e_res_finite_T(LLParams(gamma, tau)) - zero) / tau**2 for tau in (0.01, 0.02)}
+    assert (4.0 * coeff[0.01] - coeff[0.02]) / 3.0 == pytest.approx(law, rel=bound)
+
+
 def test_density_positive_peaked_and_dressed():
     # f > 0, peaked at K = 0, and the dressed combination
     # f (1 + e^{E/tau}) stays above the bare 1/2pi (the interaction

@@ -300,6 +300,10 @@ def test_check_scale_invariance_input_validation():
         check_scale_invariance(model, [1.0])
     with pytest.raises(ValueError, match="positive and finite"):
         check_scale_invariance(model, [1.0, -2.0])
+    # a nan or inf bound would pass any spread, a negative one fail every order
+    for rtol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match=f"rtol must be finite and >= 0, got {rtol}"):
+            check_scale_invariance(lieb_liniger_b2_model(1.0), [10.0, 100.0], rtol=rtol)
 
 
 def test_zero_coefficient_counts_as_scale_invariant():
